@@ -11,6 +11,16 @@ numpy arrays backed by LAPACK; extended-precision matrices are mpmath
 matrices with a cyclic Jacobi eigensolver, which works unchanged at any
 mantissa width and preserves the relative accuracy of the small
 eigenvalues that make these matrices interesting.
+
+Extended-precision solves use the mirror symmetry of lattice layouts.
+A centered lattice is invariant under y -> -y and z -> -z, so Z commutes
+with both mirrors and splits exactly into four parity sectors, one per
+character (+-1, +-1) of the mirror group, each about N/4 square.  The
+solve projects the right-hand side onto the sectors, skips those it
+does not excite (a broadside terminal excites only the even-even one),
+factors each remaining sector block once, and checks the residual
+against the full Z.  Layouts without lattice indices have one orbit per
+element, a single sector, and the sector block is Z itself.
 """
 
 from __future__ import annotations
@@ -36,6 +46,9 @@ _JACOBI_MAX_SWEEPS = 100
 _SOLVE_RESIDUAL_RTOL = 1e-8
 # the extra working bits mpmath's own lu_solve uses for factor and substitution
 _LU_GUARD_BITS = 10
+# value of each parity character on (identity, y mirror, z mirror, both),
+# the column order of ImpedanceMatrix.orbits
+_PARITIES = ((1, 1, 1, 1), (1, -1, 1, -1), (1, 1, -1, -1), (1, -1, -1, 1))
 
 
 class ImpedanceMatrix:
@@ -54,15 +67,30 @@ class ImpedanceMatrix:
         Element model the kernel belongs to.
     precision : Precision
         Arithmetic the entries were built in.
+    orbits : ndarray of int, shape (M, 4)
+        Element orbits under the layout's mirror symmetries, as returned
+        by :meth:`ArrayGeometry.mirror_orbits`: row k holds the images of
+        one element under the identity, the y mirror, the z mirror and
+        both, and Z is invariant under each of these permutations.  The
+        extended-precision solve works in the parity sectors they
+        define.  :func:`impedance` attaches the layout's orbits to
+        extended-precision matrices, whose entries it builds from the
+        lattice offsets, so the invariance is exact.  Defaults to one
+        orbit per element (no symmetry used).
     """
 
-    def __init__(self, entries, kind: ElementKind, precision: Precision, ctx=None):
+    def __init__(self, entries, kind: ElementKind, precision: Precision, ctx=None,
+                 orbits=None):
         self.kind = kind
         self.precision = precision
         self._ctx = ctx if ctx is not None else precision.context()
         self.entries = entries
         if not precision.is_extended:
             self.entries.setflags(write=False)
+        if orbits is None:
+            orbits = np.column_stack([np.arange(self.n)] * 4)
+        self.orbits = orbits
+        self.orbits.setflags(write=False)
         self._eig = None
         self._eig_lock = threading.Lock()
 
@@ -192,7 +220,7 @@ def impedance(geom: ArrayGeometry, precision: Precision = Precision()) -> Impeda
     """
     if precision.is_extended:
         Z, ctx = _impedance_extended(geom, precision)
-        return ImpedanceMatrix(Z, geom.kind, precision, ctx=ctx)
+        return ImpedanceMatrix(Z, geom.kind, precision, ctx=ctx, orbits=geom.mirror_orbits())
     return ImpedanceMatrix(_impedance_double(geom), geom.kind, precision)
 
 
@@ -392,6 +420,11 @@ def solve(Z: ImpedanceMatrix, h, precision: Precision | None = None):
     :class:`IllConditionedSolveError` carrying the achieved residual and
     a condition-number estimate is raised.
 
+    Machine double factors Z with LAPACK.  Extended precision factors
+    one block per parity sector of ``Z.orbits`` that h excites (see the
+    module docstring) and checks the residual against the full Z; the
+    refinement step projects the residual into the same sectors.
+
     Parameters
     ----------
     Z : ImpedanceMatrix
@@ -446,14 +479,33 @@ def _solve_extended(Z: ImpedanceMatrix, h):
         norm_h = ctx.norm(h)
         if norm_h == 0:
             return ctx.matrix(Z.n, 1)
-        # factor once and reuse the factors for the refinement step;
-        # ctx.lu_solve factors a private copy of A on every call
-        with ctx.extraprec(_LU_GUARD_BITS):
-            lu, piv = ctx.LU_decomp(Z.entries.copy(), overwrite=True)
-        x = _lu_substitute(ctx, lu, piv, h)
+        # factor each sector the right-hand side excites once, and reuse
+        # the factors for the refinement step and the condition estimate
+        factored = []
+        for parity in _PARITIES:
+            sector = _sector_orbits(Z.orbits, parity)
+            if sector and any(_project(ctx, h, members) != 0 for members in sector):
+                with ctx.extraprec(_LU_GUARD_BITS):
+                    lu, piv = ctx.LU_decomp(_sector_block(ctx, Z.entries, sector),
+                                            overwrite=True)
+                factored.append((sector, lu, piv))
+
+        def apply_inverse(v):
+            """Z^-1 v on the factored sectors; v's other components are dropped."""
+            x = ctx.matrix(Z.n, 1)
+            with ctx.extraprec(_LU_GUARD_BITS):
+                for sector, lu, piv in factored:
+                    b = ctx.matrix([_project(ctx, v, members) for members in sector])
+                    y = ctx.U_solve(lu, ctx.L_solve(lu, b, piv))
+                    for members, y_p in zip(sector, y):
+                        for j, sign in members:
+                            x[j] += y_p if sign > 0 else -y_p
+            return x
+
+        x = apply_inverse(h)
         r = h - Z.entries * x
         res = ctx.norm(r)
-        x_ref = x + _lu_substitute(ctx, lu, piv, r)
+        x_ref = x + apply_inverse(r)
         res_ref = ctx.norm(h - Z.entries * x_ref)
         if res_ref < res:
             x, res = x_ref, res_ref
@@ -462,15 +514,91 @@ def _solve_extended(Z: ImpedanceMatrix, h):
                 f"solve residual {float(res / norm_h):.3e} exceeds {_SOLVE_RESIDUAL_RTOL:.0e}"
                 f" at {Z.precision.spec()}",
                 residual=float(res / norm_h),
-                kappa_estimate=condition_number(Z),
+                kappa_estimate=float(ctx.mnorm(Z.entries, 1)
+                                     * _norm1_estimate(ctx, apply_inverse, Z.n)),
             )
         return x
 
 
-def _lu_substitute(ctx, lu, piv, b):
-    """Forward and back substitution on ``LU_decomp`` factors."""
-    with ctx.extraprec(_LU_GUARD_BITS):
-        return ctx.U_solve(lu, ctx.L_solve(lu, b, piv))
+def _sector_orbits(orbits, parity):
+    """The orbits a parity sector holds, each as its ``(element, sign)`` pairs.
+
+    An orbit drops out of a sector whose character is -1 on a mirror
+    that fixes the orbit's elements: its sector vector would equal
+    minus itself.
+    """
+    sector = []
+    for images in orbits.tolist():
+        members = {}
+        for j, sign in zip(images, parity):
+            if members.setdefault(j, sign) != sign:
+                break
+        else:
+            sector.append(list(members.items()))
+    return sector
+
+
+def _project(ctx, v, members):
+    """Component of v on one orbit's sector vector: the signed mean over the orbit.
+
+    The sum is exact before its one rounding, so a component that
+    symmetry makes zero comes out exactly zero.
+    """
+    return ctx.fsum(v[j] if sign > 0 else -v[j] for j, sign in members) / len(members)
+
+
+def _sector_block(ctx, entries, sector):
+    """Z restricted to a sector: ``A[p, q] = sum over q's members of sign * Z[r_p, member]``.
+
+    ``r_p`` is the first member of orbit p.  With x equal to
+    ``sign * y_q`` on q's members, ``(Z x)[r_p] = (A y)[p]``.
+    """
+    m = len(sector)
+    A = ctx.matrix(m, m)
+    for p, row_orbit in enumerate(sector):
+        r = row_orbit[0][0]
+        for q, members in enumerate(sector):
+            A[p, q] = ctx.fsum(entries[r, j] if sign > 0 else -entries[r, j]
+                               for j, sign in members)
+    return A
+
+
+def _norm1_estimate(ctx, apply_inverse, n):
+    """Hager-Higham lower estimate of the 1-norm of a symmetric operator.
+
+    Higham's refinement of Hager's method (ACM TOMS 670, LAPACK
+    ``xLACON``): at most five power-method-like steps, each one or two
+    products with the operator, then one product with an alternating
+    test vector; real arithmetic throughout.
+    """
+    def apply(v):
+        return [ctx.re(c) for c in apply_inverse(ctx.matrix(v))]
+
+    def sign(v):
+        return [1 if c >= 0 else -1 for c in v]
+
+    def norm1(v):
+        return ctx.fsum(abs(c) for c in v)
+
+    v = apply([ctx.mpf(1) / n] * n)
+    if n == 1:
+        return abs(v[0])
+    est = norm1(v)
+    xi = sign(v)
+    x = apply(xi)  # the operator is symmetric: its transpose is itself
+    j = max(range(n), key=lambda i: abs(x[i]))
+    for _ in range(4):
+        v = apply([1 if i == j else 0 for i in range(n)])
+        est_old, est = est, norm1(v)
+        if sign(v) == xi or est <= est_old:
+            break
+        xi = sign(v)
+        x = apply(xi)
+        j_last, j = j, max(range(n), key=lambda i: abs(x[i]))
+        if x[j_last] == abs(x[j]):
+            break
+    alt = apply([(-1) ** i * (1 + ctx.mpf(i) / (n - 1)) for i in range(n)])
+    return max(est, 2 * norm1(alt) / (3 * n))
 
 
 def quadratic_form(Z: ImpedanceMatrix, i):

@@ -312,6 +312,23 @@ def _run_tasks(tasks, worker):
         return list(pool.map(worker, tasks))
 
 
+class _RowClock:
+    """Splits a sweep point's wall time over its rows.
+
+    Each row is charged the time since the previous row ended, so the
+    point's shared set-up (layout, Z, channel, spectrum) lands on its
+    first row and the rows add up to the point's wall time.
+    """
+
+    def __init__(self):
+        self._mark = time.perf_counter()
+
+    def lap_ms(self) -> float:
+        now = time.perf_counter()
+        elapsed, self._mark = (now - self._mark) * 1e3, now
+        return elapsed
+
+
 def _linear_geometry(cfg: ExperimentConfig, spacing: float, kind: ElementKind) -> ArrayGeometry:
     return linear_array(cfg.linear_elements, spacing, kind, cfg.wavelength)
 
@@ -386,6 +403,7 @@ def run_truncation_sweep(cfg: ExperimentConfig) -> SweepResult:
 
     def worker(task):
         spacing, kind = task
+        clock = _RowClock()
         geom = _linear_geometry(cfg, spacing, kind)
         Z = impedance(geom, cfg.precision)
         _maybe_dump(cfg, Z, spacing, kind)
@@ -393,15 +411,13 @@ def run_truncation_sweep(cfg: ExperimentConfig) -> SweepResult:
         kappa = coupling.condition_number(Z)
         out = []
         for m in range(1, geom.n + 1):
-            start = time.perf_counter()
             i = precoding.ca_pmf_rank(Z, h, m)
             i_hat = precoding.power_normalize(i, Z)
             d_lin = metrics.directivity(i_hat, Z, h, o, cfg.wavelength)
             power = metrics.excitation_power(i_hat)
-            elapsed = (time.perf_counter() - start) * 1e3
             out.append((spacing, spacing / cfg.wavelength, geom.n, kind.value,
                         SCHEME_CA_PMF, m, d_lin, metrics.to_dbi(d_lin), kappa,
-                        power, elapsed))
+                        power, clock.lap_ms()))
         return out
 
     rows = [row for block in _run_tasks(tasks, worker) for row in block]
@@ -410,6 +426,7 @@ def run_truncation_sweep(cfg: ExperimentConfig) -> SweepResult:
 
 def _spacing_point_rows(cfg: ExperimentConfig, spacing: float, kind: ElementKind,
                         d_nc_value: float):
+    clock = _RowClock()
     o = np.asarray(cfg.ue_position)
     rows = []
     geom = _grid_geometry(cfg, spacing, kind)
@@ -419,49 +436,44 @@ def _spacing_point_rows(cfg: ExperimentConfig, spacing: float, kind: ElementKind
     kappa = coupling.condition_number(Z)
     lam = cfg.wavelength
 
-    def emit(scheme, retained, current, status, started, Z_use=Z, h_use=h):
+    def emit(scheme, retained, current, status, Z_use=Z, h_use=h):
         if current is None:
             d_lin = d_dbi = power = None
         else:
             d_lin = metrics.directivity(current, Z_use, h_use, o, lam)
             d_dbi = metrics.to_dbi(d_lin)
             power = metrics.excitation_power(current)
-        elapsed = (time.perf_counter() - started) * 1e3
         rows.append((spacing, spacing / lam, geom.n, kind.value, scheme, retained,
-                     d_lin, d_dbi, kappa, power, d_nc_value, status, elapsed))
+                     d_lin, d_dbi, kappa, power, d_nc_value, status, clock.lap_ms()))
 
     for scheme in cfg.schemes:
-        start = time.perf_counter()
         if scheme == SCHEME_NCA_MF:
-            emit(scheme, geom.n, precoding.nca_mf(h), "ok", start)
+            emit(scheme, geom.n, precoding.nca_mf(h), "ok")
         elif scheme == SCHEME_CA_MF:
             try:
-                emit(scheme, geom.n, precoding.ca_mf(Z, h), "ok", start)
+                emit(scheme, geom.n, precoding.ca_mf(Z, h), "ok")
             except LisSimError as exc:
-                emit(scheme, geom.n, None, f"failed: {type(exc).__name__}", start)
+                emit(scheme, geom.n, None, f"failed: {type(exc).__name__}")
         elif scheme == SCHEME_CA_PMF:
             s, _ = coupling.sym_eig(Z)
             retained = int(np.sum(np.maximum(s, 0.0) > cfg.svd_threshold))
             try:
-                emit(scheme, retained, precoding.ca_pmf(Z, h, cfg.svd_threshold), "ok", start)
+                emit(scheme, retained, precoding.ca_pmf(Z, h, cfg.svd_threshold), "ok")
             except LisSimError as exc:
-                emit(scheme, retained, None, f"failed: {type(exc).__name__}", start)
+                emit(scheme, retained, None, f"failed: {type(exc).__name__}")
         elif scheme == SCHEME_HP_CA_MF:
             if not cfg.precision.is_extended:
                 continue  # high-precision column only exists on extended runs
             if geom.n > cfg.hp_max_elements:
-                rows.append((spacing, spacing / lam, geom.n, kind.value, scheme,
-                             None, None, None, kappa, None, d_nc_value,
-                             "skipped: exceeds hp_max_elements",
-                             (time.perf_counter() - start) * 1e3))
+                emit(scheme, None, None, "skipped: exceeds hp_max_elements")
                 continue
             Z_hp = impedance(geom, cfg.precision)
             h_hp = channel_for(geom, o, cfg.precision)
             try:
-                emit(scheme, geom.n, precoding.ca_mf(Z_hp, h_hp), "ok", start,
+                emit(scheme, geom.n, precoding.ca_mf(Z_hp, h_hp), "ok",
                      Z_use=Z_hp, h_use=h_hp)
             except LisSimError as exc:
-                emit(scheme, geom.n, None, f"failed: {type(exc).__name__}", start)
+                emit(scheme, geom.n, None, f"failed: {type(exc).__name__}")
     return rows
 
 

@@ -87,6 +87,34 @@ class ArrayGeometry:
         """k = 2*pi / wavelength, rad/m (always derived, never stored)."""
         return 2.0 * math.pi / self.wavelength
 
+    def mirror_orbits(self) -> np.ndarray:
+        """Element orbits under the lattice mirrors y -> -y and z -> -z.
+
+        Returns an int array of shape (M, 4), one row per orbit: the
+        indices of an element's images under the identity, the y
+        mirror, the z mirror and both, with the orbit's lowest index
+        first.  A mirror that does not map the set of lattice indices
+        onto itself acts as the identity, and a layout without lattice
+        indices has one orbit per element, ``[a, a, a, a]``.
+        """
+        own = np.arange(self.n)
+        if self.lattice_indices is None:
+            return np.column_stack([own] * 4)
+        rel = self.lattice_indices - self.lattice_indices.min(axis=0)
+        extent = rel.max(axis=0) + 1
+        grid = np.full(extent, -1)
+        grid[rel[:, 0], rel[:, 1]] = own
+
+        def mirror(axis):
+            at = rel.copy()
+            at[:, axis] = extent[axis] - 1 - rel[:, axis]
+            image = grid[at[:, 0], at[:, 1]]
+            return image if np.all(image >= 0) else own
+
+        flip_y, flip_z = mirror(0), mirror(1)
+        images = np.column_stack([own, flip_y, flip_z, flip_y[flip_z]])
+        return images[images.min(axis=1) == own]
+
 
 def _centered_axis(count: int) -> np.ndarray:
     # integer-minus-half-integer steps are exact in binary floating point,

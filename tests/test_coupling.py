@@ -11,8 +11,10 @@ from lissim import (
     InvalidArgumentError,
     InvalidGeometryError,
     Precision,
+    channel_for,
     channel_isotropic,
     condition_number,
+    custom_geometry,
     impedance,
     linear_array,
     planar_grid,
@@ -25,6 +27,7 @@ from lissim import (
     truncated_inverse,
     write_matrix_text,
 )
+from lissim import coupling
 from lissim.errors import IllConditionedSolveError, LisSimError
 
 LAM = SPEED_OF_LIGHT / 2.6e9
@@ -257,7 +260,9 @@ def test_solve_extended_succeeds_where_double_degrades():
 
 
 def test_solve_extended_factors_once_and_matches_lu_solve(monkeypatch):
-    geom = geom_linear(frac=0.3)
+    # a custom layout has one orbit per element: the solve factors the whole Z
+    line = geom_linear(frac=0.3)
+    geom = custom_geometry(line.positions, line.kind, line.dy, line.dz, LAM)
     Z = impedance(geom, EXT)
     h = channel_isotropic(geom, [10.0, 0.0, 0.0], EXT)
     ctx = EXT.context()
@@ -277,6 +282,89 @@ def test_solve_extended_factors_once_and_matches_lu_solve(monkeypatch):
     x = solve(Z, h)
     assert len(calls) == 1
     assert all(x[k] == expected[k] for k in range(Z.n))
+
+
+def _axis_sector_sizes(count):
+    # even and odd mirror vectors along one axis of `count` lattice points
+    return {1: (count + 1) // 2, -1: count // 2}
+
+
+@pytest.fixture
+def factored_sizes(monkeypatch):
+    """Sizes of the matrices the extended LU factors, in call order."""
+    ctx = EXT.context()
+    sizes = []
+    factor = ctx.LU_decomp
+
+    def recording_factor(A, *args, **kwargs):
+        sizes.append(A.rows)
+        return factor(A, *args, **kwargs)
+
+    monkeypatch.setattr(ctx, "LU_decomp", recording_factor)
+    return sizes
+
+
+@pytest.mark.parametrize("n_y,n_z", [(4, 5), (5, 3), (4, 4), (1, 7)])
+@pytest.mark.parametrize("kind", list(ElementKind))
+@pytest.mark.parametrize("terminal", [(10.0, 0.0, 0.0), (10.0, 1.3, 0.0), (10.0, 1.3, -0.7)])
+def test_solve_extended_in_parity_sectors_matches_lu_solve(factored_sizes, n_y, n_z, kind,
+                                                           terminal):
+    pitch = 0.3 * LAM
+    if n_y == 1:
+        geom = linear_array(n_z, pitch, kind, LAM)
+    else:
+        geom = planar_grid((n_y - 1) * pitch, (n_z - 1) * pitch, pitch, pitch, kind, LAM)
+    assert geom.n == n_y * n_z
+    Z = impedance(geom, EXT)
+    h = channel_for(geom, terminal, EXT)
+    ctx = EXT.context()
+
+    # a terminal off an axis excites the odd parity along that axis too
+    y_parities = (1, -1) if terminal[1] != 0 else (1,)
+    z_parities = (1, -1) if terminal[2] != 0 else (1,)
+    sizes_y, sizes_z = _axis_sector_sizes(n_y), _axis_sector_sizes(n_z)
+    expected = [sizes_y[py] * sizes_z[pz]
+                for pz in (1, -1) for py in (1, -1)
+                if py in y_parities and pz in z_parities and sizes_y[py] * sizes_z[pz]]
+
+    x = solve(Z, h)
+    assert factored_sizes == expected
+
+    reference = ctx.lu_solve(Z.entries, h)
+    assert ctx.norm(x - reference) <= 1e-60 * ctx.norm(reference)
+    assert ctx.norm(h - Z.entries * x) <= 1e-8 * ctx.norm(h)
+
+
+def test_solve_extended_broadside_factors_only_the_even_sector(factored_sizes):
+    pitch = 0.25 * LAM
+    geom = planar_grid(10 * pitch, 10 * pitch, pitch, pitch, ElementKind.PLANAR, LAM)
+    Z = impedance(geom, EXT)
+    h = channel_for(geom, [10.0, 0.0, 0.0], EXT)
+    ctx = EXT.context()
+    x = solve(Z, h)
+    assert geom.n == 121
+    assert factored_sizes == [36]
+    assert ctx.norm(h - Z.entries * x) <= 1e-8 * ctx.norm(h)
+
+
+def test_solve_extended_refusal_estimates_kappa_from_the_factors(monkeypatch):
+    pitch = 0.15 * LAM
+    geom = planar_grid(3 * pitch, 4 * pitch, pitch, pitch, ElementKind.PLANAR, LAM)
+    Z = impedance(geom, EXT)
+    h = channel_for(geom, [10.0, 1.3, -0.7], EXT)
+
+    def no_eigensolver(*args, **kwargs):
+        raise AssertionError("the refusal must not run the eigensolver")
+
+    monkeypatch.setattr(coupling, "_SOLVE_RESIDUAL_RTOL", 0.0)
+    monkeypatch.setattr(coupling, "_jacobi_eigh", no_eigensolver)
+    with pytest.raises(IllConditionedSolveError) as info:
+        solve(Z, h)
+    monkeypatch.undo()
+    err = info.value
+    assert 0.0 < err.residual <= 1e-60
+    kappa = condition_number(Z)
+    assert kappa / Z.n <= err.kappa_estimate <= kappa * Z.n
 
 
 def test_quadratic_form_radiated_power_nonnegative():

@@ -1,4 +1,5 @@
 import json
+import time
 
 import numpy as np
 import pytest
@@ -23,6 +24,7 @@ from lissim import (
     run_spacing_sweep,
     run_truncation_sweep,
 )
+from lissim import experiments
 from lissim.cli import main as cli_main
 from lissim.experiments import (
     ExperimentConfig,
@@ -212,6 +214,27 @@ def test_csv_keeps_timing_by_default():
     cfg = make_config(include_timing=True)
     text = run_experiment("conditioning", cfg).to_csv()
     assert "wall_time_ms" in text.splitlines()[0]
+
+
+@pytest.mark.parametrize("experiment", ["spacing", "truncation"])
+def test_wall_time_charges_point_setup_to_its_first_row(monkeypatch, experiment):
+    delay_s = 0.2
+    build = experiments.impedance
+
+    def slow_impedance(*args, **kwargs):
+        time.sleep(delay_s)
+        return build(*args, **kwargs)
+
+    monkeypatch.setattr(experiments, "impedance", slow_impedance)
+    cfg = make_config(include_timing=True, linear_elements=6, schemes=["nCA-MF", "CA-pMF"])
+    start = time.perf_counter()
+    times = run_experiment(experiment, cfg).column("wall_time_ms")
+    total_ms = (time.perf_counter() - start) * 1e3
+    assert times[0] >= delay_s * 1e3
+    assert all(t < delay_s * 1e3 for t in times[1:])
+    # the point's rows add up to its wall time: only the sweep's own
+    # set-up outside the point is left over
+    assert 0.9 * total_ms <= sum(times) <= total_ms
 
 
 def test_csv_17_digit_floats_and_inf():

@@ -139,3 +139,23 @@ def test_geometry_distinct_positions_via_custom():
                         ElementKind.PLANAR, 0.1, 0.1, 0.1)
     assert isinstance(g, ArrayGeometry)
     assert g.lattice_indices is None
+
+
+def test_mirror_orbits_of_lattices_and_custom_layouts():
+    # 3 x 2 grid, element index = iz * 3 + iy: the y mirror swaps iy 0 and 2,
+    # the z mirror swaps the two rows
+    g = planar_grid(0.2, 0.1, 0.1, 0.1, ElementKind.PLANAR, LAM)
+    assert g.lattice_indices.tolist() == [[0, 0], [1, 0], [2, 0], [0, 1], [1, 1], [2, 1]]
+    assert g.mirror_orbits().tolist() == [[0, 2, 3, 5], [1, 1, 4, 4]]
+
+    line = linear_array(3, 0.1, ElementKind.ISOTROPIC, LAM)
+    assert line.mirror_orbits().tolist() == [[0, 0, 2, 2], [1, 1, 1, 1]]
+
+    custom = custom_geometry(g.positions, g.kind, g.dy, g.dz, LAM)
+    assert custom.mirror_orbits().tolist() == [[k] * 4 for k in range(6)]
+
+    # an L-shaped lattice maps onto itself under neither mirror
+    ell = ArrayGeometry(positions=g.positions[:4].copy(), kind=g.kind, dy=g.dy, dz=g.dz,
+                        aperture_per_element=g.aperture_per_element, wavelength=LAM,
+                        lattice_indices=g.lattice_indices[:4].copy())
+    assert ell.mirror_orbits().tolist() == [[k] * 4 for k in range(4)]
