@@ -12,20 +12,26 @@ matrices with a cyclic Jacobi eigensolver, which works unchanged at any
 mantissa width and preserves the relative accuracy of the small
 eigenvalues that make these matrices interesting.
 
-Extended-precision solves use the mirror symmetry of lattice layouts.
-A centered lattice is invariant under y -> -y and z -> -z, so Z commutes
-with both mirrors and splits exactly into four parity sectors, one per
+Both precisions build Z of a lattice layout from its table of distinct
+lattice offsets: one kernel value per ``(|di|, |dj|)`` pair, then a
+gather.  So Z is exactly invariant under the layout's mirrors y -> -y
+and z -> -z, and it splits exactly into four parity sectors, one per
 character (+-1, +-1) of the mirror group, each about N/4 square.  The
-solve projects the right-hand side onto the sectors, skips those it
-does not excite (a broadside terminal excites only the even-even one),
-factors each remaining sector block once, and checks the residual
-against the full Z.  Layouts without lattice indices have one orbit per
-element, a single sector, and the sector block is Z itself.
+eigendecomposition and the solve work on the sector blocks
+``B_s = E_s^T Z E_s`` in both precisions: the eigensolver decomposes each
+block and merges the spectra; the solve projects the right-hand side
+onto the sectors, skips those it does not excite (a broadside terminal
+excites only the even-even one), factors each remaining block once, and
+checks the residual against the full Z.  Layouts without lattice
+indices have one orbit per element, a single sector, and the sector
+block is Z itself, bit for bit.
 """
 
 from __future__ import annotations
 
+import contextlib
 import math
+import os
 import threading
 
 import numpy as np
@@ -33,6 +39,7 @@ from scipy.linalg import lu_factor, lu_solve as _lapack_lu_solve
 from scipy.spatial.distance import cdist
 
 from .errors import (
+    CapacityError,
     EmptySpectrumError,
     IllConditionedSolveError,
     InvalidArgumentError,
@@ -49,6 +56,75 @@ _LU_GUARD_BITS = 10
 # value of each parity character on (identity, y mirror, z mirror, both),
 # the column order of ImpedanceMatrix.orbits
 _PARITIES = ((1, 1, 1, 1), (1, -1, 1, -1), (1, 1, -1, -1), (1, -1, -1, 1))
+
+
+class _Sector:
+    """One parity sector of Z: the orbits it holds and its orthonormal basis E.
+
+    Column p of E holds orbit p's members, each with its sign under the
+    sector's character, scaled by ``1/sqrt(|orbit|)``.  Products with E
+    are signed sums over an orbit's four images (identity, y mirror,
+    z mirror, both) in fixed pairs, ``(v0 +- v1) +- (v2 +- v3)``, in
+    which an image that repeats counts ``4/|orbit|`` times.  So a
+    component that the symmetry makes zero comes out exactly zero, the
+    block of an exactly invariant Z is exactly symmetric, and with one
+    orbit per element every product is exact and the block is Z itself.
+
+    The methods take numpy arrays of floats, or object arrays of mpmath
+    numbers, with ``roots = sqrt(sizes)`` in the same arithmetic.
+    """
+
+    def __init__(self, parity, orbits):
+        self.parity = parity
+        # (m, 4) element indices in the column order of _PARITIES
+        self.images = np.array(orbits, dtype=int)
+        # an orbit's size is 4 over the number of mirrors that fix its elements
+        self.sizes = np.array([4 // images.count(images[0]) for images in orbits])
+
+    def _signed_sum(self, image):
+        _, sign_y, sign_z, _ = self.parity
+
+        def pair(a, b, sign):
+            return a + b if sign > 0 else a - b
+
+        return pair(pair(image(0), image(1), sign_y), pair(image(2), image(3), sign_y), sign_z)
+
+    def project(self, v, roots):
+        """``E^T v`` for a vector v over the elements."""
+        return self._signed_sum(lambda k: v[self.images[:, k]]) * (roots / 4)
+
+    def block(self, entries, roots):
+        """``E^T Z E``, gathered from the rows of the orbits' first members."""
+        first = self.images[:, :1]
+        half = roots / 2
+        return (self._signed_sum(lambda k: entries[first, self.images[:, k]])
+                * np.outer(half, half))
+
+    def expand(self, y, roots, out, columns=None):
+        """Write ``E y`` into the rows of out (or into the given columns of a matrix)."""
+        scaled = (y.T / roots).T
+        negated = -scaled
+        for k, sign in enumerate(self.parity):
+            rows = self.images[:, k]
+            out[rows if columns is None else np.ix_(rows, columns)] = (
+                scaled if sign > 0 else negated)
+        return out
+
+
+def _sectors(orbits):
+    """The nonempty parity sectors of a layout's mirror orbits.
+
+    An orbit drops out of a sector whose character is -1 on a mirror
+    that fixes the orbit's elements: its sector vector would equal
+    minus itself.
+    """
+    sectors = []
+    for parity in _PARITIES:
+        held = [images for images in orbits.tolist()
+                if all(sign > 0 or image != images[0] for image, sign in zip(images, parity))]
+        if held:
+            sectors.append(_Sector(parity, held))
+    return sectors
 
 
 class ImpedanceMatrix:
@@ -71,12 +147,13 @@ class ImpedanceMatrix:
         Element orbits under the layout's mirror symmetries, as returned
         by :meth:`ArrayGeometry.mirror_orbits`: row k holds the images of
         one element under the identity, the y mirror, the z mirror and
-        both, and Z is invariant under each of these permutations.  The
-        extended-precision solve works in the parity sectors they
-        define.  :func:`impedance` attaches the layout's orbits to
-        extended-precision matrices, whose entries it builds from the
-        lattice offsets, so the invariance is exact.  Defaults to one
-        orbit per element (no symmetry used).
+        both, and Z must be exactly invariant under each of these
+        permutations.  They define the parity sectors in which the
+        eigendecomposition and the solve work, in both precisions.
+        :func:`impedance` attaches the layout's orbits and builds lattice
+        entries from the lattice offsets, so the invariance is exact.
+        Defaults to one orbit per element: a single sector whose block
+        is Z itself.
     """
 
     def __init__(self, entries, kind: ElementKind, precision: Precision, ctx=None,
@@ -91,6 +168,7 @@ class ImpedanceMatrix:
             orbits = np.column_stack([np.arange(self.n)] * 4)
         self.orbits = orbits
         self.orbits.setflags(write=False)
+        self._sectors = _sectors(orbits)
         self._eig = None
         self._eig_lock = threading.Lock()
 
@@ -105,16 +183,12 @@ class ImpedanceMatrix:
         return self._ctx
 
     def eigendecomposition(self):
-        """Cached ``(eigenvalues descending, orthonormal U)``."""
+        """Cached ``(eigenvalues descending, orthonormal U)``, computed per sector."""
         # lock order is always MP_LOCK, then the per-matrix cache lock
-        if self.precision.is_extended:
-            with MP_LOCK, self._eig_lock:
-                if self._eig is None:
-                    self._eig = _jacobi_eigh(self.context, self.entries)
-                return self._eig
-        with self._eig_lock:
+        mp_lock = MP_LOCK if self.precision.is_extended else contextlib.nullcontext()
+        with mp_lock, self._eig_lock:
             if self._eig is None:
-                self._eig = _sym_eig_impl(self)
+                self._eig = _sector_eigh(self)
             return self._eig
 
     def matvec(self, v):
@@ -133,6 +207,18 @@ class ImpedanceMatrix:
                 out[a, b] = float(self.entries[a, b])
         return out
 
+    def _entries_array(self):
+        """The entries as a numpy array, of mpmath numbers under extended precision."""
+        if self.precision.is_extended:
+            return np.array(self.entries.tolist(), dtype=object)
+        return self.entries
+
+    def _roots(self, sector):
+        """``sqrt`` of the sector's orbit sizes in the matrix's arithmetic."""
+        if self.precision.is_extended:
+            return np.array([self.context.sqrt(int(m)) for m in sector.sizes], dtype=object)
+        return np.sqrt(sector.sizes)
+
 
 def _kernel_double(kind: ElementKind, x: np.ndarray) -> np.ndarray:
     if kind is ElementKind.ISOTROPIC:
@@ -148,7 +234,34 @@ def _kernel_mp(ctx, kind: ElementKind, x):
     return ctx.besselj(1, x) / x
 
 
+def _lattice_extent(geom: ArrayGeometry):
+    """Lattice indices shifted to start at 0, and the extent ``(n_y, n_z)`` they span."""
+    rel = geom.lattice_indices - geom.lattice_indices.min(axis=0)
+    n_y, n_z = (int(v) for v in rel.max(axis=0) + 1)
+    if np.bincount(rel[:, 0] * n_z + rel[:, 1]).max() > 1:
+        raise InvalidGeometryError("duplicate element positions make Z exactly singular")
+    return rel, n_y, n_z
+
+
+def _gather_offsets(rel, table):
+    """``Z[a, b] = table[|di|, |dj|]`` for the lattice offset of every element pair."""
+    def axis_offsets(i):
+        d = np.subtract.outer(i, i)
+        return np.abs(d, out=d)
+
+    flat = axis_offsets(rel[:, 0])
+    flat *= table.shape[1]
+    flat += axis_offsets(rel[:, 1])
+    return table.ravel()[flat]
+
+
 def _impedance_double(geom: ArrayGeometry) -> np.ndarray:
+    if geom.lattice_indices is not None:
+        # one kernel value per distinct lattice offset, then one gather
+        rel, n_y, n_z = _lattice_extent(geom)
+        r = np.sqrt((np.arange(n_y)[:, None] * geom.dy) ** 2
+                    + (np.arange(n_z)[None, :] * geom.dz) ** 2)
+        return _gather_offsets(rel, _kernel_double(geom.kind, geom.wavenumber * r))
     r = cdist(geom.positions, geom.positions)
     if geom.n > 1:
         off = r + np.diag(np.full(geom.n, np.inf))
@@ -160,49 +273,49 @@ def _impedance_double(geom: ArrayGeometry) -> np.ndarray:
 def _impedance_extended(geom: ArrayGeometry, precision: Precision):
     ctx = precision.context()
     with MP_LOCK:
-        return _impedance_extended_locked(ctx, geom)
+        return _impedance_extended_locked(ctx, geom), ctx
 
 
 def _impedance_extended_locked(ctx, geom: ArrayGeometry):
     n = geom.n
     k = 2 * ctx.pi / ctx.mpf(geom.wavelength)
-    dy = ctx.mpf(geom.dy)
-    dz = ctx.mpf(geom.dz)
+    if geom.lattice_indices is not None:
+        # exact integer offsets on the lattice: one kernel evaluation per
+        # distinct |di|, |dj| pair, then one gather
+        rel, n_y, n_z = _lattice_extent(geom)
+        dy = ctx.mpf(geom.dy)
+        dz = ctx.mpf(geom.dz)
+        table = np.array([[_kernel_mp(ctx, geom.kind,
+                                      k * ctx.sqrt((a * dy) ** 2 + (b * dz) ** 2))
+                           for b in range(n_z)] for a in range(n_y)], dtype=object)
+        return ctx.matrix(_gather_offsets(rel, table).tolist())
     Z = ctx.matrix(n, n)
     cache = {}
-    lattice = geom.lattice_indices
     pos = geom.positions
     for a in range(n):
         for b in range(a, n):
-            if lattice is not None:
-                # exact integer offsets on the lattice: one kernel
-                # evaluation per distinct |di|, |dj| pair
-                key = (abs(int(lattice[a, 0] - lattice[b, 0])),
-                       abs(int(lattice[a, 1] - lattice[b, 1])))
-            else:
-                key = (abs(pos[a, 0] - pos[b, 0]), abs(pos[a, 1] - pos[b, 1]),
-                       abs(pos[a, 2] - pos[b, 2]))
+            key = (abs(pos[a, 0] - pos[b, 0]), abs(pos[a, 1] - pos[b, 1]),
+                   abs(pos[a, 2] - pos[b, 2]))
             v = cache.get(key)
             if v is None:
-                if a == b:
-                    v = _kernel_mp(ctx, geom.kind, ctx.mpf(0))
-                elif lattice is not None:
-                    r = ctx.sqrt((key[0] * dy) ** 2 + (key[1] * dz) ** 2)
-                    if r == 0:
-                        raise InvalidGeometryError(
-                            "duplicate element positions make Z exactly singular")
-                    v = _kernel_mp(ctx, geom.kind, k * r)
-                else:
-                    r = ctx.sqrt(ctx.mpf(key[0]) ** 2 + ctx.mpf(key[1]) ** 2
-                                 + ctx.mpf(key[2]) ** 2)
-                    if r == 0:
-                        raise InvalidGeometryError(
-                            "duplicate element positions make Z exactly singular")
-                    v = _kernel_mp(ctx, geom.kind, k * r)
+                r = ctx.sqrt(ctx.mpf(key[0]) ** 2 + ctx.mpf(key[1]) ** 2
+                             + ctx.mpf(key[2]) ** 2)
+                if r == 0 and a != b:
+                    raise InvalidGeometryError(
+                        "duplicate element positions make Z exactly singular")
+                v = _kernel_mp(ctx, geom.kind, k * r)
                 cache[key] = v
             Z[a, b] = v
             Z[b, a] = v
-    return Z, ctx
+    return Z
+
+
+def _physical_memory_bytes():
+    """The machine's physical memory in bytes, or None where the system does not say."""
+    try:
+        return os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    except (AttributeError, OSError, ValueError):
+        return None
 
 
 def impedance(geom: ArrayGeometry, precision: Precision = Precision()) -> ImpedanceMatrix:
@@ -211,38 +324,52 @@ def impedance(geom: ArrayGeometry, precision: Precision = Precision()) -> Impeda
     Entries are ``kernel(k * ||p_a - p_b||)`` where the kernel is the
     unnormalized sinc (isotropic) or ``J1(x)/x`` (planar); the diagonal
     is therefore 1 or 1/2.  The matrix is symmetric by construction.
+    Lattice layouts are built from the kernel's values at their distinct
+    lattice offsets, so Z is exactly invariant under the layout's
+    mirrors, whose orbits the matrix carries (see
+    :attr:`ImpedanceMatrix.orbits`).
 
     Raises
     ------
     InvalidGeometryError
         If two elements coincide (the kernel argument 0 off the diagonal
         would make Z exactly singular).
+    CapacityError
+        If the dense matrix, 8 bytes per entry, would not fit in the
+        machine's physical memory.
     """
+    memory = _physical_memory_bytes()
+    if memory is not None and 8 * geom.n ** 2 > memory:
+        raise CapacityError(
+            f"a dense {geom.n} x {geom.n} coupling matrix needs {8 * geom.n ** 2 / 2 ** 30:.1f}"
+            f" GiB, more than the {memory / 2 ** 30:.1f} GiB of physical memory")
+    orbits = geom.mirror_orbits()
     if precision.is_extended:
         Z, ctx = _impedance_extended(geom, precision)
-        return ImpedanceMatrix(Z, geom.kind, precision, ctx=ctx, orbits=geom.mirror_orbits())
-    return ImpedanceMatrix(_impedance_double(geom), geom.kind, precision)
+        return ImpedanceMatrix(Z, geom.kind, precision, ctx=ctx, orbits=orbits)
+    return ImpedanceMatrix(_impedance_double(geom), geom.kind, precision, orbits=orbits)
 
 
 def _jacobi_eigh(ctx, A):
-    """Cyclic Jacobi eigendecomposition of a symmetric mpmath matrix.
+    """Cyclic Jacobi eigendecomposition of a symmetric matrix of mpmath numbers.
 
-    Returns eigenvalues (descending) and the orthonormal eigenvector
-    matrix.  Converges when the off-diagonal Frobenius norm reaches the
-    rounding floor of the working precision; capped at
-    ``_JACOBI_MAX_SWEEPS`` sweeps.  Works on plain row lists internally;
-    mpmath-matrix element access is dict-backed and would dominate the
-    runtime.
+    ``A`` is an mpmath matrix or a square numpy object array.  Returns
+    the eigenvalues (descending, a list) and the orthonormal
+    eigenvectors as the columns of a numpy object array.  Converges
+    when the off-diagonal Frobenius norm reaches the rounding floor of
+    the working precision; capped at ``_JACOBI_MAX_SWEEPS`` sweeps.
+    Works on plain row lists internally; mpmath-matrix element access
+    is dict-backed and would dominate the runtime.
     """
-    n = A.rows
-    a = [[A[i, j] for j in range(n)] for i in range(n)]
+    a = [list(row) for row in A.tolist()]
+    n = len(a)
     one = ctx.mpf(1)
     zero = ctx.mpf(0)
     v = [[one if i == j else zero for j in range(n)] for i in range(n)]
     eps = ctx.mpf(2) ** (1 - ctx.prec)
     norm_a = ctx.sqrt(ctx.fsum(x * x for row in a for x in row))
     if norm_a == 0:
-        return [zero] * n, ctx.eye(n)
+        return [zero] * n, np.array(v, dtype=object)
     # rotations this small cannot move the off-diagonal mass above the
     # convergence floor, so they are safe to skip
     rot_tol = eps * norm_a / (4 * n)
@@ -285,21 +412,44 @@ def _jacobi_eigh(ctx, A):
             residual=float(off / norm_a),
         )
     order = sorted(range(n), key=lambda i: a[i][i], reverse=True)
-    eigenvalues = [a[i][i] for i in order]
-    U = ctx.matrix(n, n)
-    for col, src in enumerate(order):
-        vrow = v[src]
-        for row in range(n):
-            U[row, col] = vrow[row]
-    return eigenvalues, U
+    return [a[i][i] for i in order], np.array([v[i] for i in order], dtype=object).T
 
 
-def _sym_eig_impl(Z: ImpedanceMatrix):
+def _block_eigh(Z: ImpedanceMatrix, block):
+    """Eigenvalues (descending) and eigenvectors (columns) of one sector block."""
+    if Z.precision.is_extended:
+        return _jacobi_eigh(Z.context, block)
     try:
-        w, u = np.linalg.eigh(Z.entries)
+        w, u = np.linalg.eigh(block)
     except np.linalg.LinAlgError as exc:
         raise NumericalFailureError(f"eigendecomposition failed: {exc}") from exc
-    return w[::-1].copy(), u[:, ::-1].copy()
+    return w[::-1], u[:, ::-1]
+
+
+def _sector_eigh(Z: ImpedanceMatrix):
+    """Eigendecomposition of Z from those of its sector blocks.
+
+    Each block's eigenvectors are carried back with E_s, and the
+    eigenvalues of all sectors are merged in descending order by a
+    stable sort, so a single sector gives exactly the dense result.
+    """
+    entries = Z._entries_array()
+    parts = []
+    for sector in Z._sectors:
+        roots = Z._roots(sector)
+        parts.append((sector, roots, *_block_eigh(Z, sector.block(entries, roots))))
+    values = [v for *_, block_values, _ in parts for v in block_values]
+    order = sorted(range(Z.n), key=values.__getitem__, reverse=True)
+    column = np.empty(Z.n, dtype=int)
+    column[order] = np.arange(Z.n)
+    U = np.zeros((Z.n, Z.n), dtype=object if Z.precision.is_extended else float)
+    start = 0
+    for sector, roots, block_values, vectors in parts:
+        sector.expand(vectors, roots, U, column[start:start + len(block_values)])
+        start += len(block_values)
+    if Z.precision.is_extended:
+        return [values[i] for i in order], Z.context.matrix(U.tolist())
+    return np.array(values)[order], U
 
 
 def sym_eig(Z: ImpedanceMatrix):
@@ -334,12 +484,60 @@ def condition_number(Z: ImpedanceMatrix) -> float:
     """
     s, _ = _clamped_spectrum(Z)
     s_max = s[0]
-    s_min = s[-1] if not Z.precision.is_extended else s[-1]
+    s_min = s[-1]
     if s_max <= 0:
         raise InvalidArgumentError("condition number needs at least one nonzero eigenvalue")
     if s_min == 0:
         return math.inf
     return float(s_max / s_min)
+
+
+def _modes_above(Z: ImpedanceMatrix, s_min_threshold: float):
+    """The clamped spectrum and the indices of its eigenvalues strictly above a threshold."""
+    if s_min_threshold < 0:
+        raise InvalidArgumentError(f"threshold must be >= 0, got {s_min_threshold!r}")
+    s, U = _clamped_spectrum(Z)
+    keep = [i for i, v in enumerate(s) if v > s_min_threshold]
+    if not keep:
+        raise EmptySpectrumError(f"no eigenvalue above threshold {s_min_threshold!r}")
+    return s, U, keep
+
+
+def _leading_modes(Z: ImpedanceMatrix, modes: int):
+    """The clamped spectrum and the indices of its ``modes`` largest nonzero eigenvalues."""
+    if not 1 <= modes <= Z.n:
+        raise InvalidArgumentError(f"modes must be in 1..{Z.n}, got {modes!r}")
+    s, U = _clamped_spectrum(Z)
+    keep = [i for i in range(modes) if s[i] > 0]
+    if not keep:
+        raise EmptySpectrumError("all requested modes have zero eigenvalue")
+    return s, U, keep
+
+
+def _modal_inverse(Z: ImpedanceMatrix, s, U, keep):
+    """``sum over kept n of u_n u_n^T / s_n``."""
+    if Z.precision.is_extended:
+        with MP_LOCK:
+            return _rank_inverse_mp(Z.context, s, U, keep)
+    uk = U[:, keep]
+    return (uk / s[keep]) @ uk.T
+
+
+def _modal_solve(Z: ImpedanceMatrix, s, U, keep, h):
+    """``U_k (U_k^T h / s_k)`` over the kept modes: O(N k), no N x N pseudo-inverse."""
+    if Z.precision.is_extended:
+        with MP_LOCK:
+            ctx = Z.context
+            hv = [h[r] for r in range(Z.n)]
+            x = ctx.matrix(Z.n, 1)
+            for idx in keep:
+                u = [U[r, idx] for r in range(Z.n)]
+                coef = ctx.fdot(u, hv) / s[idx]
+                for r in range(Z.n):
+                    x[r] += coef * u[r]
+            return x
+    uk = U[:, keep]
+    return uk @ ((uk.T @ np.asarray(h)) / s[keep])
 
 
 def truncated_inverse(Z: ImpedanceMatrix, s_min_threshold: float):
@@ -354,20 +552,7 @@ def truncated_inverse(Z: ImpedanceMatrix, s_min_threshold: float):
     EmptySpectrumError
         If no eigenvalue clears the threshold.
     """
-    if s_min_threshold < 0:
-        raise InvalidArgumentError(f"threshold must be >= 0, got {s_min_threshold!r}")
-    s, U = _clamped_spectrum(Z)
-    if Z.precision.is_extended:
-        keep = [i for i, v in enumerate(s) if v > s_min_threshold]
-        if not keep:
-            raise EmptySpectrumError(f"no eigenvalue above threshold {s_min_threshold!r}")
-        with MP_LOCK:
-            return _rank_inverse_mp(Z.context, s, U, keep)
-    keep = np.flatnonzero(s > s_min_threshold)
-    if keep.size == 0:
-        raise EmptySpectrumError(f"no eigenvalue above threshold {s_min_threshold!r}")
-    uk = U[:, keep]
-    return (uk / s[keep]) @ uk.T
+    return _modal_inverse(Z, *_modes_above(Z, s_min_threshold))
 
 
 def rank_truncated_inverse(Z: ImpedanceMatrix, modes: int):
@@ -376,20 +561,17 @@ def rank_truncated_inverse(Z: ImpedanceMatrix, modes: int):
     Count-based companion to :func:`truncated_inverse`; modes with
     (clamped) zero eigenvalues are never inverted even if requested.
     """
-    if not 1 <= modes <= Z.n:
-        raise InvalidArgumentError(f"modes must be in 1..{Z.n}, got {modes!r}")
-    s, U = _clamped_spectrum(Z)
-    if Z.precision.is_extended:
-        keep = [i for i in range(modes) if s[i] > 0]
-        if not keep:
-            raise EmptySpectrumError("all requested modes have zero eigenvalue")
-        with MP_LOCK:
-            return _rank_inverse_mp(Z.context, s, U, keep)
-    keep = np.flatnonzero(s[:modes] > 0)
-    if keep.size == 0:
-        raise EmptySpectrumError("all requested modes have zero eigenvalue")
-    uk = U[:, keep]
-    return (uk / s[keep]) @ uk.T
+    return _modal_inverse(Z, *_leading_modes(Z, modes))
+
+
+def truncated_solve(Z: ImpedanceMatrix, h, s_min_threshold: float):
+    """``truncated_inverse(Z, s_min_threshold)`` applied to h, without forming it."""
+    return _modal_solve(Z, *_modes_above(Z, s_min_threshold), h)
+
+
+def rank_truncated_solve(Z: ImpedanceMatrix, h, modes: int):
+    """``rank_truncated_inverse(Z, modes)`` applied to h, without forming it."""
+    return _modal_solve(Z, *_leading_modes(Z, modes), h)
 
 
 def _rank_inverse_mp(ctx, s, U, keep):
@@ -407,11 +589,6 @@ def _rank_inverse_mp(ctx, s, U, keep):
     return out
 
 
-def _residual_norms_double(Zm, x, h):
-    r = h - Zm @ x
-    return np.linalg.norm(r), r
-
-
 def solve(Z: ImpedanceMatrix, h, precision: Precision | None = None):
     """Solve ``Z x = h`` with one pass of iterative refinement.
 
@@ -420,10 +597,11 @@ def solve(Z: ImpedanceMatrix, h, precision: Precision | None = None):
     :class:`IllConditionedSolveError` carrying the achieved residual and
     a condition-number estimate is raised.
 
-    Machine double factors Z with LAPACK.  Extended precision factors
-    one block per parity sector of ``Z.orbits`` that h excites (see the
-    module docstring) and checks the residual against the full Z; the
-    refinement step projects the residual into the same sectors.
+    Both precisions factor one block per parity sector of ``Z.orbits``
+    that h excites (see the module docstring), with LAPACK under machine
+    double and mpmath's LU under extended precision, and check the
+    residual against the full Z; the refinement step projects the
+    residual into the same sectors.
 
     Parameters
     ----------
@@ -444,6 +622,49 @@ def solve(Z: ImpedanceMatrix, h, precision: Precision | None = None):
     return _solve_double(Z, h)
 
 
+def _sector_inverse(Z: ImpedanceMatrix, h, factor, substitute):
+    """``v -> sum over the sectors h excites of E_s B_s^-1 E_s^T v``.
+
+    ``factor(B)`` factors a sector block, once per sector that h
+    excites; ``substitute(factors, b)`` solves with the factors.
+    Components of v in the other sectors are dropped.
+    """
+    entries = Z._entries_array()
+    factored = []
+    for sector in Z._sectors:
+        roots = Z._roots(sector)
+        if np.any(sector.project(h, roots) != 0):
+            factored.append((sector, roots, factor(sector.block(entries, roots))))
+
+    def apply(v):
+        parts = []
+        for sector, roots, factors in factored:
+            y = substitute(factors, sector.project(v, roots))
+            parts.append(sector.expand(y, roots, np.zeros(Z.n, dtype=y.dtype)))
+        return sum(parts[1:], parts[0])
+
+    return apply
+
+
+def _refined(apply_inverse, h, residual, norm):
+    """One solve and one refinement step: the iterate with the smaller residual, and its norm."""
+    x = apply_inverse(h)
+    r = residual(x)
+    res = norm(r)
+    x_ref = x + apply_inverse(r)
+    res_ref = norm(residual(x_ref))
+    if res_ref < res:
+        return x_ref, res_ref
+    return x, res
+
+
+def _lu_factor_double(block):
+    try:
+        return lu_factor(block)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalFailureError(f"LU factorization failed: {exc}") from exc
+
+
 def _solve_double(Z: ImpedanceMatrix, h):
     h = np.asarray(h)
     if h.shape != (Z.n,):
@@ -451,17 +672,8 @@ def _solve_double(Z: ImpedanceMatrix, h):
     norm_h = np.linalg.norm(h)
     if norm_h == 0:
         return np.zeros_like(h)
-    try:
-        lu, piv = lu_factor(Z.entries)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalFailureError(f"LU factorization failed: {exc}") from exc
-    x = _lapack_lu_solve((lu, piv), h)
-    res, r = _residual_norms_double(Z.entries, x, h)
-    # one refinement pass; keep whichever iterate has the smaller residual
-    x_ref = x + _lapack_lu_solve((lu, piv), r)
-    res_ref, _ = _residual_norms_double(Z.entries, x_ref, h)
-    if res_ref < res:
-        x, res = x_ref, res_ref
+    apply_inverse = _sector_inverse(Z, h, _lu_factor_double, _lapack_lu_solve)
+    x, res = _refined(apply_inverse, h, lambda x: h - Z.entries @ x, np.linalg.norm)
     if not res <= _SOLVE_RESIDUAL_RTOL * norm_h:
         raise IllConditionedSolveError(
             f"solve residual {res / norm_h:.3e} exceeds {_SOLVE_RESIDUAL_RTOL:.0e}",
@@ -479,36 +691,30 @@ def _solve_extended(Z: ImpedanceMatrix, h):
         norm_h = ctx.norm(h)
         if norm_h == 0:
             return ctx.matrix(Z.n, 1)
-        # factor each sector the right-hand side excites once, and reuse
-        # the factors for the refinement step and the condition estimate
-        factored = []
-        for parity in _PARITIES:
-            sector = _sector_orbits(Z.orbits, parity)
-            if sector and any(_project(ctx, h, members) != 0 for members in sector):
-                with ctx.extraprec(_LU_GUARD_BITS):
-                    lu, piv = ctx.LU_decomp(_sector_block(ctx, Z.entries, sector),
-                                            overwrite=True)
-                factored.append((sector, lu, piv))
+
+        def column(v):
+            return np.array([v[j] for j in range(v.rows)], dtype=object)
+
+        def factor(block):
+            return ctx.LU_decomp(ctx.matrix(block.tolist()), overwrite=True)
+
+        def substitute(factors, b):
+            lu, piv = factors
+            return column(ctx.U_solve(lu, ctx.L_solve(lu, ctx.matrix(b.tolist()), piv)))
+
+        # factor each sector h excites once, and reuse the factors for the
+        # refinement step and the condition estimate
+        with ctx.extraprec(_LU_GUARD_BITS):
+            apply = _sector_inverse(Z, column(h), factor, substitute)
 
         def apply_inverse(v):
-            """Z^-1 v on the factored sectors; v's other components are dropped."""
-            x = ctx.matrix(Z.n, 1)
             with ctx.extraprec(_LU_GUARD_BITS):
-                for sector, lu, piv in factored:
-                    b = ctx.matrix([_project(ctx, v, members) for members in sector])
-                    y = ctx.U_solve(lu, ctx.L_solve(lu, b, piv))
-                    for members, y_p in zip(sector, y):
-                        for j, sign in members:
-                            x[j] += y_p if sign > 0 else -y_p
-            return x
+                return apply(v)
 
-        x = apply_inverse(h)
-        r = h - Z.entries * x
-        res = ctx.norm(r)
-        x_ref = x + apply_inverse(r)
-        res_ref = ctx.norm(h - Z.entries * x_ref)
-        if res_ref < res:
-            x, res = x_ref, res_ref
+        def residual(x):
+            return column(h - Z.entries * ctx.matrix(x.tolist()))
+
+        x, res = _refined(apply_inverse, column(h), residual, ctx.norm)
         if not res <= _SOLVE_RESIDUAL_RTOL * norm_h:
             raise IllConditionedSolveError(
                 f"solve residual {float(res / norm_h):.3e} exceeds {_SOLVE_RESIDUAL_RTOL:.0e}"
@@ -517,50 +723,7 @@ def _solve_extended(Z: ImpedanceMatrix, h):
                 kappa_estimate=float(ctx.mnorm(Z.entries, 1)
                                      * _norm1_estimate(ctx, apply_inverse, Z.n)),
             )
-        return x
-
-
-def _sector_orbits(orbits, parity):
-    """The orbits a parity sector holds, each as its ``(element, sign)`` pairs.
-
-    An orbit drops out of a sector whose character is -1 on a mirror
-    that fixes the orbit's elements: its sector vector would equal
-    minus itself.
-    """
-    sector = []
-    for images in orbits.tolist():
-        members = {}
-        for j, sign in zip(images, parity):
-            if members.setdefault(j, sign) != sign:
-                break
-        else:
-            sector.append(list(members.items()))
-    return sector
-
-
-def _project(ctx, v, members):
-    """Component of v on one orbit's sector vector: the signed mean over the orbit.
-
-    The sum is exact before its one rounding, so a component that
-    symmetry makes zero comes out exactly zero.
-    """
-    return ctx.fsum(v[j] if sign > 0 else -v[j] for j, sign in members) / len(members)
-
-
-def _sector_block(ctx, entries, sector):
-    """Z restricted to a sector: ``A[p, q] = sum over q's members of sign * Z[r_p, member]``.
-
-    ``r_p`` is the first member of orbit p.  With x equal to
-    ``sign * y_q`` on q's members, ``(Z x)[r_p] = (A y)[p]``.
-    """
-    m = len(sector)
-    A = ctx.matrix(m, m)
-    for p, row_orbit in enumerate(sector):
-        r = row_orbit[0][0]
-        for q, members in enumerate(sector):
-            A[p, q] = ctx.fsum(entries[r, j] if sign > 0 else -entries[r, j]
-                               for j, sign in members)
-    return A
+        return ctx.matrix(x.tolist())
 
 
 def _norm1_estimate(ctx, apply_inverse, n):
@@ -572,7 +735,7 @@ def _norm1_estimate(ctx, apply_inverse, n):
     test vector; real arithmetic throughout.
     """
     def apply(v):
-        return [ctx.re(c) for c in apply_inverse(ctx.matrix(v))]
+        return [ctx.re(c) for c in apply_inverse(np.array(v, dtype=object))]
 
     def sign(v):
         return [1 if c >= 0 else -1 for c in v]

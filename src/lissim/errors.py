@@ -10,7 +10,8 @@ class InvalidArgumentError(LisSimError, ValueError):
 
 
 class CapacityError(LisSimError):
-    """A requested layout exceeds the configured element cap."""
+    """A requested layout exceeds the configured element cap, or its dense
+    coupling matrix would not fit in the machine's physical memory."""
 
 
 class DomainError(LisSimError, ValueError):

@@ -329,6 +329,13 @@ class _RowClock:
         return elapsed
 
 
+def _is_zero(current) -> bool:
+    """Whether a current (numpy or mpmath column) is exactly zero."""
+    if hasattr(current, "rows"):
+        return all(current[r] == 0 for r in range(current.rows))
+    return not np.any(current)
+
+
 def _linear_geometry(cfg: ExperimentConfig, spacing: float, kind: ElementKind) -> ArrayGeometry:
     return linear_array(cfg.linear_elements, spacing, kind, cfg.wavelength)
 
@@ -393,7 +400,12 @@ def run_truncation_sweep(cfg: ExperimentConfig) -> SweepResult:
 
     For every retained-mode count, the truncated matched filter is
     power-normalized so radiated power is one; the reported excitation
-    power is then the physical current cost of that precoder.
+    power is then the physical current cost of that precoder.  When no
+    retained mode couples to the channel (for example only modes of the
+    odd mirror sectors for a terminal on the broadside axis), the
+    truncated filter is exactly zero: every current in the retained
+    subspace has zero directivity, so the row reports directivity 0
+    (``-inf`` dBi) and the zero current's excitation power 0.
     """
     columns = ("spacing_m", "spacing_wavelengths", "n_elements", "element_kind",
                "scheme", "retained_modes", "directivity", "directivity_dbi",
@@ -412,12 +424,15 @@ def run_truncation_sweep(cfg: ExperimentConfig) -> SweepResult:
         out = []
         for m in range(1, geom.n + 1):
             i = precoding.ca_pmf_rank(Z, h, m)
-            i_hat = precoding.power_normalize(i, Z)
-            d_lin = metrics.directivity(i_hat, Z, h, o, cfg.wavelength)
-            power = metrics.excitation_power(i_hat)
+            if _is_zero(i):
+                d_lin, d_dbi, power = 0.0, -math.inf, 0.0
+            else:
+                i_hat = precoding.power_normalize(i, Z)
+                d_lin = metrics.directivity(i_hat, Z, h, o, cfg.wavelength)
+                d_dbi = metrics.to_dbi(d_lin)
+                power = metrics.excitation_power(i_hat)
             out.append((spacing, spacing / cfg.wavelength, geom.n, kind.value,
-                        SCHEME_CA_PMF, m, d_lin, metrics.to_dbi(d_lin), kappa,
-                        power, clock.lap_ms()))
+                        SCHEME_CA_PMF, m, d_lin, d_dbi, kappa, power, clock.lap_ms()))
         return out
 
     rows = [row for block in _run_tasks(tasks, worker) for row in block]

@@ -14,9 +14,9 @@ import numpy as np
 from .coupling import (
     ImpedanceMatrix,
     quadratic_form,
-    rank_truncated_inverse,
+    rank_truncated_solve,
     solve,
-    truncated_inverse,
+    truncated_solve,
 )
 from .errors import DegenerateInputError, InvalidArgumentError, NonRadiatingCurrentError
 from .specfun import MP_LOCK, Precision
@@ -58,23 +58,16 @@ def ca_pmf(Z: ImpedanceMatrix, h, s_min_threshold: float):
     """Truncated-spectrum matched filter.
 
     Applies the pseudo-inverse that keeps eigenvalues strictly above
-    ``s_min_threshold``; an empty-spectrum error propagates when the
-    threshold removes everything.
+    ``s_min_threshold`` as ``U_k (U_k^T h / s_k)``, without forming it;
+    an empty-spectrum error propagates when the threshold removes
+    everything.
     """
-    pinv = truncated_inverse(Z, s_min_threshold)
-    if Z.precision.is_extended:
-        with MP_LOCK:
-            return pinv * h
-    return pinv @ np.asarray(h)
+    return truncated_solve(Z, h, s_min_threshold)
 
 
 def ca_pmf_rank(Z: ImpedanceMatrix, h, modes: int):
     """Count-based companion to :func:`ca_pmf`: keep the top ``modes``."""
-    pinv = rank_truncated_inverse(Z, modes)
-    if Z.precision.is_extended:
-        with MP_LOCK:
-            return pinv * h
-    return pinv @ np.asarray(h)
+    return rank_truncated_solve(Z, h, modes)
 
 
 def power_normalize(i, Z: ImpedanceMatrix):

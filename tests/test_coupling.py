@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
+from scipy.linalg import lu_factor, lu_solve
+from scipy.spatial.distance import cdist
 
 from lissim import (
     SPEED_OF_LIGHT,
     ArrayGeometry,
+    CapacityError,
     ElementKind,
     EmptySpectrumError,
     FieldModel,
@@ -365,6 +368,171 @@ def test_solve_extended_refusal_estimates_kappa_from_the_factors(monkeypatch):
     assert 0.0 < err.residual <= 1e-60
     kappa = condition_number(Z)
     assert kappa / Z.n <= err.kappa_estimate <= kappa * Z.n
+
+
+def _lattice(n_y, n_z, frac, kind):
+    pitch = frac * LAM
+    if n_y == 1:
+        return linear_array(n_z, pitch, kind, LAM)
+    return planar_grid((n_y - 1) * pitch, (n_z - 1) * pitch, pitch, pitch, kind, LAM)
+
+
+def _mirror_sector_sizes(n_y, n_z):
+    sizes_y, sizes_z = _axis_sector_sizes(n_y), _axis_sector_sizes(n_z)
+    return sorted(sizes_y[py] * sizes_z[pz] for py in (1, -1) for pz in (1, -1)
+                  if sizes_y[py] * sizes_z[pz])
+
+
+@pytest.mark.parametrize("n_y,n_z", [(5, 5), (4, 6), (11, 11), (1, 12)])
+@pytest.mark.parametrize("kind", list(ElementKind))
+def test_double_sector_eigh_matches_dense_eigh_orthonormal_and_reconstructs_z(
+        monkeypatch, n_y, n_z, kind):
+    geom = _lattice(n_y, n_z, 0.3, kind)
+    Z = impedance(geom)
+    dense = np.linalg.eigvalsh(Z.entries)[::-1]
+    block_sizes = []
+    eigh = np.linalg.eigh
+
+    def recording_eigh(a, *args, **kwargs):
+        block_sizes.append(a.shape[0])
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", recording_eigh)
+    s, U = sym_eig(Z)
+    monkeypatch.undo()
+    assert sorted(block_sizes) == _mirror_sector_sizes(n_y, n_z)
+    assert np.all(np.diff(s) <= 0)
+    assert np.max(np.abs(s - dense)) <= 1e-13 * s[0]
+    assert np.max(np.abs(U.T @ U - np.eye(geom.n))) <= 1e-12
+    assert np.max(np.abs((U * s) @ U.T - Z.entries)) <= 1e-12 * np.max(np.abs(Z.entries))
+
+
+@pytest.mark.parametrize("n_y,n_z,kind", [(3, 4, ElementKind.PLANAR),
+                                          (1, 9, ElementKind.ISOTROPIC)])
+def test_extended_sector_jacobi_matches_full_jacobi_at_256_bits(n_y, n_z, kind):
+    geom = _lattice(n_y, n_z, 0.2, kind)
+    Z = impedance(geom, EXT)
+    ctx = EXT.context()
+    s, U = sym_eig(Z)
+    with coupling.MP_LOCK:
+        full, _ = coupling._jacobi_eigh(ctx, Z.entries)
+    assert len(Z.orbits) < geom.n  # the layout has mirror orbits to split on
+    assert max(abs(a - b) for a, b in zip(s, full)) <= 1e-60 * full[0]
+    recon = U * ctx.diag(s) * U.T - Z.entries
+    assert max(abs(recon[i, j]) for i in range(geom.n) for j in range(geom.n)) <= 1e-60
+
+
+@pytest.mark.parametrize("geom", [
+    planar_grid(0.5, 0.5, 0.3 * LAM, 0.3 * LAM, ElementKind.ISOTROPIC, LAM),
+    planar_grid(0.5, 0.5, 0.15 * LAM, 0.15 * LAM, ElementKind.PLANAR, LAM),
+    planar_grid(0.3, 0.5, 0.05, 0.04, ElementKind.ISOTROPIC, LAM),
+    planar_grid(0.4, 0.4, 0.07, 0.09, ElementKind.PLANAR, LAM),
+    linear_array(15, 0.2 * LAM, ElementKind.PLANAR, LAM),
+], ids=["iso-0.3", "planar-0.15", "iso-rect", "planar-aniso", "line"])
+def test_offset_table_build_is_mirror_invariant_and_matches_cdist_build(geom):
+    Z = impedance(geom).entries
+    orbits = geom.mirror_orbits()
+    assert len(orbits) < geom.n  # some mirror moves elements
+    # the mirrors (identity, y, z, both) compose like the bits of their column index
+    for mirror in range(1, 4):
+        perm = np.empty(geom.n, dtype=int)
+        for image in range(4):
+            perm[orbits[:, image]] = orbits[:, image ^ mirror]
+        assert np.array_equal(Z[np.ix_(perm, perm)], Z)
+    assert np.array_equal(Z, Z.T)
+    by_distance = coupling._kernel_double(
+        geom.kind, geom.wavenumber * cdist(geom.positions, geom.positions))
+    assert np.max(np.abs(Z - by_distance)) <= 4 * np.spacing(1.0)
+
+
+@pytest.fixture
+def double_factored_sizes(monkeypatch):
+    """Sizes of the matrices the double LU factors, in call order."""
+    sizes = []
+    factor = coupling.lu_factor
+
+    def recording_factor(a, *args, **kwargs):
+        sizes.append(a.shape[0])
+        return factor(a, *args, **kwargs)
+
+    monkeypatch.setattr(coupling, "lu_factor", recording_factor)
+    return sizes
+
+
+def test_double_sector_solve_factors_one_block_of_36_on_11x11_broadside(
+        double_factored_sizes, monkeypatch):
+    geom = _lattice(11, 11, 0.25, ElementKind.PLANAR)
+    Z = impedance(geom)
+    h = channel_for(geom, [10.0, 0.0, 0.0])
+    x = solve(Z, h)
+    assert geom.n == 121
+    assert double_factored_sizes == [36]
+    full_residual = np.linalg.norm(h - Z.entries @ x) / np.linalg.norm(h)
+    assert full_residual <= 1e-8
+    # the contract is judged on the full Z: a refusal reports exactly that residual
+    monkeypatch.setattr(coupling, "_SOLVE_RESIDUAL_RTOL", 0.0)
+    with pytest.raises(IllConditionedSolveError) as info:
+        solve(Z, h)
+    assert info.value.residual == full_residual
+
+
+@pytest.mark.parametrize("terminal", [(10.0, 1.3, 0.0), (10.0, 1.3, -0.7)])
+def test_double_sector_solve_factors_each_excited_sector_and_matches_dense(
+        double_factored_sizes, terminal):
+    n_y, n_z = 4, 5
+    geom = _lattice(n_y, n_z, 0.3, ElementKind.ISOTROPIC)
+    Z = impedance(geom)
+    h = channel_for(geom, terminal)
+    x = solve(Z, h)
+    sizes_y, sizes_z = _axis_sector_sizes(n_y), _axis_sector_sizes(n_z)
+    z_parities = (1, -1) if terminal[2] != 0 else (1,)
+    assert double_factored_sizes == [sizes_y[py] * sizes_z[pz]
+                                     for pz in (1, -1) for py in (1, -1) if pz in z_parities]
+    dense = np.linalg.solve(Z.entries, h)
+    assert np.linalg.norm(x - dense) <= 1e-9 * np.linalg.norm(dense)
+
+
+def test_custom_layout_spectrum_and_solve_are_bit_identical_to_dense_path():
+    grid = planar_grid(0.3, 0.2, 0.3 * LAM, 0.3 * LAM, ElementKind.PLANAR, LAM)
+    geom = custom_geometry(grid.positions, grid.kind, grid.dy, grid.dz, LAM)
+    Z = impedance(geom)
+    h = channel_for(geom, [10.0, 1.3, -0.7])
+
+    w, u = np.linalg.eigh(Z.entries)
+    s, U = sym_eig(Z)
+    assert np.array_equal(s, w[::-1]) and np.array_equal(U, u[:, ::-1])
+
+    # dense LU, one refinement step, the smaller residual kept
+    factors = lu_factor(Z.entries)
+    x0 = lu_solve(factors, h)
+    x1 = x0 + lu_solve(factors, h - Z.entries @ x0)
+    expected = min((x0, x1), key=lambda x: np.linalg.norm(h - Z.entries @ x))
+    assert np.array_equal(solve(Z, h), expected)
+
+
+def test_custom_layout_extended_spectrum_is_bit_identical_to_full_jacobi():
+    line = geom_linear(6, 0.3)
+    geom = custom_geometry(line.positions, line.kind, line.dy, line.dz, LAM)
+    Z = impedance(geom, EXT)
+    s, U = sym_eig(Z)
+    with coupling.MP_LOCK:
+        full, V = coupling._jacobi_eigh(EXT.context(), Z.entries)
+    assert s == full
+    assert all(U[i, j] == V[i, j] for i in range(6) for j in range(6))
+
+
+def test_impedance_refuses_a_matrix_larger_than_physical_memory(monkeypatch):
+    memory = coupling._physical_memory_bytes()
+    assert memory is None or memory > 0
+    monkeypatch.setattr(coupling, "_physical_memory_bytes", lambda: 8 * 36 ** 2)
+    pitch = 0.5 * LAM
+    fits = planar_grid(5 * pitch, 5 * pitch, pitch, pitch, ElementKind.ISOTROPIC, LAM)
+    too_big = planar_grid(6 * pitch, 6 * pitch, pitch, pitch, ElementKind.ISOTROPIC, LAM)
+    assert (fits.n, too_big.n) == (36, 49)
+    assert impedance(fits).n == 36
+    for precision in (Precision(), Precision.extended(64)):
+        with pytest.raises(CapacityError, match="physical memory"):
+            impedance(too_big, precision)
 
 
 def test_quadratic_form_radiated_power_nonnegative():

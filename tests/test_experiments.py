@@ -256,6 +256,37 @@ def test_worker_env_cap_keeps_results_identical(monkeypatch):
         run_experiment("conditioning", cfg)
 
 
+def test_spacing_csv_is_byte_identical_with_one_and_two_workers(monkeypatch):
+    cfg = make_config(spacings=["0.5 lambda", "0.35 lambda", "0.25 lambda", "0.2 lambda"],
+                      element_kinds=["isotropic", "planar"],
+                      panel={"width_m": 0.2, "height_m": 0.15},
+                      schemes=["nCA-MF", "CA-MF", "CA-pMF"])
+    tables = {}
+    for workers in ("1", "2"):
+        monkeypatch.setenv("LISSIM_MAX_WORKERS", workers)
+        tables[workers] = run_experiment("spacing", cfg).to_csv()
+    assert len(tables["1"].splitlines()) == 1 + 4 * 2 * 3
+    assert tables["1"] == tables["2"]
+
+
+def test_truncation_row_of_a_zero_filter_reports_zero_directivity(monkeypatch):
+    # a retained set orthogonal to the channel makes the truncated filter exactly zero
+    ca_pmf_rank = experiments.precoding.ca_pmf_rank
+
+    def first_mode_misses_the_terminal(Z, h, modes):
+        current = ca_pmf_rank(Z, h, modes)
+        return current * 0 if modes == 1 else current
+
+    monkeypatch.setattr(experiments.precoding, "ca_pmf_rank", first_mode_misses_the_terminal)
+    res = run_truncation_sweep(make_config(linear_elements=6))
+    first, second = res.rows[0], res.rows[1]
+    idx = {c: k for k, c in enumerate(res.columns)}
+    assert (first[idx["directivity"]], first[idx["directivity_dbi"]],
+            first[idx["excitation_power"]]) == (0.0, -np.inf, 0.0)
+    assert second[idx["directivity"]] > 0
+    assert ",0,-inf," in res.to_csv().splitlines()[1]
+
+
 def test_apply_overrides():
     cfg = make_config()
     out = apply_overrides(cfg, precision="ext:128", threshold=1e-6,

@@ -14,6 +14,7 @@ from lissim import (
     ca_pmf_rank,
     channel_for,
     channel_isotropic,
+    condition_number,
     directivity,
     impedance,
     linear_array,
@@ -23,6 +24,7 @@ from lissim import (
     quadratic_form,
     snr,
 )
+from lissim import coupling
 
 LAM = SPEED_OF_LIGHT / 2.6e9
 UE = np.array([10.0, 0.0, 0.0])
@@ -101,6 +103,38 @@ def test_ca_pmf_directivity_monotone_in_retained_modes():
         # deepest eigenmodes near the double-precision floor
         assert d >= prev * (1.0 - 1e-9)
         prev = d
+
+
+@pytest.mark.parametrize("precision", [Precision(), Precision.extended(256)], ids=["double", "ext"])
+def test_ca_pmf_applies_the_retained_spectrum_without_forming_the_pseudo_inverse(
+        monkeypatch, precision):
+    geom = linear_array(12, 0.3 * LAM, ElementKind.PLANAR, LAM)
+    Z = impedance(geom, precision)
+    h = channel_for(geom, [10.0, 1.3, -0.7], precision)
+    # references from the explicit pseudo-inverses, before they are forbidden
+    by_threshold = coupling.truncated_inverse(Z, 1e-9) * h if precision.is_extended \
+        else coupling.truncated_inverse(Z, 1e-9) @ h
+    by_rank = {m: (coupling.rank_truncated_inverse(Z, m) * h if precision.is_extended
+                   else coupling.rank_truncated_inverse(Z, m) @ h) for m in (1, 5, 12)}
+
+    def no_pseudo_inverse(*args, **kwargs):
+        raise AssertionError("CA-pMF must not form the pseudo-inverse")
+
+    for name in ("truncated_inverse", "rank_truncated_inverse", "_modal_inverse"):
+        monkeypatch.setattr(coupling, name, no_pseudo_inverse)
+    # two orders of applying the same retained spectrum: they agree to the
+    # working precision times the retained spectrum's condition number
+    tol = 1e-60 if precision.is_extended else 10 * np.finfo(float).eps * condition_number(Z)
+
+    def close(got, want):
+        if precision.is_extended:
+            ctx = precision.context()
+            return ctx.norm(got - want) <= tol * ctx.norm(want)
+        return np.linalg.norm(got - want) <= tol * np.linalg.norm(want)
+
+    assert close(ca_pmf(Z, h, 1e-9), by_threshold)
+    for m, want in by_rank.items():
+        assert close(ca_pmf_rank(Z, h, m), want)
 
 
 def test_power_normalize_identity_case():
