@@ -10,7 +10,11 @@ Everything here is precision-generic.  Machine-double matrices are dense
 numpy arrays backed by LAPACK; extended-precision matrices are mpmath
 matrices with a cyclic Jacobi eigensolver, which works unchanged at any
 mantissa width and preserves the relative accuracy of the small
-eigenvalues that make these matrices interesting.
+eigenvalues that make these matrices interesting.  Inside this module
+both are read as numpy arrays (object arrays of mpmath numbers under
+extended precision); mpmath matrices appear only in the public
+attributes and results, and where mpmath's LU factors a block and
+solves with the factors.
 
 Both precisions build Z of a lattice layout from its table of distinct
 lattice offsets: one kernel value per ``(|di|, |dj|)`` pair, then a
@@ -70,16 +74,17 @@ class _Sector:
     block of an exactly invariant Z is exactly symmetric, and with one
     orbit per element every product is exact and the block is Z itself.
 
-    The methods take numpy arrays of floats, or object arrays of mpmath
-    numbers, with ``roots = sqrt(sizes)`` in the same arithmetic.
+    ``sqrt`` maps a list of orbit sizes to their square roots in the
+    matrix's arithmetic; the methods take numpy arrays of floats, or
+    object arrays of mpmath numbers, to match.
     """
 
-    def __init__(self, parity, orbits):
+    def __init__(self, parity, orbits, sqrt):
         self.parity = parity
         # (m, 4) element indices in the column order of _PARITIES
         self.images = np.array(orbits, dtype=int)
         # an orbit's size is 4 over the number of mirrors that fix its elements
-        self.sizes = np.array([4 // images.count(images[0]) for images in orbits])
+        self.roots = sqrt([4 // images.count(images[0]) for images in orbits])
 
     def _signed_sum(self, image):
         _, sign_y, sign_z, _ = self.parity
@@ -89,20 +94,20 @@ class _Sector:
 
         return pair(pair(image(0), image(1), sign_y), pair(image(2), image(3), sign_y), sign_z)
 
-    def project(self, v, roots):
+    def project(self, v):
         """``E^T v`` for a vector v over the elements."""
-        return self._signed_sum(lambda k: v[self.images[:, k]]) * (roots / 4)
+        return self._signed_sum(lambda k: v[self.images[:, k]]) * (self.roots / 4)
 
-    def block(self, entries, roots):
+    def block(self, entries):
         """``E^T Z E``, gathered from the rows of the orbits' first members."""
         first = self.images[:, :1]
-        half = roots / 2
+        half = self.roots / 2
         return (self._signed_sum(lambda k: entries[first, self.images[:, k]])
                 * np.outer(half, half))
 
-    def expand(self, y, roots, out, columns=None):
+    def expand(self, y, out, columns=None):
         """Write ``E y`` into the rows of out (or into the given columns of a matrix)."""
-        scaled = (y.T / roots).T
+        scaled = (y.T / self.roots).T
         negated = -scaled
         for k, sign in enumerate(self.parity):
             rows = self.images[:, k]
@@ -111,7 +116,7 @@ class _Sector:
         return out
 
 
-def _sectors(orbits):
+def _sectors(orbits, sqrt):
     """The nonempty parity sectors of a layout's mirror orbits.
 
     An orbit drops out of a sector whose character is -1 on a mirror
@@ -123,7 +128,7 @@ def _sectors(orbits):
         held = [images for images in orbits.tolist()
                 if all(sign > 0 or image != images[0] for image, sign in zip(images, parity))]
         if held:
-            sectors.append(_Sector(parity, held))
+            sectors.append(_Sector(parity, held, sqrt))
     return sectors
 
 
@@ -162,21 +167,31 @@ class ImpedanceMatrix:
         self.precision = precision
         self._ctx = ctx if ctx is not None else precision.context()
         self.entries = entries
-        if not precision.is_extended:
-            self.entries.setflags(write=False)
+        # the entries as a numpy array (of mpmath numbers under extended
+        # precision), the form every sector gather reads, and the square
+        # roots of the orbit sizes (1, 2 or 4) in the same arithmetic
+        if precision.is_extended:
+            self._array = np.array(entries.tolist(), dtype=object)
+            with MP_LOCK:
+                roots = {m: self._ctx.sqrt(m) for m in (1, 2, 4)}
+
+            def sqrt(sizes):
+                return np.array([roots[m] for m in sizes], dtype=object)
+        else:
+            entries.setflags(write=False)
+            self._array = entries
+            sqrt = np.sqrt
         if orbits is None:
             orbits = np.column_stack([np.arange(self.n)] * 4)
         self.orbits = orbits
         self.orbits.setflags(write=False)
-        self._sectors = _sectors(orbits)
+        self._sectors = _sectors(orbits, sqrt)
         self._eig = None
         self._eig_lock = threading.Lock()
 
     @property
     def n(self) -> int:
-        if self.precision.is_extended:
-            return self.entries.rows
-        return self.entries.shape[0]
+        return self._array.shape[0]
 
     @property
     def context(self):
@@ -198,26 +213,7 @@ class ImpedanceMatrix:
 
     def as_float_array(self) -> np.ndarray:
         """Entries rounded to float64 (e.g. for text dumps)."""
-        if not self.precision.is_extended:
-            return np.array(self.entries)
-        n = self.n
-        out = np.empty((n, n))
-        for a in range(n):
-            for b in range(n):
-                out[a, b] = float(self.entries[a, b])
-        return out
-
-    def _entries_array(self):
-        """The entries as a numpy array, of mpmath numbers under extended precision."""
-        if self.precision.is_extended:
-            return np.array(self.entries.tolist(), dtype=object)
-        return self.entries
-
-    def _roots(self, sector):
-        """``sqrt`` of the sector's orbit sizes in the matrix's arithmetic."""
-        if self.precision.is_extended:
-            return np.array([self.context.sqrt(int(m)) for m in sector.sizes], dtype=object)
-        return np.sqrt(sector.sizes)
+        return self._array.astype(float)
 
 
 def _kernel_double(kind: ElementKind, x: np.ndarray) -> np.ndarray:
@@ -433,19 +429,15 @@ def _sector_eigh(Z: ImpedanceMatrix):
     eigenvalues of all sectors are merged in descending order by a
     stable sort, so a single sector gives exactly the dense result.
     """
-    entries = Z._entries_array()
-    parts = []
-    for sector in Z._sectors:
-        roots = Z._roots(sector)
-        parts.append((sector, roots, *_block_eigh(Z, sector.block(entries, roots))))
-    values = [v for *_, block_values, _ in parts for v in block_values]
+    parts = [(sector, *_block_eigh(Z, sector.block(Z._array))) for sector in Z._sectors]
+    values = [v for _, block_values, _ in parts for v in block_values]
     order = sorted(range(Z.n), key=values.__getitem__, reverse=True)
     column = np.empty(Z.n, dtype=int)
     column[order] = np.arange(Z.n)
     U = np.zeros((Z.n, Z.n), dtype=object if Z.precision.is_extended else float)
     start = 0
-    for sector, roots, block_values, vectors in parts:
-        sector.expand(vectors, roots, U, column[start:start + len(block_values)])
+    for sector, block_values, vectors in parts:
+        sector.expand(vectors, U, column[start:start + len(block_values)])
         start += len(block_values)
     if Z.precision.is_extended:
         return [values[i] for i in order], Z.context.matrix(U.tolist())
@@ -595,7 +587,13 @@ def solve(Z: ImpedanceMatrix, h, precision: Precision | None = None):
     The relative residual ``||Zx - h|| / ||h||`` must come out at or
     below 1e-8 in the working arithmetic, otherwise an
     :class:`IllConditionedSolveError` carrying the achieved residual and
-    a condition-number estimate is raised.
+    a condition-number estimate is raised.  Under machine double the
+    residual is itself formed in double, so it is only known to about
+    ``eps ||(|Z| |x|)||``; when that rounding error exceeds 1e-8 of
+    ``||h||`` the residual cannot show the contract, and the solve is
+    refused the same way whatever it happens to measure.  (mpmath forms
+    each entry of ``Z x`` with one rounding, so the extended residual
+    needs no such guard.)
 
     Both precisions factor one block per parity sector of ``Z.orbits``
     that h excites (see the module docstring), with LAPACK under machine
@@ -629,18 +627,14 @@ def _sector_inverse(Z: ImpedanceMatrix, h, factor, substitute):
     excites; ``substitute(factors, b)`` solves with the factors.
     Components of v in the other sectors are dropped.
     """
-    entries = Z._entries_array()
-    factored = []
-    for sector in Z._sectors:
-        roots = Z._roots(sector)
-        if np.any(sector.project(h, roots) != 0):
-            factored.append((sector, roots, factor(sector.block(entries, roots))))
+    factored = [(sector, factor(sector.block(Z._array)))
+                for sector in Z._sectors if np.any(sector.project(h) != 0)]
 
     def apply(v):
         parts = []
-        for sector, roots, factors in factored:
-            y = substitute(factors, sector.project(v, roots))
-            parts.append(sector.expand(y, roots, np.zeros(Z.n, dtype=y.dtype)))
+        for sector, factors in factored:
+            y = substitute(factors, sector.project(v))
+            parts.append(sector.expand(y, np.zeros(Z.n, dtype=y.dtype)))
         return sum(parts[1:], parts[0])
 
     return apply
@@ -665,6 +659,12 @@ def _lu_factor_double(block):
         raise NumericalFailureError(f"LU factorization failed: {exc}") from exc
 
 
+def _abs_matvec(A, v, rows=256):
+    """``|A| |v|``, a block of rows at a time, so no N x N temporary is made."""
+    v = np.abs(v)
+    return np.concatenate([np.abs(A[k:k + rows]) @ v for k in range(0, len(A), rows)])
+
+
 def _solve_double(Z: ImpedanceMatrix, h):
     h = np.asarray(h)
     if h.shape != (Z.n,):
@@ -674,13 +674,21 @@ def _solve_double(Z: ImpedanceMatrix, h):
         return np.zeros_like(h)
     apply_inverse = _sector_inverse(Z, h, _lu_factor_double, _lapack_lu_solve)
     x, res = _refined(apply_inverse, h, lambda x: h - Z.entries @ x, np.linalg.norm)
-    if not res <= _SOLVE_RESIDUAL_RTOL * norm_h:
-        raise IllConditionedSolveError(
-            f"solve residual {res / norm_h:.3e} exceeds {_SOLVE_RESIDUAL_RTOL:.0e}",
-            residual=float(res / norm_h),
-            kappa_estimate=condition_number(Z),
-        )
-    return x
+    tol = _SOLVE_RESIDUAL_RTOL * norm_h
+    if not res <= tol:
+        reason = f"solve residual {res / norm_h:.3e} exceeds {_SOLVE_RESIDUAL_RTOL:.0e}"
+    else:
+        # a residual formed in double is only known to about eps |Z| |x|
+        floor = np.finfo(float).eps * np.linalg.norm(_abs_matvec(Z.entries, x))
+        if floor <= tol:
+            return x
+        reason = (f"solve residual {res / norm_h:.3e} lies below the rounding error of Z x"
+                  f" in double, {floor / norm_h:.3e}, so it cannot show {_SOLVE_RESIDUAL_RTOL:.0e}")
+    raise IllConditionedSolveError(
+        reason,
+        residual=float(res / norm_h),
+        kappa_estimate=condition_number(Z),
+    )
 
 
 def _solve_extended(Z: ImpedanceMatrix, h):
@@ -691,30 +699,30 @@ def _solve_extended(Z: ImpedanceMatrix, h):
         norm_h = ctx.norm(h)
         if norm_h == 0:
             return ctx.matrix(Z.n, 1)
-
-        def column(v):
-            return np.array([v[j] for j in range(v.rows)], dtype=object)
+        b = np.array([h[j] for j in range(Z.n)], dtype=object)
 
         def factor(block):
             return ctx.LU_decomp(ctx.matrix(block.tolist()), overwrite=True)
 
-        def substitute(factors, b):
+        def substitute(factors, v):
             lu, piv = factors
-            return column(ctx.U_solve(lu, ctx.L_solve(lu, ctx.matrix(b.tolist()), piv)))
+            x = ctx.U_solve(lu, ctx.L_solve(lu, ctx.matrix(v.tolist()), piv))
+            return np.array([x[j] for j in range(len(v))], dtype=object)
 
         # factor each sector h excites once, and reuse the factors for the
         # refinement step and the condition estimate
         with ctx.extraprec(_LU_GUARD_BITS):
-            apply = _sector_inverse(Z, column(h), factor, substitute)
+            apply = _sector_inverse(Z, b, factor, substitute)
 
         def apply_inverse(v):
             with ctx.extraprec(_LU_GUARD_BITS):
                 return apply(v)
 
         def residual(x):
-            return column(h - Z.entries * ctx.matrix(x.tolist()))
+            # one rounding per entry of Z x, as mpmath's matrix product
+            return b - np.array([ctx.fdot(zip(row, x)) for row in Z._array], dtype=object)
 
-        x, res = _refined(apply_inverse, column(h), residual, ctx.norm)
+        x, res = _refined(apply_inverse, b, residual, ctx.norm)
         if not res <= _SOLVE_RESIDUAL_RTOL * norm_h:
             raise IllConditionedSolveError(
                 f"solve residual {float(res / norm_h):.3e} exceeds {_SOLVE_RESIDUAL_RTOL:.0e}"

@@ -476,6 +476,20 @@ def test_double_sector_solve_factors_one_block_of_36_on_11x11_broadside(
     assert info.value.residual == full_residual
 
 
+def test_double_solve_refuses_a_residual_below_the_rounding_error_of_z_x():
+    # x = (2^40 + 1, -2^40) solves this system exactly and its computed
+    # residual is 0, but a residual formed in double is only known to
+    # about eps |Z| |x|, here 7e-4 of ||h||: it cannot show 1e-8
+    Z = _direct([[1.0, 1.0], [1.0, 1.0 + 2.0 ** -40]])
+    h = np.array([1.0, 0.0])
+    with pytest.raises(IllConditionedSolveError) as info:
+        solve(Z, h)
+    assert info.value.residual == 0.0
+    # a well-conditioned system of the same form is solved exactly
+    x = solve(_direct([[1.0, 1.0], [1.0, 1.5]]), h)
+    assert np.array_equal(x, [3.0, -2.0])
+
+
 @pytest.mark.parametrize("terminal", [(10.0, 1.3, 0.0), (10.0, 1.3, -0.7)])
 def test_double_sector_solve_factors_each_excited_sector_and_matches_dense(
         double_factored_sizes, terminal):
