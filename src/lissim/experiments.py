@@ -427,8 +427,11 @@ def run_truncation_sweep(cfg: ExperimentConfig) -> SweepResult:
             if _is_zero(i):
                 d_lin, d_dbi, power = 0.0, -math.inf, 0.0
             else:
-                i_hat = precoding.power_normalize(i, Z)
-                d_lin = metrics.directivity(i_hat, Z, h, o, cfg.wavelength)
+                # one i^H Z i per row serves the normalization and the
+                # directivity, which does not depend on the current's scale
+                radiated = coupling.quadratic_form(Z, i)
+                i_hat = precoding._unit_power(i, Z, radiated)
+                d_lin = metrics._directivity(i, Z, h, o, cfg.wavelength, radiated)
                 d_dbi = metrics.to_dbi(d_lin)
                 power = metrics.excitation_power(i_hat)
             out.append((spacing, spacing / cfg.wavelength, geom.n, kind.value,

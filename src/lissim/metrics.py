@@ -39,9 +39,8 @@ class LinkBudget:
             raise InvalidArgumentError(f"noise_var must be positive, got {self.noise_var!r}")
 
 
-def _snr_core(i, Z: ImpedanceMatrix, h) -> float:
-    """``|i^H h|^2 / (i^H Z i)`` as a float, in Z's arithmetic."""
-    denom = quadratic_form(Z, i)
+def _snr_core(i, Z: ImpedanceMatrix, h, denom) -> float:
+    """``|i^H h|^2 / denom`` as a float, in Z's arithmetic, for ``denom = i^H Z i``."""
     if not denom > 0:
         raise NonRadiatingCurrentError(
             f"i^H Z i = {float(denom):.3e} is not positive; current does not radiate")
@@ -58,14 +57,19 @@ def snr(i, Z: ImpedanceMatrix, h, lb: LinkBudget = LinkBudget()) -> float:
 
     Dimensionless, non-negative, and invariant to scaling of ``i``.
     """
-    return lb.ptx / lb.noise_var * _snr_core(i, Z, h)
+    return lb.ptx / lb.noise_var * _snr_core(i, Z, h, quadratic_form(Z, i))
 
 
 def directivity(i, Z: ImpedanceMatrix, h, o, wavelength: float) -> float:
     """Directivity toward terminal ``o`` for currents ``i`` (linear scale)."""
+    return _directivity(i, Z, h, o, wavelength, quadratic_form(Z, i))
+
+
+def _directivity(i, Z: ImpedanceMatrix, h, o, wavelength: float, power) -> float:
+    """:func:`directivity` with the radiated power ``power = i^H Z i`` already formed."""
     ov = as_vec3(o)
     factor = (4.0 * math.pi * float(np.linalg.norm(ov)) / wavelength) ** 2
-    return _snr_core(i, Z, h) * factor
+    return _snr_core(i, Z, h, power) * factor
 
 
 def to_dbi(d: float) -> float:

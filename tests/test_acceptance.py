@@ -316,7 +316,8 @@ def test_criterion_6c_high_precision_superdirectivity():
     assert beats_dnc, f"D={d_hp[smallest]:.2f} does not exceed D_NC={d_ref:.2f}"
     assert beats_n, (
         f"D={d_hp[smallest]:.2f} does not exceed N={n_at[smallest]} at 0.25 wl "
-        f"(the crossover sits near 0.2 wl, where D=498.4 > N=484)")
+        f"(nor at 0.2 wl, where the lattice Z gives D=341.27 < N=484; D=498.4 holds "
+        f"only for a Z built from the rounded double element positions)")
 
 
 def test_criterion_6d_threshold_limited_settling():

@@ -139,8 +139,8 @@ def test_eigen_profile_regression_extended():
     s, U = sym_eig(impedance(geom_linear(), EXT))
     np.testing.assert_allclose([float(v) for v in s], EIG_03LAM_ISO, rtol=1e-12)
     # orthonormality at working precision
-    ctx = Precision.extended(256).context()
-    gram_err = max(abs((U.T * U)[i, j] - (1 if i == j else 0))
+    gram = U.T * U
+    gram_err = max(abs(gram[i, j] - (1 if i == j else 0))
                    for i in range(20) for j in range(20))
     assert float(gram_err) < 1e-70
 
@@ -408,7 +408,8 @@ def test_double_sector_eigh_matches_dense_eigh_orthonormal_and_reconstructs_z(
 
 
 @pytest.mark.parametrize("n_y,n_z,kind", [(3, 4, ElementKind.PLANAR),
-                                          (1, 9, ElementKind.ISOTROPIC)])
+                                          (1, 9, ElementKind.ISOTROPIC),
+                                          (1, 15, ElementKind.ISOTROPIC)])
 def test_extended_sector_jacobi_matches_full_jacobi_at_256_bits(n_y, n_z, kind):
     geom = _lattice(n_y, n_z, 0.2, kind)
     Z = impedance(geom, EXT)
@@ -418,8 +419,55 @@ def test_extended_sector_jacobi_matches_full_jacobi_at_256_bits(n_y, n_z, kind):
         full, _ = coupling._jacobi_eigh(ctx, Z.entries)
     assert len(Z.orbits) < geom.n  # the layout has mirror orbits to split on
     assert max(abs(a - b) for a, b in zip(s, full)) <= 1e-60 * full[0]
+    gram = U.T * U - ctx.eye(geom.n)
+    assert max(abs(gram[i, j]) for i in range(geom.n) for j in range(geom.n)) <= 1e-70
     recon = U * ctx.diag(s) * U.T - Z.entries
     assert max(abs(recon[i, j]) for i in range(geom.n) for j in range(geom.n)) <= 1e-60
+
+
+@pytest.mark.parametrize("kind", list(ElementKind))
+def test_extended_eigenvalues_are_relatively_accurate_on_the_tenth_wavelength_line(kind):
+    # kappa is about 1e30 here; each 256-bit sector block's spectrum is
+    # compared with mpmath's eigsy of the same block at 640 bits, whose
+    # absolute error (about 1e-190) is far below 1e-60 of the smallest
+    # eigenvalue (about 1e-30)
+    Z = impedance(geom_linear(frac=0.1, kind=kind), EXT)
+    ctx = EXT.context()
+    ref = Precision.extended(640).context()
+    for sector in Z._sectors:
+        block = sector.block(Z._array)
+        with coupling.MP_LOCK:
+            values, _ = coupling._jacobi_eigh(ctx, block)
+            exact, _ = ref.eigsy(ref.matrix(block.tolist()))
+            exact = sorted((exact[k] for k in range(exact.rows)), reverse=True)
+            assert exact[-1] < 1e-25 * exact[0]
+            assert max(abs(a - b) / b for a, b in zip(values, exact)) <= 1e-60
+
+
+def test_extended_half_wavelength_isotropic_line_keeps_the_unit_start(monkeypatch):
+    # Z is the identity to 256 bits and its spectrum degenerate: the double
+    # basis is never formed, and each block's spectrum and eigenvectors are
+    # those of the sweeps run from the unit basis, bit for bit
+    Z = impedance(geom_linear(frac=0.5), EXT)
+    ctx = EXT.context()
+
+    def no_double_basis(*args):
+        raise AssertionError("an already diagonal block must keep the unit start")
+
+    monkeypatch.setattr(coupling, "_double_basis", no_double_basis)
+    s, _ = sym_eig(Z)
+    assert all(abs(v - 1) < 1e-70 for v in s)
+    with coupling.MP_LOCK:
+        for sector in Z._sectors:
+            block = sector.block(Z._array)
+            values, vectors = coupling._jacobi_eigh(ctx, block)
+            rows = [list(row) for row in block.tolist()]
+            n = len(rows)
+            unit = [[ctx.one if i == j else ctx.zero for j in range(n)] for i in range(n)]
+            norm = ctx.sqrt(ctx.fsum(x * x for row in rows for x in row))
+            unit_values, unit_vectors = coupling._jacobi_sweeps(ctx, rows, unit, norm)
+            assert values == unit_values
+            assert np.array_equal(vectors, unit_vectors)
 
 
 @pytest.mark.parametrize("geom", [

@@ -1,5 +1,6 @@
 import json
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -285,6 +286,16 @@ def test_truncation_row_of_a_zero_filter_reports_zero_directivity(monkeypatch):
             first[idx["excitation_power"]]) == (0.0, -np.inf, 0.0)
     assert second[idx["directivity"]] > 0
     assert ",0,-inf," in res.to_csv().splitlines()[1]
+
+
+def test_extended_truncation_table_of_the_20_element_line_is_unchanged():
+    # frozen from the cyclic Jacobi that started every block from the unit
+    # basis; the double eigh start and the single i^H Z i per row keep it
+    frozen = Path(__file__).parent / "data" / "truncation_line20_ext256.csv"
+    cfg = make_config(spacings=["0.5 lambda", "0.3 lambda", "0.1 lambda"],
+                      element_kinds=["isotropic", "planar"], schemes=["CA-pMF"],
+                      precision="ext:256")
+    assert run_experiment("truncation", cfg).to_csv() == frozen.read_text()
 
 
 def test_apply_overrides():
