@@ -18,8 +18,7 @@ Jacobi from the unit basis is only absolutely accurate there, to about
 ``eps kappa`` relative on the smallest eigenvalue.  Inside this module
 both are read as numpy arrays (object arrays of mpmath numbers under
 extended precision); mpmath matrices appear only in the public
-attributes and results, and where mpmath's LU factors a block and
-solves with the factors.
+attributes and results.
 
 Both precisions build Z of a lattice layout from its table of distinct
 lattice offsets: one kernel value per ``(|di|, |dj|)`` pair, then a
@@ -151,7 +150,9 @@ class ImpedanceMatrix:
     ----------
     entries : ndarray or mpmath matrix
         The matrix itself; numpy float64 under machine double, an mpmath
-        matrix under extended precision.
+        matrix under extended precision.  The mpmath matrix is built
+        lazily, on the first read, from the object array of mpmath
+        numbers that :func:`impedance` and every computation here use.
     kind : ElementKind
         Element model the kernel belongs to.
     precision : Precision
@@ -174,12 +175,16 @@ class ImpedanceMatrix:
         self.kind = kind
         self.precision = precision
         self._ctx = ctx if ctx is not None else precision.context()
-        self.entries = entries
         # the entries as a numpy array (of mpmath numbers under extended
         # precision), the form every sector gather reads, and the square
         # roots of the orbit sizes (1, 2 or 4) in the same arithmetic
         if precision.is_extended:
-            self._array = np.array(entries.tolist(), dtype=object)
+            if isinstance(entries, np.ndarray):
+                self._entries = None
+                self._array = entries
+            else:  # an mpmath matrix, which also serves as the public entries
+                self._entries = entries
+                self._array = np.array(entries.tolist(), dtype=object)
             with MP_LOCK:
                 roots = {m: self._ctx.sqrt(m) for m in (1, 2, 4)}
 
@@ -187,7 +192,7 @@ class ImpedanceMatrix:
                 return np.array([roots[m] for m in sizes], dtype=object)
         else:
             entries.setflags(write=False)
-            self._array = entries
+            self._entries = self._array = entries
             sqrt = np.sqrt
         if orbits is None:
             orbits = np.column_stack([np.arange(self.n)] * 4)
@@ -196,6 +201,15 @@ class ImpedanceMatrix:
         self._sectors = _sectors(orbits, sqrt)
         self._eig = None
         self._eig_lock = threading.Lock()
+
+    @property
+    def entries(self):
+        """The matrix: ``_array`` itself under machine double, an mpmath matrix built once."""
+        if self._entries is None:
+            with MP_LOCK:
+                if self._entries is None:
+                    self._entries = self._ctx.matrix(self._array.tolist())
+        return self._entries
 
     @property
     def n(self) -> int:
@@ -291,8 +305,8 @@ def _impedance_extended_locked(ctx, geom: ArrayGeometry):
         table = np.array([[_kernel_mp(ctx, geom.kind,
                                       k * ctx.sqrt((a * dy) ** 2 + (b * dz) ** 2))
                            for b in range(n_z)] for a in range(n_y)], dtype=object)
-        return ctx.matrix(_gather_offsets(rel, table).tolist())
-    Z = ctx.matrix(n, n)
+        return _gather_offsets(rel, table)
+    Z = np.empty((n, n), dtype=object)
     cache = {}
     pos = geom.positions
     for a in range(n):
@@ -308,8 +322,7 @@ def _impedance_extended_locked(ctx, geom: ArrayGeometry):
                         "duplicate element positions make Z exactly singular")
                 v = _kernel_mp(ctx, geom.kind, k * r)
                 cache[key] = v
-            Z[a, b] = v
-            Z[b, a] = v
+            Z[a, b] = Z[b, a] = v
     return Z
 
 
@@ -601,21 +614,51 @@ def _modal_inverse(Z: ImpedanceMatrix, s, U, keep):
     return (uk / s[keep]) @ uk.T
 
 
+def _modal_sums(ctx, s, U, keep, h):
+    """The running sum of ``(u_k^T h / s_k) u_k`` over the modes in keep, after each one.
+
+    Extended precision; call under ``MP_LOCK``.  Yields the same list,
+    updated in place.
+    """
+    n = len(U)
+    hv = [h[r] for r in range(n)]
+    x = [ctx.zero] * n
+    for idx in keep:
+        u = U[:, idx]
+        coef = ctx.fdot(u, hv) / s[idx]
+        for r in range(n):
+            x[r] += coef * u[r]
+        yield x
+
+
 def _modal_solve(Z: ImpedanceMatrix, s, U, keep, h):
     """``U_k (U_k^T h / s_k)`` over the kept modes: O(N k), no N x N pseudo-inverse."""
     if Z.precision.is_extended:
         with MP_LOCK:
-            ctx = Z.context
-            hv = [h[r] for r in range(Z.n)]
-            x = [ctx.zero] * Z.n
-            for idx in keep:
-                u = U[:, idx]
-                coef = ctx.fdot(u, hv) / s[idx]
-                for r in range(Z.n):
-                    x[r] += coef * u[r]
-            return ctx.matrix(x)
+            *_, x = _modal_sums(Z.context, s, U, keep, h)
+            return Z.context.matrix(x)
     uk = U[:, keep]
     return uk @ ((uk.T @ np.asarray(h)) / s[keep])
+
+
+def _rank_solves(Z: ImpedanceMatrix, h):
+    """``rank_truncated_solve(Z, h, m)`` for m = 1..N, bit for bit, in one pass.
+
+    The spectrum is descending, so the modes rank m keeps are the
+    nonzero ones among the first m.  Under extended precision rank m's
+    current is the running sum of :func:`_modal_solve` after those
+    modes, so the N currents cost one rank-N solve.  Machine double
+    keeps one BLAS product per rank, whose summation order a running sum
+    would not reproduce.
+    """
+    s, U, keep = _leading_modes(Z, Z.n)
+    if not Z.precision.is_extended:
+        return [_modal_solve(Z, s, U, keep[:m], h) for m in range(1, Z.n + 1)]
+    with MP_LOCK:
+        ctx = Z.context
+        currents = [ctx.matrix(x) for x in _modal_sums(ctx, s, U, keep, h)]
+        # ranks past the last nonzero eigenvalue keep the same modes
+        return currents + [currents[-1].copy() for _ in range(Z.n - len(keep))]
 
 
 def truncated_inverse(Z: ImpedanceMatrix, s_min_threshold: float):
@@ -683,9 +726,11 @@ def solve(Z: ImpedanceMatrix, h, precision: Precision | None = None):
 
     Both precisions factor one block per parity sector of ``Z.orbits``
     that h excites (see the module docstring), with LAPACK under machine
-    double and mpmath's LU under extended precision, and check the
-    residual against the full Z; the refinement step projects the
-    residual into the same sectors.
+    double and a Crout LU on row lists under extended precision
+    (:func:`_crout_factor`), and check the residual against the full Z;
+    the refinement step projects the residual into the same sectors.
+    An exactly singular block (a zero pivot) or an iterate that is not
+    finite is refused with residual ``inf``.
 
     Parameters
     ----------
@@ -727,10 +772,17 @@ def _sector_inverse(Z: ImpedanceMatrix, h, factor, substitute):
 
 
 def _refined(apply_inverse, h, residual, norm):
-    """One solve and one refinement step: the iterate with the smaller residual, and its norm."""
+    """One solve and one refinement step: the iterate with the smaller residual, and its norm.
+
+    A first iterate whose residual is not finite (an exactly singular
+    block in double) is refused with residual ``inf``.
+    """
     x = apply_inverse(h)
     r = residual(x)
     res = norm(r)
+    if not res < math.inf:
+        raise IllConditionedSolveError("solve gave a non-finite iterate: the matrix is singular",
+                                       residual=math.inf, kappa_estimate=math.inf)
     x_ref = x + apply_inverse(r)
     res_ref = norm(residual(x_ref))
     if res_ref < res:
@@ -788,12 +840,10 @@ def _solve_extended(Z: ImpedanceMatrix, h):
         b = np.array([h[j] for j in range(Z.n)], dtype=object)
 
         def factor(block):
-            return ctx.LU_decomp(ctx.matrix(block.tolist()), overwrite=True)
+            return _crout_factor(ctx, block)
 
         def substitute(factors, v):
-            lu, piv = factors
-            x = ctx.U_solve(lu, ctx.L_solve(lu, ctx.matrix(v.tolist()), piv))
-            return np.array([x[j] for j in range(len(v))], dtype=object)
+            return np.array(_crout_solve(ctx, factors, v), dtype=object)
 
         # factor each sector h excites once, and reuse the factors for the
         # refinement step and the condition estimate
@@ -810,14 +860,78 @@ def _solve_extended(Z: ImpedanceMatrix, h):
 
         x, res = _refined(apply_inverse, b, residual, ctx.norm)
         if not res <= _SOLVE_RESIDUAL_RTOL * norm_h:
+            # Z is symmetric: its largest absolute column sum is its 1-norm
+            norm1_z = max(ctx.fsum(column, absolute=True) for column in Z._array.T)
             raise IllConditionedSolveError(
                 f"solve residual {float(res / norm_h):.3e} exceeds {_SOLVE_RESIDUAL_RTOL:.0e}"
                 f" at {Z.precision.spec()}",
                 residual=float(res / norm_h),
-                kappa_estimate=float(ctx.mnorm(Z.entries, 1)
-                                     * _norm1_estimate(ctx, apply_inverse, Z.n)),
+                kappa_estimate=float(norm1_z * _norm1_estimate(ctx, apply_inverse, Z.n)),
             )
         return ctx.matrix(x.tolist())
+
+
+def _crout_factor(ctx, block):
+    """LU factors ``P B = L U`` of a square object array of mpmath numbers.
+
+    Crout's ordering (Higham, *Accuracy and Stability of Numerical
+    Algorithms*, 2nd ed., 2002, sec. 9.2) with partial pivoting by the
+    largest ``|entry|`` in the column: step k forms column k of L and
+    row k of U, each entry as ``b_ij - fdot(l_i, u_j)`` over the entries
+    of L and U already formed, its inner product rounded once.  The
+    matrix is read as plain row lists, never through mpmath's element
+    access.  Returns ``(perm, lower, upper)``: row k of P B is row
+    ``perm[k]`` of B, ``lower[k]`` holds ``L[k, :k]`` (the unit diagonal
+    is implied) and ``upper[k]`` holds ``U[k, k:]``.
+
+    Raises
+    ------
+    IllConditionedSolveError
+        On an exactly zero pivot: B is singular.
+    """
+    a = block.tolist()
+    n = len(a)
+    perm = list(range(n))
+    lower = [[] for _ in range(n)]
+    columns = [[] for _ in range(n)]  # columns[j] holds U[:k, j] at step k
+    upper = []
+    for k in range(n):
+        column = columns[k]
+        candidates = [a[i][k] - ctx.fdot(lower[i], column) for i in range(k, n)]
+        p = max(range(n - k), key=lambda i: abs(candidates[i]))
+        pivot = candidates[p]
+        if pivot == 0:
+            raise IllConditionedSolveError(
+                f"zero pivot at step {k} of {n}: the matrix is singular",
+                residual=math.inf, kappa_estimate=math.inf)
+        if p:
+            q = k + p
+            a[k], a[q] = a[q], a[k]
+            lower[k], lower[q] = lower[q], lower[k]
+            perm[k], perm[q] = perm[q], perm[k]
+            candidates[p] = candidates[0]
+        for i in range(1, n - k):
+            lower[k + i].append(candidates[i] / pivot)
+        row = [pivot]
+        for j in range(k + 1, n):
+            u = a[k][j] - ctx.fdot(lower[k], columns[j])
+            row.append(u)
+            columns[j].append(u)
+        upper.append(row)
+    return perm, lower, upper
+
+
+def _crout_solve(ctx, factors, b):
+    """Solve ``B x = b`` with :func:`_crout_factor`'s factors: one ``fdot`` per entry."""
+    perm, lower, upper = factors
+    y = []
+    for row, k in zip(lower, perm):
+        y.append(b[k] - ctx.fdot(row, y))
+    x = [None] * len(y)
+    for i in reversed(range(len(y))):
+        row = upper[i]
+        x[i] = (y[i] - ctx.fdot(row[1:], x[i + 1:])) / row[0]
+    return x
 
 
 def _norm1_estimate(ctx, apply_inverse, n):

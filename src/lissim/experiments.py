@@ -422,8 +422,8 @@ def run_truncation_sweep(cfg: ExperimentConfig) -> SweepResult:
         h = channel_for(geom, o, cfg.precision)
         kappa = coupling.condition_number(Z)
         out = []
-        for m in range(1, geom.n + 1):
-            i = precoding.ca_pmf_rank(Z, h, m)
+        # precoding.ca_pmf_rank(Z, h, m) for every m, built in one pass
+        for m, i in enumerate(coupling._rank_solves(Z, h), start=1):
             if _is_zero(i):
                 d_lin, d_dbi, power = 0.0, -math.inf, 0.0
             else:

@@ -1,3 +1,6 @@
+import math
+
+import mpmath
 import numpy as np
 import pytest
 from scipy.linalg import lu_factor, lu_solve
@@ -219,6 +222,29 @@ def test_rank_truncated_inverse_matches_threshold_form():
         rank_truncated_inverse(Z, 21)
 
 
+def _assert_rank_solves_are_the_rank_truncated_solves(Z, h):
+    currents = coupling._rank_solves(Z, h)
+    assert len(currents) == Z.n
+    for m, current in enumerate(currents, start=1):
+        expected = coupling.rank_truncated_solve(Z, h, m)
+        assert all(current[r] == expected[r] for r in range(Z.n))
+
+
+@pytest.mark.parametrize("precision", [Precision(), EXT])
+def test_rank_solves_are_the_rank_truncated_solves_bit_for_bit(precision):
+    geom = geom_linear(frac=0.1)
+    _assert_rank_solves_are_the_rank_truncated_solves(
+        impedance(geom, precision), channel_isotropic(geom, [10.0, 1.3, 0.0], precision))
+
+
+def test_rank_solves_past_the_last_nonzero_eigenvalue_repeat_it():
+    precision = Precision.extended(128)
+    ctx = precision.context()
+    Z = ImpedanceMatrix(ctx.matrix([[1, 1], [1, 1]]), ElementKind.ISOTROPIC, precision)
+    assert sym_eig(Z)[0][1] == 0
+    _assert_rank_solves_are_the_rank_truncated_solves(Z, ctx.matrix([1, ctx.mpf(1) / 3]))
+
+
 def test_solve_trivial_and_scaled_identity():
     h = np.array([1.0 + 2.0j, -0.5j, 3.0])
     assert np.allclose(solve(_direct(np.eye(3)), h), h)
@@ -262,6 +288,13 @@ def test_solve_extended_succeeds_where_double_degrades():
     assert deviation > 0.10  # double either fails outright or is badly off
 
 
+def _refined_lu_solve(ctx, A, h):
+    """mpmath's lu_solve with one refinement step, the smaller residual kept."""
+    x0 = ctx.lu_solve(A, h)
+    x1 = x0 + ctx.lu_solve(A, h - A * x0)
+    return min((x0, x1), key=lambda x: ctx.norm(h - A * x))
+
+
 def test_solve_extended_factors_once_and_matches_lu_solve(monkeypatch):
     # a custom layout has one orbit per element: the solve factors the whole Z
     line = geom_linear(frac=0.3)
@@ -269,22 +302,59 @@ def test_solve_extended_factors_once_and_matches_lu_solve(monkeypatch):
     Z = impedance(geom, EXT)
     h = channel_isotropic(geom, [10.0, 0.0, 0.0], EXT)
     ctx = EXT.context()
-    # reference: mpmath's lu_solve, one refinement step, smaller residual kept
-    x0 = ctx.lu_solve(Z.entries, h)
-    x1 = x0 + ctx.lu_solve(Z.entries, h - Z.entries * x0)
-    expected = min((x0, x1), key=lambda x: ctx.norm(h - Z.entries * x))
+    expected = _refined_lu_solve(ctx, Z.entries, h)
 
     calls = []
-    factor = ctx.LU_decomp
+    factor = coupling._crout_factor
 
-    def counting_factor(*args, **kwargs):
+    def counting_factor(ctx, block):
         calls.append(1)
-        return factor(*args, **kwargs)
+        return factor(ctx, block)
 
-    monkeypatch.setattr(ctx, "LU_decomp", counting_factor)
+    monkeypatch.setattr(coupling, "_crout_factor", counting_factor)
     x = solve(Z, h)
     assert len(calls) == 1
-    assert all(x[k] == expected[k] for k in range(Z.n))
+    # a different elimination order: the same bound as the sector solves below
+    assert ctx.norm(x - expected) <= 1e-60 * ctx.norm(expected)
+
+
+def test_crout_factor_reconstructs_the_even_block_at_a_fifth_wavelength():
+    pitch = 0.2 * LAM
+    geom = planar_grid(10 * pitch, 10 * pitch, pitch, pitch, ElementKind.PLANAR, LAM)
+    Z = impedance(geom, EXT)
+    block = Z._sectors[0].block(Z._array)
+    n = len(block)
+    assert n == 36
+    ctx = EXT.context()
+    perm, lower, upper = coupling._crout_factor(ctx, block)
+    assert sorted(perm) == list(range(n))
+    assert all(abs(v) <= 1 for row in lower for v in row)  # partial pivoting
+    with ctx.extraprec(512):  # the products of the factors, exactly
+        err = max(abs(block[perm[i]][j]
+                      - ctx.fdot([*lower[i], 1][:min(i, j) + 1],
+                                 [upper[k][j - k] for k in range(min(i, j) + 1)]))
+                  for i in range(n) for j in range(n))
+    eps = ctx.mpf(2) ** (1 - ctx.prec)
+    assert err <= 4 * eps * max(abs(v) for v in block.ravel())
+
+
+@pytest.mark.parametrize("terminal", [(10.0, 0.0, 0.0), (10.0, 1.3, -0.7)])
+def test_solve_extended_is_no_farther_from_a_640_bit_solve_than_lu_solve(terminal):
+    # the 20-element line at 0.1 wavelength, kappa about 1e30
+    geom = geom_linear(frac=0.1)
+    Z = impedance(geom, EXT)
+    h = channel_for(geom, terminal, EXT)
+    ctx = EXT.context()
+    x = solve(Z, h)
+    refined = _refined_lu_solve(ctx, Z.entries, h)
+    wide = mpmath.MPContext()
+    wide.prec = 640
+    exact = wide.lu_solve(wide.matrix(Z.entries.tolist()), wide.matrix(h.tolist()))
+
+    def distance(v):
+        return wide.norm(wide.matrix(v.tolist()) - exact)
+
+    assert distance(x) <= distance(refined)
 
 
 def _axis_sector_sizes(count):
@@ -295,15 +365,14 @@ def _axis_sector_sizes(count):
 @pytest.fixture
 def factored_sizes(monkeypatch):
     """Sizes of the matrices the extended LU factors, in call order."""
-    ctx = EXT.context()
     sizes = []
-    factor = ctx.LU_decomp
+    factor = coupling._crout_factor
 
-    def recording_factor(A, *args, **kwargs):
-        sizes.append(A.rows)
-        return factor(A, *args, **kwargs)
+    def recording_factor(ctx, block):
+        sizes.append(len(block))
+        return factor(ctx, block)
 
-    monkeypatch.setattr(ctx, "LU_decomp", recording_factor)
+    monkeypatch.setattr(coupling, "_crout_factor", recording_factor)
     return sizes
 
 
@@ -368,6 +437,46 @@ def test_solve_extended_refusal_estimates_kappa_from_the_factors(monkeypatch):
     assert 0.0 < err.residual <= 1e-60
     kappa = condition_number(Z)
     assert kappa / Z.n <= err.kappa_estimate <= kappa * Z.n
+
+
+@pytest.mark.filterwarnings("ignore::scipy.linalg.LinAlgWarning", "ignore::RuntimeWarning")
+def test_exactly_singular_z_is_refused_in_double():
+    Z = _direct([[1.0, 1.0], [1.0, 1.0]])
+    with pytest.raises(IllConditionedSolveError) as info:
+        solve(Z, np.array([1.0, 0.0]))
+    assert info.value.residual == math.inf
+
+
+def test_exactly_singular_z_is_refused_at_a_zero_pivot_in_extended_precision():
+    precision = Precision.extended(128)
+    ctx = precision.context()
+    Z = ImpedanceMatrix(ctx.matrix([[1, 1], [1, 1]]), ElementKind.ISOTROPIC, precision)
+    with pytest.raises(IllConditionedSolveError) as info:
+        solve(Z, ctx.matrix([1, 0]))
+    assert info.value.residual == math.inf
+
+
+@pytest.mark.parametrize("custom", [False, True])
+def test_extended_entries_are_built_on_first_read_bit_for_bit(monkeypatch, custom):
+    geom = _lattice(3, 4, 0.3, ElementKind.PLANAR)
+    if custom:
+        geom = custom_geometry(geom.positions, geom.kind, geom.dy, geom.dz, LAM)
+    ctx = EXT.context()
+    built = []
+    matrix = ctx.matrix
+
+    def recording_matrix(*args, **kwargs):
+        built.append(args)
+        return matrix(*args, **kwargs)
+
+    monkeypatch.setattr(ctx, "matrix", recording_matrix)
+    Z = impedance(geom, EXT)
+    assert built == []
+    entries = Z.entries
+    assert len(built) == 1
+    assert Z.entries is entries
+    assert all(entries[i, j]._mpf_ == Z._array[i, j]._mpf_
+               for i in range(Z.n) for j in range(Z.n))
 
 
 def _lattice(n_y, n_z, frac, kind):

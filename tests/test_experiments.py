@@ -272,13 +272,13 @@ def test_spacing_csv_is_byte_identical_with_one_and_two_workers(monkeypatch):
 
 def test_truncation_row_of_a_zero_filter_reports_zero_directivity(monkeypatch):
     # a retained set orthogonal to the channel makes the truncated filter exactly zero
-    ca_pmf_rank = experiments.precoding.ca_pmf_rank
+    rank_solves = experiments.coupling._rank_solves
 
-    def first_mode_misses_the_terminal(Z, h, modes):
-        current = ca_pmf_rank(Z, h, modes)
-        return current * 0 if modes == 1 else current
+    def first_mode_misses_the_terminal(Z, h):
+        first, *rest = rank_solves(Z, h)
+        return [first * 0, *rest]
 
-    monkeypatch.setattr(experiments.precoding, "ca_pmf_rank", first_mode_misses_the_terminal)
+    monkeypatch.setattr(experiments.coupling, "_rank_solves", first_mode_misses_the_terminal)
     res = run_truncation_sweep(make_config(linear_elements=6))
     first, second = res.rows[0], res.rows[1]
     idx = {c: k for k, c in enumerate(res.columns)}
