@@ -127,7 +127,7 @@ def _channel_extended_locked(ctx, geom: ArrayGeometry, o: np.ndarray, planar: bo
     lam = ctx.mpf(geom.wavelength)
     k = 2 * ctx.pi / lam
     ox, oy, oz = (ctx.mpf(float(c)) for c in o)
-    h = ctx.matrix(geom.n, 1)
+    h = np.empty(geom.n, dtype=object)
     for idx, (px, py, pz) in enumerate(pos):
         d = ctx.sqrt((ox - px) ** 2 + (oy - py) ** 2 + (oz - pz) ** 2)
         if d == 0:

@@ -6,19 +6,18 @@ of excitation currents ``i`` (constant factors removed).  Entries are
 ``sin(k r)/(k r)`` for isotropic elements and ``J1(k r)/(k r)`` for
 planar ones, with ``r`` the element separation.
 
-Everything here is precision-generic.  Machine-double matrices are dense
-numpy arrays backed by LAPACK; extended-precision matrices are mpmath
-matrices with a cyclic Jacobi eigensolver that works unchanged at any
-mantissa width.  It starts from the LAPACK eigenbasis of each block
-rounded to double, made orthonormal in the working precision, and needs
-3-4 sweeps from there.  On the sector blocks of a 20-element line (kappa
-up to 1e30) its eigenvalues agree with a 640-bit decomposition of the
-same 256-bit blocks to about 1e-64 relative, the smallest included;
+Everything here is precision-generic, and every matrix and vector is a
+numpy array: float64 or complex128 under machine double, backed by
+LAPACK, and an object array of the precision's mpmath numbers under
+extended precision.  There a cyclic Jacobi eigensolver works unchanged
+at any mantissa width.  It starts from the LAPACK eigenbasis of each
+block rounded to double, made orthonormal in the working precision, and
+needs 3-4 sweeps from there.  On the sector blocks of a 20-element line
+(kappa up to 1e30) its eigenvalues agree with a 640-bit decomposition of
+the same 256-bit blocks to about 1e-64 relative, the smallest included;
 Jacobi from the unit basis is only absolutely accurate there, to about
-``eps kappa`` relative on the smallest eigenvalue.  Inside this module
-both are read as numpy arrays (object arrays of mpmath numbers under
-extended precision); mpmath matrices appear only in the public
-attributes and results.
+``eps kappa`` relative on the smallest eigenvalue.  Extended inner
+products are ``fdot``, one rounding each.
 
 Both precisions build Z of a lattice layout from its table of distinct
 lattice offsets: one kernel value per ``(|di|, |dj|)`` pair, then a
@@ -43,7 +42,7 @@ import os
 import threading
 
 import numpy as np
-from scipy.linalg import lu_factor, lu_solve as _lapack_lu_solve
+from scipy.linalg import get_lapack_funcs, lu_solve as _lapack_lu_solve
 from scipy.spatial.distance import cdist
 
 from .errors import (
@@ -148,11 +147,9 @@ class ImpedanceMatrix:
 
     Attributes
     ----------
-    entries : ndarray or mpmath matrix
-        The matrix itself; numpy float64 under machine double, an mpmath
-        matrix under extended precision.  The mpmath matrix is built
-        lazily, on the first read, from the object array of mpmath
-        numbers that :func:`impedance` and every computation here use.
+    entries : ndarray, shape (N, N), read-only
+        The matrix itself: float64 under machine double, an object array
+        of the precision's mpmath numbers under extended precision.
     kind : ElementKind
         Element model the kernel belongs to.
     precision : Precision
@@ -170,29 +167,24 @@ class ImpedanceMatrix:
         is Z itself.
     """
 
-    def __init__(self, entries, kind: ElementKind, precision: Precision, ctx=None,
-                 orbits=None):
+    def __init__(self, entries, kind: ElementKind, precision: Precision, orbits=None):
+        if not (isinstance(entries, np.ndarray) and entries.ndim == 2
+                and entries.shape[0] == entries.shape[1]):
+            raise InvalidArgumentError(
+                "entries must be a square numpy array, of mpmath numbers under extended precision")
         self.kind = kind
         self.precision = precision
-        self._ctx = ctx if ctx is not None else precision.context()
-        # the entries as a numpy array (of mpmath numbers under extended
-        # precision), the form every sector gather reads, and the square
-        # roots of the orbit sizes (1, 2 or 4) in the same arithmetic
+        self._ctx = precision.context()
+        entries.setflags(write=False)
+        self.entries = entries
+        # the square roots of the orbit sizes (1, 2 or 4) in Z's arithmetic
         if precision.is_extended:
-            if isinstance(entries, np.ndarray):
-                self._entries = None
-                self._array = entries
-            else:  # an mpmath matrix, which also serves as the public entries
-                self._entries = entries
-                self._array = np.array(entries.tolist(), dtype=object)
             with MP_LOCK:
                 roots = {m: self._ctx.sqrt(m) for m in (1, 2, 4)}
 
             def sqrt(sizes):
                 return np.array([roots[m] for m in sizes], dtype=object)
         else:
-            entries.setflags(write=False)
-            self._entries = self._array = entries
             sqrt = np.sqrt
         if orbits is None:
             orbits = np.column_stack([np.arange(self.n)] * 4)
@@ -203,38 +195,29 @@ class ImpedanceMatrix:
         self._eig_lock = threading.Lock()
 
     @property
-    def entries(self):
-        """The matrix: ``_array`` itself under machine double, an mpmath matrix built once."""
-        if self._entries is None:
-            with MP_LOCK:
-                if self._entries is None:
-                    self._entries = self._ctx.matrix(self._array.tolist())
-        return self._entries
-
-    @property
     def n(self) -> int:
-        return self._array.shape[0]
+        return self.entries.shape[0]
 
     @property
     def context(self):
         return self._ctx
 
     def eigendecomposition(self):
-        """Cached ``(eigenvalues descending, orthonormal U)``, computed per sector.
-
-        U is a numpy array, of mpmath numbers under extended precision;
-        :func:`sym_eig` returns it as an mpmath matrix there.
-        """
+        """Cached ``(eigenvalues descending, orthonormal U)``, computed per sector."""
         # lock order is always MP_LOCK, then the per-matrix cache lock
-        mp_lock = MP_LOCK if self.precision.is_extended else contextlib.nullcontext()
-        with mp_lock, self._eig_lock:
+        with _arithmetic(self), self._eig_lock:
             if self._eig is None:
                 self._eig = _sector_eigh(self)
             return self._eig
 
     def as_float_array(self) -> np.ndarray:
         """Entries rounded to float64 (e.g. for text dumps)."""
-        return self._array.astype(float)
+        return self.entries.astype(float)
+
+
+def _arithmetic(Z: ImpedanceMatrix):
+    """The lock to hold while computing in Z's arithmetic: ``MP_LOCK``, or none in double."""
+    return MP_LOCK if Z.precision.is_extended else contextlib.nullcontext()
 
 
 def _kernel_double(kind: ElementKind, x: np.ndarray) -> np.ndarray:
@@ -287,13 +270,8 @@ def _impedance_double(geom: ArrayGeometry) -> np.ndarray:
     return _kernel_double(geom.kind, geom.wavenumber * r)
 
 
-def _impedance_extended(geom: ArrayGeometry, precision: Precision):
-    ctx = precision.context()
-    with MP_LOCK:
-        return _impedance_extended_locked(ctx, geom), ctx
-
-
-def _impedance_extended_locked(ctx, geom: ArrayGeometry):
+def _impedance_extended(ctx, geom: ArrayGeometry):
+    """Z as an object array of the context's numbers; call under ``MP_LOCK``."""
     n = geom.n
     k = 2 * ctx.pi / ctx.mpf(geom.wavelength)
     if geom.lattice_indices is not None:
@@ -359,11 +337,12 @@ def impedance(geom: ArrayGeometry, precision: Precision = Precision()) -> Impeda
         raise CapacityError(
             f"a dense {geom.n} x {geom.n} coupling matrix needs {8 * geom.n ** 2 / 2 ** 30:.1f}"
             f" GiB, more than the {memory / 2 ** 30:.1f} GiB of physical memory")
-    orbits = geom.mirror_orbits()
     if precision.is_extended:
-        Z, ctx = _impedance_extended(geom, precision)
-        return ImpedanceMatrix(Z, geom.kind, precision, ctx=ctx, orbits=orbits)
-    return ImpedanceMatrix(_impedance_double(geom), geom.kind, precision, orbits=orbits)
+        with MP_LOCK:
+            entries = _impedance_extended(precision.context(), geom)
+    else:
+        entries = _impedance_double(geom)
+    return ImpedanceMatrix(entries, geom.kind, precision, orbits=geom.mirror_orbits())
 
 
 def _off_norm(ctx, a):
@@ -409,9 +388,9 @@ def _congruence(ctx, a, v):
 def _jacobi_eigh(ctx, A):
     """Cyclic Jacobi eigendecomposition of a symmetric matrix of mpmath numbers.
 
-    ``A`` is an mpmath matrix or a square numpy object array.  Returns
-    the eigenvalues (descending, a list) and the orthonormal
-    eigenvectors as the columns of a numpy object array.
+    ``A`` is a square numpy object array.  Returns the eigenvalues
+    (descending, a list) and the orthonormal eigenvectors as the columns
+    of a numpy object array.
 
     The sweeps (:func:`_jacobi_sweeps`) start from the double ``eigh``
     basis made orthonormal in the working precision
@@ -424,8 +403,8 @@ def _jacobi_eigh(ctx, A):
     (off-diagonal norm at most ``2^-52 ||A||_F``, as on a half-wavelength
     isotropic line, whose spectrum is degenerate) keeps the unit start
     basis, and with it the eigenvectors the sweeps find from there.
-    Works on plain row lists internally; mpmath-matrix element access is
-    dict-backed and would dominate the runtime.
+    Works on plain row lists internally, which index faster than the
+    object array.
     """
     a = [list(row) for row in A.tolist()]
     n = len(a)
@@ -519,21 +498,23 @@ def _sector_eigh(Z: ImpedanceMatrix):
     eigenvalues of all sectors are merged in descending order by a
     stable sort, so a single sector gives exactly the dense result.
     """
-    parts = [(sector, *_block_eigh(Z, sector.block(Z._array))) for sector in Z._sectors]
+    parts = [(sector, *_block_eigh(Z, sector.block(Z.entries))) for sector in Z._sectors]
     values = [v for _, block_values, _ in parts for v in block_values]
     order = sorted(range(Z.n), key=values.__getitem__, reverse=True)
     column = np.empty(Z.n, dtype=int)
     column[order] = np.arange(Z.n)
     if Z.precision.is_extended:
-        s = [values[i] for i in order]
-        U = np.full((Z.n, Z.n), Z.context.zero, dtype=object)
+        dtype, zero = object, Z.context.zero
     else:
-        s = np.array(values)[order]
-        U = np.zeros((Z.n, Z.n))
+        dtype, zero = float, 0.0
+    s = np.array(values, dtype=dtype)[order]
+    U = np.full((Z.n, Z.n), zero, dtype=dtype)
     start = 0
     for sector, block_values, vectors in parts:
         sector.expand(vectors, U, column[start:start + len(block_values)])
         start += len(block_values)
+    s.setflags(write=False)
+    U.setflags(write=False)
     return s, U
 
 
@@ -542,27 +523,21 @@ def sym_eig(Z: ImpedanceMatrix):
 
     Returns
     -------
-    eigenvalues
-        Sorted descending; ndarray under machine double, list of mpf
-        under extended precision.
-    U
-        Orthonormal eigenvectors as matrix columns, ordered to match;
-        ndarray under machine double, mpmath matrix under extended
-        precision.
+    eigenvalues : ndarray, shape (N,)
+        Sorted descending.
+    U : ndarray, shape (N, N)
+        Orthonormal eigenvectors as columns, ordered to match.
+
+    Both are float64 under machine double and object arrays of mpmath
+    numbers under extended precision; both are read-only, since they are
+    the matrix's cached spectrum.
     """
-    s, U = Z.eigendecomposition()
-    if Z.precision.is_extended:
-        with MP_LOCK:
-            return s, Z.context.matrix(U.tolist())
-    return s, U
+    return Z.eigendecomposition()
 
 
 def _clamped_spectrum(Z: ImpedanceMatrix):
     """Eigenvalues with negative roundoff clamped to zero."""
     s, U = Z.eigendecomposition()
-    if Z.precision.is_extended:
-        zero = Z.context.mpf(0)
-        return [v if v > 0 else zero for v in s], U
     return np.maximum(s, 0.0), U
 
 
@@ -607,11 +582,9 @@ def _leading_modes(Z: ImpedanceMatrix, modes: int):
 
 def _modal_inverse(Z: ImpedanceMatrix, s, U, keep):
     """``sum over kept n of u_n u_n^T / s_n``."""
-    if Z.precision.is_extended:
-        with MP_LOCK:
-            return _rank_inverse_mp(Z.context, s, U, keep)
-    uk = U[:, keep]
-    return (uk / s[keep]) @ uk.T
+    with _arithmetic(Z):
+        uk = U[:, keep]
+        return (uk / s[keep]) @ uk.T
 
 
 def _modal_sums(ctx, s, U, keep, h):
@@ -621,11 +594,10 @@ def _modal_sums(ctx, s, U, keep, h):
     updated in place.
     """
     n = len(U)
-    hv = [h[r] for r in range(n)]
     x = [ctx.zero] * n
     for idx in keep:
         u = U[:, idx]
-        coef = ctx.fdot(u, hv) / s[idx]
+        coef = ctx.fdot(u, h) / s[idx]
         for r in range(n):
             x[r] += coef * u[r]
         yield x
@@ -636,7 +608,7 @@ def _modal_solve(Z: ImpedanceMatrix, s, U, keep, h):
     if Z.precision.is_extended:
         with MP_LOCK:
             *_, x = _modal_sums(Z.context, s, U, keep, h)
-            return Z.context.matrix(x)
+            return np.array(x, dtype=object)
     uk = U[:, keep]
     return uk @ ((uk.T @ np.asarray(h)) / s[keep])
 
@@ -655,8 +627,7 @@ def _rank_solves(Z: ImpedanceMatrix, h):
     if not Z.precision.is_extended:
         return [_modal_solve(Z, s, U, keep[:m], h) for m in range(1, Z.n + 1)]
     with MP_LOCK:
-        ctx = Z.context
-        currents = [ctx.matrix(x) for x in _modal_sums(ctx, s, U, keep, h)]
+        currents = [np.array(x, dtype=object) for x in _modal_sums(Z.context, s, U, keep, h)]
         # ranks past the last nonzero eigenvalue keep the same modes
         return currents + [currents[-1].copy() for _ in range(Z.n - len(keep))]
 
@@ -695,21 +666,6 @@ def rank_truncated_solve(Z: ImpedanceMatrix, h, modes: int):
     return _modal_solve(Z, *_leading_modes(Z, modes), h)
 
 
-def _rank_inverse_mp(ctx, s, U, keep):
-    n = len(U)
-    out = ctx.matrix(n, n)
-    for idx in keep:
-        inv = 1 / s[idx]
-        col = U[:, idx]
-        for a in range(n):
-            ca = inv * col[a]
-            for b in range(a, n):
-                v = out[a, b] + ca * col[b]
-                out[a, b] = v
-                out[b, a] = v
-    return out
-
-
 def solve(Z: ImpedanceMatrix, h, precision: Precision | None = None):
     """Solve ``Z x = h`` with one pass of iterative refinement.
 
@@ -720,9 +676,9 @@ def solve(Z: ImpedanceMatrix, h, precision: Precision | None = None):
     residual is itself formed in double, so it is only known to about
     ``eps ||(|Z| |x|)||``; when that rounding error exceeds 1e-8 of
     ``||h||`` the residual cannot show the contract, and the solve is
-    refused the same way whatever it happens to measure.  (mpmath forms
-    each entry of ``Z x`` with one rounding, so the extended residual
-    needs no such guard.)
+    refused the same way whatever it happens to measure.  (Under
+    extended precision each entry of ``Z x`` is one ``fdot``, rounded
+    once, so the extended residual needs no such guard.)
 
     Both precisions factor one block per parity sector of ``Z.orbits``
     that h excites (see the module docstring), with LAPACK under machine
@@ -735,17 +691,29 @@ def solve(Z: ImpedanceMatrix, h, precision: Precision | None = None):
     Parameters
     ----------
     Z : ImpedanceMatrix
-    h : ndarray or mpmath matrix
-        Right-hand side, matching Z's representation.
+    h : array-like, shape (N,)
+        Right-hand side in Z's arithmetic: of mpmath numbers (an object
+        array, or an mpmath column) exactly when Z is extended.
     precision : Precision, optional
         Must agree with ``Z.precision`` when given; the working
         arithmetic always follows the matrix.
+
+    Returns
+    -------
+    ndarray, shape (N,)
+        The current, of h's dtype under machine double and an object
+        array of mpmath numbers under extended precision.
     """
     if precision is not None and precision != Z.precision:
         raise InvalidArgumentError(
             f"solve precision {precision.spec()} does not match matrix precision "
             f"{Z.precision.spec()}; build Z at the precision you want to solve in"
         )
+    h = np.asarray(h)
+    if h.shape != (Z.n,) or (h.dtype == object) != Z.precision.is_extended:
+        raise InvalidArgumentError(
+            f"right-hand side must be a vector of shape ({Z.n},) in {Z.precision.spec()}"
+            f" arithmetic, got dtype {h.dtype} and shape {h.shape}")
     if Z.precision.is_extended:
         return _solve_extended(Z, h)
     return _solve_double(Z, h)
@@ -758,7 +726,7 @@ def _sector_inverse(Z: ImpedanceMatrix, h, factor, substitute):
     excites; ``substitute(factors, b)`` solves with the factors.
     Components of v in the other sectors are dropped.
     """
-    factored = [(sector, factor(sector.block(Z._array)))
+    factored = [(sector, factor(sector.block(Z.entries)))
                 for sector in Z._sectors if np.any(sector.project(h) != 0)]
 
     def apply(v):
@@ -774,8 +742,8 @@ def _sector_inverse(Z: ImpedanceMatrix, h, factor, substitute):
 def _refined(apply_inverse, h, residual, norm):
     """One solve and one refinement step: the iterate with the smaller residual, and its norm.
 
-    A first iterate whose residual is not finite (an exactly singular
-    block in double) is refused with residual ``inf``.
+    A first iterate whose residual is not finite (an overflow in double)
+    is refused with residual ``inf``.
     """
     x = apply_inverse(h)
     r = residual(x)
@@ -791,10 +759,20 @@ def _refined(apply_inverse, h, residual, norm):
 
 
 def _lu_factor_double(block):
-    try:
-        return lu_factor(block)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalFailureError(f"LU factorization failed: {exc}") from exc
+    """LAPACK ``getrf`` factors ``(lu, piv)`` of a float64 block, as ``lu_factor`` returns.
+
+    Raises
+    ------
+    IllConditionedSolveError
+        On an exactly zero pivot: the block is singular.
+    """
+    getrf, = get_lapack_funcs(("getrf",), (block,))
+    lu, piv, info = getrf(block)
+    if info > 0:
+        raise IllConditionedSolveError(
+            f"zero pivot at step {info - 1} of {len(block)}: the matrix is singular",
+            residual=math.inf, kappa_estimate=math.inf)
+    return lu, piv
 
 
 def _abs_matvec(A, v, rows=256):
@@ -804,9 +782,6 @@ def _abs_matvec(A, v, rows=256):
 
 
 def _solve_double(Z: ImpedanceMatrix, h):
-    h = np.asarray(h)
-    if h.shape != (Z.n,):
-        raise InvalidArgumentError(f"right-hand side must have shape ({Z.n},), got {h.shape}")
     norm_h = np.linalg.norm(h)
     if norm_h == 0:
         return np.zeros_like(h)
@@ -830,14 +805,11 @@ def _solve_double(Z: ImpedanceMatrix, h):
 
 
 def _solve_extended(Z: ImpedanceMatrix, h):
-    if not (hasattr(h, "rows") and h.rows == Z.n and h.cols == 1):
-        raise InvalidArgumentError(f"right-hand side must be an mpmath column of length {Z.n}")
     with MP_LOCK:
         ctx = Z.context
         norm_h = ctx.norm(h)
         if norm_h == 0:
-            return ctx.matrix(Z.n, 1)
-        b = np.array([h[j] for j in range(Z.n)], dtype=object)
+            return np.full(Z.n, ctx.zero, dtype=object)
 
         def factor(block):
             return _crout_factor(ctx, block)
@@ -848,7 +820,7 @@ def _solve_extended(Z: ImpedanceMatrix, h):
         # factor each sector h excites once, and reuse the factors for the
         # refinement step and the condition estimate
         with ctx.extraprec(_LU_GUARD_BITS):
-            apply = _sector_inverse(Z, b, factor, substitute)
+            apply = _sector_inverse(Z, h, factor, substitute)
 
         def apply_inverse(v):
             with ctx.extraprec(_LU_GUARD_BITS):
@@ -856,19 +828,19 @@ def _solve_extended(Z: ImpedanceMatrix, h):
 
         def residual(x):
             # one rounding per entry of Z x, as mpmath's matrix product
-            return b - np.array([ctx.fdot(zip(row, x)) for row in Z._array], dtype=object)
+            return h - np.array([ctx.fdot(row, x) for row in Z.entries], dtype=object)
 
-        x, res = _refined(apply_inverse, b, residual, ctx.norm)
+        x, res = _refined(apply_inverse, h, residual, ctx.norm)
         if not res <= _SOLVE_RESIDUAL_RTOL * norm_h:
             # Z is symmetric: its largest absolute column sum is its 1-norm
-            norm1_z = max(ctx.fsum(column, absolute=True) for column in Z._array.T)
+            norm1_z = max(ctx.fsum(column, absolute=True) for column in Z.entries.T)
             raise IllConditionedSolveError(
                 f"solve residual {float(res / norm_h):.3e} exceeds {_SOLVE_RESIDUAL_RTOL:.0e}"
                 f" at {Z.precision.spec()}",
                 residual=float(res / norm_h),
                 kappa_estimate=float(norm1_z * _norm1_estimate(ctx, apply_inverse, Z.n)),
             )
-        return ctx.matrix(x.tolist())
+        return x
 
 
 def _crout_factor(ctx, block):
@@ -974,13 +946,12 @@ def _norm1_estimate(ctx, apply_inverse, n):
 
 def quadratic_form(Z: ImpedanceMatrix, i):
     """Real radiated-power quadratic form ``Re(i^H Z i)``."""
+    iv = np.asarray(i)
     if Z.precision.is_extended:
         with MP_LOCK:
             ctx = Z.context
-            iv = [i[r] for r in range(Z.n)]
-            zi = [ctx.fdot(row, iv) for row in Z._array]
+            zi = [ctx.fdot(row, iv) for row in Z.entries]
             return ctx.re(ctx.fdot([ctx.conj(c) for c in iv], zi))
-    iv = np.asarray(i)
     return float(np.real(np.vdot(iv, Z.entries @ iv)))
 
 

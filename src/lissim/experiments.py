@@ -329,13 +329,6 @@ class _RowClock:
         return elapsed
 
 
-def _is_zero(current) -> bool:
-    """Whether a current (numpy or mpmath column) is exactly zero."""
-    if hasattr(current, "rows"):
-        return all(current[r] == 0 for r in range(current.rows))
-    return not np.any(current)
-
-
 def _linear_geometry(cfg: ExperimentConfig, spacing: float, kind: ElementKind) -> ArrayGeometry:
     return linear_array(cfg.linear_elements, spacing, kind, cfg.wavelength)
 
@@ -424,7 +417,7 @@ def run_truncation_sweep(cfg: ExperimentConfig) -> SweepResult:
         out = []
         # precoding.ca_pmf_rank(Z, h, m) for every m, built in one pass
         for m, i in enumerate(coupling._rank_solves(Z, h), start=1):
-            if _is_zero(i):
+            if not np.any(i):
                 d_lin, d_dbi, power = 0.0, -math.inf, 0.0
             else:
                 # one i^H Z i per row serves the normalization and the

@@ -46,9 +46,9 @@ def _snr_core(i, Z: ImpedanceMatrix, h, denom) -> float:
             f"i^H Z i = {float(denom):.3e} is not positive; current does not radiate")
     if Z.precision.is_extended:
         with MP_LOCK:
-            num = abs((i.T.conjugate() * h)[0, 0]) ** 2
+            num = abs(Z.context.fdot(h, i, conjugate=True)) ** 2
             return float(num / denom)
-    num = abs(np.vdot(np.asarray(i), np.asarray(h))) ** 2
+    num = abs(np.vdot(i, h)) ** 2
     return float(num / denom)
 
 
@@ -81,8 +81,6 @@ def to_dbi(d: float) -> float:
 
 def excitation_power(i) -> float:
     """Current cost ``i^H i`` of a precoder."""
-    if hasattr(i, "rows"):
-        return float(sum(abs(i[r]) ** 2 for r in range(i.rows)))
     iv = np.asarray(i)
     return float(np.real(np.vdot(iv, iv)))
 

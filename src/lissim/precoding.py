@@ -22,10 +22,6 @@ from .errors import DegenerateInputError, InvalidArgumentError, NonRadiatingCurr
 from .specfun import MP_LOCK, Precision
 
 
-def _is_mp_vector(v) -> bool:
-    return hasattr(v, "rows") and hasattr(v, "cols")
-
-
 def nca_mf(h):
     """Coupling-agnostic matched filter: the channel itself.
 
@@ -34,10 +30,6 @@ def nca_mf(h):
     DegenerateInputError
         For an identically zero channel.
     """
-    if _is_mp_vector(h):
-        if all(h[r] == 0 for r in range(h.rows)):
-            raise DegenerateInputError("matched filter undefined for a zero channel")
-        return h.copy()
     hv = np.asarray(h)
     if not np.any(hv):
         raise DegenerateInputError("matched filter undefined for a zero channel")
@@ -86,15 +78,10 @@ def _unit_power(i, Z: ImpedanceMatrix, power):
     if not power > 0:
         raise NonRadiatingCurrentError(
             f"cannot power-normalize: i^H Z i = {float(power):.3e} is not positive")
-    if Z.precision.is_extended:
-        with MP_LOCK:
-            ctx = Z.context
-            scale = 1 / ctx.sqrt(power)
-            out = i.copy()
-            for r in range(out.rows):
-                out[r] = out[r] * scale
-            return out
     iv = np.asarray(i)
     if iv.shape != (Z.n,):
         raise InvalidArgumentError(f"current vector must have shape ({Z.n},), got {iv.shape}")
+    if Z.precision.is_extended:
+        with MP_LOCK:
+            return iv * (1 / Z.context.sqrt(power))
     return iv / np.sqrt(power)

@@ -274,16 +274,10 @@ def _bessel_j1_double(x):
 
 
 def sinc_unnormalized(x):
-    """sin(x)/x with the removable singularity filled in.
+    """sin(x)/x in double with the removable singularity filled in.
 
-    Accepts a float or ndarray (returned elementwise) or an ``mpf`` from
-    an mpmath context, in which case the ratio is evaluated in that
-    context's precision.
+    Accepts a float or ndarray (returned elementwise).
     """
-    if isinstance(x, mpmath.mpf):
-        if x == 0:
-            return mpmath.mpf(1)
-        return mpmath.sin(x) / x
     arr = np.asarray(x, dtype=float)
     small = np.abs(arr) < _SINC_SERIES_CUTOFF
     z = arr * arr
@@ -300,8 +294,8 @@ def j1_over_x(x, precision: Precision = Precision()):
     Parameters
     ----------
     x : float or ndarray
-        Argument(s).  Under extended precision a scalar is required and
-        mpf input is accepted.
+        Argument(s).  Under extended precision a scalar is required,
+        converted to the precision's context.
     precision : Precision
         Arithmetic to evaluate in.
 
@@ -312,7 +306,7 @@ def j1_over_x(x, precision: Precision = Precision()):
     if precision.is_extended:
         with MP_LOCK:
             ctx = precision.context()
-            xv = x if isinstance(x, mpmath.mpf) else ctx.mpf(x)
+            xv = ctx.mpf(x)
             if xv == 0:
                 return ctx.mpf(1) / 2
             return ctx.besselj(1, xv) / xv

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -25,6 +28,7 @@ from lissim import (
     run_spacing_sweep,
     run_truncation_sweep,
 )
+import lissim
 from lissim import experiments
 from lissim.cli import main as cli_main
 from lissim.experiments import (
@@ -296,6 +300,32 @@ def test_extended_truncation_table_of_the_20_element_line_is_unchanged():
                       element_kinds=["isotropic", "planar"], schemes=["CA-pMF"],
                       precision="ext:256")
     assert run_experiment("truncation", cfg).to_csv() == frozen.read_text()
+
+
+def test_extended_spacing_table_of_the_quarter_metre_panel_is_unchanged(tmp_path):
+    # the HP-CA-MF path bit for bit: the extended Z, channel and solve, and
+    # the i^H h of the directivity, on the 9 x 9 and 11 x 11 grids.  The
+    # double CA-MF rows (kappa 8e12 and more) move in the sixth digit with
+    # the BLAS summation order, so the sweep runs in a fresh interpreter
+    # with one BLAS thread, as the table was frozen
+    frozen = Path(__file__).parent / "data" / "spacing_hp_ext256.csv"
+    cfg = tmp_path / "spacing-hp.json"
+    cfg.write_text(json.dumps({
+        "panel": {"width_m": 0.25, "height_m": 0.25},
+        "spacings": ["0.25 lambda", "0.2 lambda"],
+        "element_kinds": ["isotropic", "planar"],
+        "schemes": ["nCA-MF", "CA-MF", "CA-pMF", "HP-CA-MF"],
+        "precision": "ext:256",
+    }))
+    out = tmp_path / "spacing-hp.csv"
+    src = str(Path(lissim.__file__).parents[1])
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1",
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    subprocess.run([sys.executable, "-m", "lissim.cli", "spacing", "--config", str(cfg),
+                    "--out", str(out), "--quiet", "--no-timing"], env=env, check=True)
+    table = out.read_text()
+    assert len(table.splitlines()) == 1 + 16
+    assert table == frozen.read_text()
 
 
 def test_apply_overrides():

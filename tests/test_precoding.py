@@ -112,10 +112,8 @@ def test_ca_pmf_applies_the_retained_spectrum_without_forming_the_pseudo_inverse
     Z = impedance(geom, precision)
     h = channel_for(geom, [10.0, 1.3, -0.7], precision)
     # references from the explicit pseudo-inverses, before they are forbidden
-    by_threshold = coupling.truncated_inverse(Z, 1e-9) * h if precision.is_extended \
-        else coupling.truncated_inverse(Z, 1e-9) @ h
-    by_rank = {m: (coupling.rank_truncated_inverse(Z, m) * h if precision.is_extended
-                   else coupling.rank_truncated_inverse(Z, m) @ h) for m in (1, 5, 12)}
+    by_threshold = coupling.truncated_inverse(Z, 1e-9) @ h
+    by_rank = {m: coupling.rank_truncated_inverse(Z, m) @ h for m in (1, 5, 12)}
 
     def no_pseudo_inverse(*args, **kwargs):
         raise AssertionError("CA-pMF must not form the pseudo-inverse")
@@ -135,6 +133,31 @@ def test_ca_pmf_applies_the_retained_spectrum_without_forming_the_pseudo_inverse
     assert close(ca_pmf(Z, h, 1e-9), by_threshold)
     for m, want in by_rank.items():
         assert close(ca_pmf_rank(Z, h, m), want)
+
+
+@pytest.mark.parametrize("precision", [Precision(), Precision.extended(128)], ids=["double", "ext"])
+def test_every_result_is_a_numpy_array_in_the_arithmetic_of_z(precision):
+    geom = linear_array(6, 0.3 * LAM, ElementKind.PLANAR, LAM)
+    Z = impedance(geom, precision)
+    h = channel_for(geom, [10.0, 1.3, -0.7], precision)
+    s, U = coupling.sym_eig(Z)
+    results = {
+        "entries": Z.entries, "eigenvalues": s, "eigenvectors": U, "channel": h,
+        "nca_mf": nca_mf(h), "ca_mf": ca_mf(Z, h), "ca_pmf": ca_pmf(Z, h, 1e-9),
+        "ca_pmf_rank": ca_pmf_rank(Z, h, 3), "power_normalize": power_normalize(h, Z),
+        "truncated_inverse": coupling.truncated_inverse(Z, 1e-9),
+        "rank_truncated_inverse": coupling.rank_truncated_inverse(Z, 3),
+        **{f"rank {m}": i for m, i in enumerate(coupling._rank_solves(Z, h), start=1)},
+    }
+    ctx = precision.context()
+    for name, value in results.items():
+        assert isinstance(value, np.ndarray), name
+        assert value.shape in ((geom.n,), (geom.n, geom.n)), name
+        assert (value.dtype == object) == precision.is_extended, name
+        if precision.is_extended:
+            assert all(isinstance(v, (ctx.mpf, ctx.mpc)) for v in value.ravel()), name
+    # the matrix and its cached spectrum cannot be written through the results
+    assert not any(a.flags.writeable for a in (Z.entries, s, U))
 
 
 def test_power_normalize_identity_case():
