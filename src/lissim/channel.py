@@ -1,7 +1,9 @@
 """Surface-to-terminal channel vectors and radiated-power oracles.
 
 Channel vectors always use exact per-element distances (no far-field
-shortcut); only the impedance matrix rests on the far-field form.  The
+shortcut); only the impedance matrix rests on the far-field form.  One
+body builds them in either precision's arithmetic, from lattice
+coordinates rebuilt from the layout's integer indices.  The
 remaining functions evaluate the underlying field physics directly:
 :func:`field_at` superposes per-element contributions and
 :func:`radiated_power_quadrature` integrates the far-field power density
@@ -19,7 +21,7 @@ import numpy as np
 
 from .errors import AccuracyWarning, DomainError, InvalidArgumentError
 from .geometry import ArrayGeometry, ElementKind, as_vec3
-from .specfun import MP_LOCK, Precision
+from .specfun import Precision
 
 VACUUM_IMPEDANCE = 376.730313668  # ohm
 
@@ -48,27 +50,35 @@ class FieldModel:
             raise InvalidArgumentError(f"eta must be positive, got {self.eta!r}")
 
 
-def _distances_double(geom: ArrayGeometry, o: np.ndarray) -> np.ndarray:
-    return np.linalg.norm(geom.positions - o[None, :], axis=1)
+def _positions(geom: ArrayGeometry, ar):
+    """Element coordinates in the arithmetic ``ar``, shape (N, 3).
 
-
-def _mp_positions(ctx, geom: ArrayGeometry):
-    """Element coordinates in extended precision.
-
-    Lattice layouts are rebuilt from integer indices and the exact
-    double pitches so that offsets carry no accumulated rounding;
-    arbitrary layouts promote their double coordinates verbatim.
+    Lattice layouts are rebuilt from their integer indices and exact
+    pitches, so offsets carry no accumulated rounding (in double this is
+    ``geom.positions`` bit for bit); other layouts promote their double
+    coordinates verbatim.
     """
-    if geom.lattice_indices is not None:
-        iy = geom.lattice_indices[:, 0]
-        iz = geom.lattice_indices[:, 1]
-        cy = ctx.mpf(int(np.max(iy))) / 2
-        cz = ctx.mpf(int(np.max(iz))) / 2
-        dy = ctx.mpf(geom.dy)
-        dz = ctx.mpf(geom.dz)
-        return [(ctx.mpf(0), (int(a) - cy) * dy, (int(b) - cz) * dz)
-                for a, b in zip(iy, iz)]
-    return [(ctx.mpf(p[0]), ctx.mpf(p[1]), ctx.mpf(p[2])) for p in geom.positions]
+    if geom.lattice_indices is None:
+        return ar.number(geom.positions)
+    index = ar.number(geom.lattice_indices)
+    centre = ar.number(geom.lattice_indices.max(axis=0)) / 2
+    offsets = (index - centre) * ar.number([geom.dy, geom.dz])
+    return np.column_stack([np.full(geom.n, ar.zero, dtype=ar.dtype), offsets])
+
+
+def _channel(geom: ArrayGeometry, o: np.ndarray, precision: Precision, planar: bool):
+    """``g_n lambda / (4 pi d_n) exp(-j k d_n)``, ``g_n = sqrt(x_ue / d_n)`` if planar, else 1."""
+    ar = precision.arithmetic()
+    with ar.lock:
+        o = ar.number(o)
+        d = ar.sqrt(((_positions(geom, ar) - o) ** 2).sum(axis=1))
+        if np.any(d == 0):
+            raise DomainError("terminal position coincides with an array element")
+        lam = ar.number(geom.wavelength)
+        k = 2 * ar.pi / lam
+        gain = ar.sqrt(np.divide(o[0], d)) if planar else np.ones(geom.n)
+        # arrays lead: an mpmath number would try to convert an array to its own type first
+        return gain * lam / (d * (4 * ar.pi)) * ar.exp(d * (-1j * k))
 
 
 def channel_isotropic(geom: ArrayGeometry, o, precision: Precision = Precision()):
@@ -82,14 +92,7 @@ def channel_isotropic(geom: ArrayGeometry, o, precision: Precision = Precision()
     DomainError
         If the terminal coincides with an element.
     """
-    ov = as_vec3(o)
-    if precision.is_extended:
-        return _channel_extended(geom, ov, precision, planar=False)
-    d = _distances_double(geom, ov)
-    if np.any(d == 0.0):
-        raise DomainError("terminal position coincides with an array element")
-    k = geom.wavenumber
-    return geom.wavelength / (4.0 * np.pi * d) * np.exp(-1j * k * d)
+    return _channel(geom, as_vec3(o), precision, planar=False)
 
 
 def channel_planar(geom: ArrayGeometry, o, precision: Precision = Precision()):
@@ -109,34 +112,7 @@ def channel_planar(geom: ArrayGeometry, o, precision: Precision = Precision()):
     ov = as_vec3(o)
     if ov[0] <= 0.0:
         raise DomainError(f"planar channel needs x_ue > 0, got x_ue = {ov[0]}")
-    if precision.is_extended:
-        return _channel_extended(geom, ov, precision, planar=True)
-    d = _distances_double(geom, ov)
-    k = geom.wavenumber
-    return np.sqrt(ov[0] / d) * geom.wavelength / (4.0 * np.pi * d) * np.exp(-1j * k * d)
-
-
-def _channel_extended(geom: ArrayGeometry, o: np.ndarray, precision: Precision, planar: bool):
-    ctx = precision.context()
-    with MP_LOCK:
-        return _channel_extended_locked(ctx, geom, o, planar)
-
-
-def _channel_extended_locked(ctx, geom: ArrayGeometry, o: np.ndarray, planar: bool):
-    pos = _mp_positions(ctx, geom)
-    lam = ctx.mpf(geom.wavelength)
-    k = 2 * ctx.pi / lam
-    ox, oy, oz = (ctx.mpf(float(c)) for c in o)
-    h = np.empty(geom.n, dtype=object)
-    for idx, (px, py, pz) in enumerate(pos):
-        d = ctx.sqrt((ox - px) ** 2 + (oy - py) ** 2 + (oz - pz) ** 2)
-        if d == 0:
-            raise DomainError("terminal position coincides with an array element")
-        amp = lam / (4 * ctx.pi * d)
-        if planar:
-            amp *= ctx.sqrt(ox / d)
-        h[idx] = amp * ctx.exp(-1j * k * d)
-    return h
+    return _channel(geom, ov, precision, planar=True)
 
 
 def channel_for(geom: ArrayGeometry, o, precision: Precision = Precision()):

@@ -6,13 +6,16 @@ of excitation currents ``i`` (constant factors removed).  Entries are
 ``sin(k r)/(k r)`` for isotropic elements and ``J1(k r)/(k r)`` for
 planar ones, with ``r`` the element separation.
 
-Everything here is precision-generic, and every matrix and vector is a
-numpy array: float64 or complex128 under machine double, backed by
-LAPACK, and an object array of the precision's mpmath numbers under
-extended precision.  There a cyclic Jacobi eigensolver works unchanged
-at any mantissa width.  It starts from the LAPACK eigenbasis of each
-block rounded to double, made orthonormal in the working precision, and
-needs 3-4 sweeps from there.  On the sector blocks of a 20-element line
+Every matrix and vector is a numpy array: float64 or complex128 under
+machine double, and an object array of the precision's mpmath numbers
+under extended precision.  Each function has one body for both, taking
+the operations in which they differ (roots, products, norms, the lock)
+from :meth:`Precision.arithmetic`.  Only the factorizations fork, being
+different algorithms: LAPACK ``eigh`` and ``getrf`` in double, and at
+any mantissa width a cyclic Jacobi eigensolver and a Crout LU.  The
+Jacobi starts from the LAPACK eigenbasis of each block rounded to
+double, made orthonormal in the working precision, and needs 3-4 sweeps
+from there.  On the sector blocks of a 20-element line
 (kappa up to 1e30) its eigenvalues agree with a 640-bit decomposition of
 the same 256-bit blocks to about 1e-64 relative, the smallest included;
 Jacobi from the unit basis is only absolutely accurate there, to about
@@ -37,13 +40,14 @@ block is Z itself, bit for bit.
 from __future__ import annotations
 
 import contextlib
+import functools
+import itertools
 import math
 import os
 import threading
 
 import numpy as np
 from scipy.linalg import get_lapack_funcs, lu_solve as _lapack_lu_solve
-from scipy.spatial.distance import cdist
 
 from .errors import (
     CapacityError,
@@ -54,7 +58,7 @@ from .errors import (
     NumericalFailureError,
 )
 from .geometry import ArrayGeometry, ElementKind
-from .specfun import MP_LOCK, Precision, j1_over_x, sinc_unnormalized
+from .specfun import Precision, j1_over_x, sinc_unnormalized
 
 _JACOBI_MAX_SWEEPS = 100
 # a block whose off-diagonal norm is at most this share of its Frobenius
@@ -80,17 +84,17 @@ class _Sector:
     block of an exactly invariant Z is exactly symmetric, and with one
     orbit per element every product is exact and the block is Z itself.
 
-    ``sqrt`` maps a list of orbit sizes to their square roots in the
-    matrix's arithmetic; the methods take numpy arrays of floats, or
-    object arrays of mpmath numbers, to match.
+    ``ar`` is the matrix's arithmetic (:meth:`Precision.arithmetic`);
+    the methods take numpy arrays of floats, or object arrays of mpmath
+    numbers, to match.
     """
 
-    def __init__(self, parity, orbits, sqrt):
+    def __init__(self, parity, orbits, ar):
         self.parity = parity
         # (m, 4) element indices in the column order of _PARITIES
         self.images = np.array(orbits, dtype=int)
         # an orbit's size is 4 over the number of mirrors that fix its elements
-        self.roots = sqrt([4 // images.count(images[0]) for images in orbits])
+        self.roots = ar.sqrt(ar.number([4 // images.count(images[0]) for images in orbits]))
 
     def _signed_sum(self, image):
         _, sign_y, sign_z, _ = self.parity
@@ -122,7 +126,7 @@ class _Sector:
         return out
 
 
-def _sectors(orbits, sqrt):
+def _sectors(orbits, ar):
     """The nonempty parity sectors of a layout's mirror orbits.
 
     An orbit drops out of a sector whose character is -1 on a mirror
@@ -134,7 +138,7 @@ def _sectors(orbits, sqrt):
         held = [images for images in orbits.tolist()
                 if all(sign > 0 or image != images[0] for image, sign in zip(images, parity))]
         if held:
-            sectors.append(_Sector(parity, held, sqrt))
+            sectors.append(_Sector(parity, held, ar))
     return sectors
 
 
@@ -154,6 +158,9 @@ class ImpedanceMatrix:
         Element model the kernel belongs to.
     precision : Precision
         Arithmetic the entries were built in.
+    arithmetic, context
+        ``precision.arithmetic()`` and ``precision.context()`` (the
+        latter None in double).
     orbits : ndarray of int, shape (M, 4)
         Element orbits under the layout's mirror symmetries, as returned
         by :meth:`ArrayGeometry.mirror_orbits`: row k holds the images of
@@ -174,23 +181,16 @@ class ImpedanceMatrix:
                 "entries must be a square numpy array, of mpmath numbers under extended precision")
         self.kind = kind
         self.precision = precision
-        self._ctx = precision.context()
+        self.arithmetic = precision.arithmetic()
+        self.context = precision.context()
         entries.setflags(write=False)
         self.entries = entries
-        # the square roots of the orbit sizes (1, 2 or 4) in Z's arithmetic
-        if precision.is_extended:
-            with MP_LOCK:
-                roots = {m: self._ctx.sqrt(m) for m in (1, 2, 4)}
-
-            def sqrt(sizes):
-                return np.array([roots[m] for m in sizes], dtype=object)
-        else:
-            sqrt = np.sqrt
         if orbits is None:
             orbits = np.column_stack([np.arange(self.n)] * 4)
         self.orbits = orbits
         self.orbits.setflags(write=False)
-        self._sectors = _sectors(orbits, sqrt)
+        with self.arithmetic.lock:
+            self._sectors = _sectors(orbits, self.arithmetic)
         self._eig = None
         self._eig_lock = threading.Lock()
 
@@ -198,14 +198,10 @@ class ImpedanceMatrix:
     def n(self) -> int:
         return self.entries.shape[0]
 
-    @property
-    def context(self):
-        return self._ctx
-
     def eigendecomposition(self):
         """Cached ``(eigenvalues descending, orthonormal U)``, computed per sector."""
-        # lock order is always MP_LOCK, then the per-matrix cache lock
-        with _arithmetic(self), self._eig_lock:
+        # lock order is always the arithmetic's (MP_LOCK), then the per-matrix cache lock
+        with self.arithmetic.lock, self._eig_lock:
             if self._eig is None:
                 self._eig = _sector_eigh(self)
             return self._eig
@@ -215,32 +211,22 @@ class ImpedanceMatrix:
         return self.entries.astype(float)
 
 
-def _arithmetic(Z: ImpedanceMatrix):
-    """The lock to hold while computing in Z's arithmetic: ``MP_LOCK``, or none in double."""
-    return MP_LOCK if Z.precision.is_extended else contextlib.nullcontext()
-
-
-def _kernel_double(kind: ElementKind, x: np.ndarray) -> np.ndarray:
+def _kernel(kind: ElementKind, x, precision: Precision):
+    # by module name at call time, where the benchmark's layer trace wraps the kernels
     if kind is ElementKind.ISOTROPIC:
-        return sinc_unnormalized(x)
-    return j1_over_x(x)
+        return sinc_unnormalized(x, precision)
+    return j1_over_x(x, precision)
 
 
-def _kernel_mp(ctx, kind: ElementKind, x):
-    if x == 0:
-        return ctx.mpf(1) if kind is ElementKind.ISOTROPIC else ctx.mpf(1) / 2
-    if kind is ElementKind.ISOTROPIC:
-        return ctx.sin(x) / x
-    return ctx.besselj(1, x) / x
-
-
-def _lattice_extent(geom: ArrayGeometry):
-    """Lattice indices shifted to start at 0, and the extent ``(n_y, n_z)`` they span."""
+def _offset_distances(geom: ArrayGeometry, ar):
+    """A lattice's indices shifted to start at 0, and the distance of each offset (|di|, |dj|)."""
     rel = geom.lattice_indices - geom.lattice_indices.min(axis=0)
     n_y, n_z = (int(v) for v in rel.max(axis=0) + 1)
     if np.bincount(rel[:, 0] * n_z + rel[:, 1]).max() > 1:
         raise InvalidGeometryError("duplicate element positions make Z exactly singular")
-    return rel, n_y, n_z
+    dy, dz = ar.number([geom.dy, geom.dz])
+    return rel, ar.sqrt((ar.number(np.arange(n_y))[:, None] * dy) ** 2
+                        + (ar.number(np.arange(n_z))[None, :] * dz) ** 2)
 
 
 def _gather_offsets(rel, table):
@@ -255,53 +241,15 @@ def _gather_offsets(rel, table):
     return table.ravel()[flat]
 
 
-def _impedance_double(geom: ArrayGeometry) -> np.ndarray:
-    if geom.lattice_indices is not None:
-        # one kernel value per distinct lattice offset, then one gather
-        rel, n_y, n_z = _lattice_extent(geom)
-        r = np.sqrt((np.arange(n_y)[:, None] * geom.dy) ** 2
-                    + (np.arange(n_z)[None, :] * geom.dz) ** 2)
-        return _gather_offsets(rel, _kernel_double(geom.kind, geom.wavenumber * r))
-    r = cdist(geom.positions, geom.positions)
-    if geom.n > 1:
-        off = r + np.diag(np.full(geom.n, np.inf))
-        if np.min(off) == 0.0:
-            raise InvalidGeometryError("duplicate element positions make Z exactly singular")
-    return _kernel_double(geom.kind, geom.wavenumber * r)
-
-
-def _impedance_extended(ctx, geom: ArrayGeometry):
-    """Z as an object array of the context's numbers; call under ``MP_LOCK``."""
-    n = geom.n
-    k = 2 * ctx.pi / ctx.mpf(geom.wavelength)
-    if geom.lattice_indices is not None:
-        # exact integer offsets on the lattice: one kernel evaluation per
-        # distinct |di|, |dj| pair, then one gather
-        rel, n_y, n_z = _lattice_extent(geom)
-        dy = ctx.mpf(geom.dy)
-        dz = ctx.mpf(geom.dz)
-        table = np.array([[_kernel_mp(ctx, geom.kind,
-                                      k * ctx.sqrt((a * dy) ** 2 + (b * dz) ** 2))
-                           for b in range(n_z)] for a in range(n_y)], dtype=object)
-        return _gather_offsets(rel, table)
-    Z = np.empty((n, n), dtype=object)
-    cache = {}
+def _pair_distances(geom: ArrayGeometry, ar):
+    """The distance of every element pair, from the pair's double coordinate offsets."""
     pos = geom.positions
-    for a in range(n):
-        for b in range(a, n):
-            key = (abs(pos[a, 0] - pos[b, 0]), abs(pos[a, 1] - pos[b, 1]),
-                   abs(pos[a, 2] - pos[b, 2]))
-            v = cache.get(key)
-            if v is None:
-                r = ctx.sqrt(ctx.mpf(key[0]) ** 2 + ctx.mpf(key[1]) ** 2
-                             + ctx.mpf(key[2]) ** 2)
-                if r == 0 and a != b:
-                    raise InvalidGeometryError(
-                        "duplicate element positions make Z exactly singular")
-                v = _kernel_mp(ctx, geom.kind, k * r)
-                cache[key] = v
-            Z[a, b] = Z[b, a] = v
-    return Z
+    r = np.empty((geom.n, geom.n), dtype=ar.dtype)
+    for a, p in enumerate(pos):
+        r[a, a:] = r[a:, a] = ar.sqrt((ar.number(pos[a:] - p) ** 2).sum(axis=1))
+    if np.count_nonzero(r == 0) > geom.n:
+        raise InvalidGeometryError("duplicate element positions make Z exactly singular")
+    return r
 
 
 def _physical_memory_bytes():
@@ -337,11 +285,15 @@ def impedance(geom: ArrayGeometry, precision: Precision = Precision()) -> Impeda
         raise CapacityError(
             f"a dense {geom.n} x {geom.n} coupling matrix needs {8 * geom.n ** 2 / 2 ** 30:.1f}"
             f" GiB, more than the {memory / 2 ** 30:.1f} GiB of physical memory")
-    if precision.is_extended:
-        with MP_LOCK:
-            entries = _impedance_extended(precision.context(), geom)
-    else:
-        entries = _impedance_double(geom)
+    ar = precision.arithmetic()
+    with ar.lock:
+        k = 2 * ar.pi / ar.number(geom.wavelength)
+        if geom.lattice_indices is not None:
+            # one kernel value per distinct lattice offset, then one gather
+            rel, r = _offset_distances(geom, ar)
+            entries = _gather_offsets(rel, _kernel(geom.kind, r * k, precision))
+        else:
+            entries = _kernel(geom.kind, _pair_distances(geom, ar) * k, precision)
     return ImpedanceMatrix(entries, geom.kind, precision, orbits=geom.mirror_orbits())
 
 
@@ -477,7 +429,7 @@ def _jacobi_sweeps(ctx, a, v, norm_a):
 
 def _block_eigh(Z: ImpedanceMatrix, block):
     """Eigenvalues (descending) and eigenvectors (columns) of one sector block."""
-    if Z.precision.is_extended:
+    if Z.context is not None:  # different algorithms: cyclic Jacobi at any width, LAPACK in double
         return _jacobi_eigh(Z.context, block)
     w, u = _lapack_eigh(block)
     return w[::-1], u[:, ::-1]
@@ -503,12 +455,9 @@ def _sector_eigh(Z: ImpedanceMatrix):
     order = sorted(range(Z.n), key=values.__getitem__, reverse=True)
     column = np.empty(Z.n, dtype=int)
     column[order] = np.arange(Z.n)
-    if Z.precision.is_extended:
-        dtype, zero = object, Z.context.zero
-    else:
-        dtype, zero = float, 0.0
-    s = np.array(values, dtype=dtype)[order]
-    U = np.full((Z.n, Z.n), zero, dtype=dtype)
+    ar = Z.arithmetic
+    s = np.array(values, dtype=ar.dtype)[order]
+    U = np.full((Z.n, Z.n), ar.zero, dtype=ar.dtype)
     start = 0
     for sector, block_values, vectors in parts:
         sector.expand(vectors, U, column[start:start + len(block_values)])
@@ -558,12 +507,21 @@ def condition_number(Z: ImpedanceMatrix) -> float:
     return float(s_max / s_min)
 
 
-def _modes_above(Z: ImpedanceMatrix, s_min_threshold: float):
-    """The clamped spectrum and the indices of its eigenvalues strictly above a threshold."""
+def _kept_modes(Z: ImpedanceMatrix, s_min_threshold: float):
+    """The clamped spectrum and the indices of its eigenvalues strictly above a threshold.
+
+    This is the retention rule of the truncated matched filter; the list
+    of kept indices may be empty.
+    """
     if s_min_threshold < 0:
         raise InvalidArgumentError(f"threshold must be >= 0, got {s_min_threshold!r}")
     s, U = _clamped_spectrum(Z)
-    keep = [i for i, v in enumerate(s) if v > s_min_threshold]
+    return s, U, [i for i, v in enumerate(s) if v > s_min_threshold]
+
+
+def _modes_above(Z: ImpedanceMatrix, s_min_threshold: float):
+    """:func:`_kept_modes`, refusing a threshold that keeps no mode."""
+    s, U, keep = _kept_modes(Z, s_min_threshold)
     if not keep:
         raise EmptySpectrumError(f"no eigenvalue above threshold {s_min_threshold!r}")
     return s, U, keep
@@ -582,35 +540,22 @@ def _leading_modes(Z: ImpedanceMatrix, modes: int):
 
 def _modal_inverse(Z: ImpedanceMatrix, s, U, keep):
     """``sum over kept n of u_n u_n^T / s_n``."""
-    with _arithmetic(Z):
+    with Z.arithmetic.lock:
         uk = U[:, keep]
         return (uk / s[keep]) @ uk.T
 
 
-def _modal_sums(ctx, s, U, keep, h):
-    """The running sum of ``(u_k^T h / s_k) u_k`` over the modes in keep, after each one.
-
-    Extended precision; call under ``MP_LOCK``.  Yields the same list,
-    updated in place.
-    """
-    n = len(U)
-    x = [ctx.zero] * n
-    for idx in keep:
-        u = U[:, idx]
-        coef = ctx.fdot(u, h) / s[idx]
-        for r in range(n):
-            x[r] += coef * u[r]
-        yield x
+def _modal_coefficients(Z: ImpedanceMatrix, s, U, keep, h):
+    """The kept modes ``U_k`` and the coefficients ``U_k^T h / s_k``; call under the lock."""
+    uk = U[:, keep]
+    return uk, Z.arithmetic.matvec(uk.T, h) / s[keep]
 
 
 def _modal_solve(Z: ImpedanceMatrix, s, U, keep, h):
     """``U_k (U_k^T h / s_k)`` over the kept modes: O(N k), no N x N pseudo-inverse."""
-    if Z.precision.is_extended:
-        with MP_LOCK:
-            *_, x = _modal_sums(Z.context, s, U, keep, h)
-            return np.array(x, dtype=object)
-    uk = U[:, keep]
-    return uk @ ((uk.T @ np.asarray(h)) / s[keep])
+    with Z.arithmetic.lock:
+        uk, coefficients = _modal_coefficients(Z, s, U, keep, np.asarray(h))
+        return uk @ coefficients
 
 
 def _rank_solves(Z: ImpedanceMatrix, h):
@@ -618,16 +563,17 @@ def _rank_solves(Z: ImpedanceMatrix, h):
 
     The spectrum is descending, so the modes rank m keeps are the
     nonzero ones among the first m.  Under extended precision rank m's
-    current is the running sum of :func:`_modal_solve` after those
-    modes, so the N currents cost one rank-N solve.  Machine double
-    keeps one BLAS product per rank, whose summation order a running sum
-    would not reproduce.
+    current is the running sum of ``coefficient * mode`` over those
+    modes, which numpy's object product in :func:`_modal_solve` sums in
+    the same order, so the N currents cost one rank-N solve.
     """
     s, U, keep = _leading_modes(Z, Z.n)
-    if not Z.precision.is_extended:
+    if Z.context is None:
+        # one BLAS product per rank defines the double bits; a running sum would round otherwise
         return [_modal_solve(Z, s, U, keep[:m], h) for m in range(1, Z.n + 1)]
-    with MP_LOCK:
-        currents = [np.array(x, dtype=object) for x in _modal_sums(Z.context, s, U, keep, h)]
+    with Z.arithmetic.lock:
+        uk, coefficients = _modal_coefficients(Z, s, U, keep, np.asarray(h))
+        currents = list(itertools.accumulate(coefficients[:, None] * uk.T))
         # ranks past the last nonzero eigenvalue keep the same modes
         return currents + [currents[-1].copy() for _ in range(Z.n - len(keep))]
 
@@ -671,11 +617,13 @@ def solve(Z: ImpedanceMatrix, h, precision: Precision | None = None):
 
     The relative residual ``||Zx - h|| / ||h||`` must come out at or
     below 1e-8 in the working arithmetic, otherwise an
-    :class:`IllConditionedSolveError` carrying the achieved residual and
-    a condition-number estimate is raised.  Under machine double the
-    residual is itself formed in double, so it is only known to about
-    ``eps ||(|Z| |x|)||``; when that rounding error exceeds 1e-8 of
-    ``||h||`` the residual cannot show the contract, and the solve is
+    :class:`IllConditionedSolveError` is raised.  It carries the achieved
+    residual and a condition-number estimate, ``||Z||_1`` times the
+    Hager-Higham estimate of ``||Z^-1||_1`` from the factors already
+    formed, so a refusal never runs the eigensolver.  Under machine
+    double the residual is itself formed in double, so it is only known
+    to about ``eps ||(|Z| |x|)||``; when that rounding error exceeds 1e-8
+    of ``||h||`` the residual cannot show the contract, and the solve is
     refused the same way whatever it happens to measure.  (Under
     extended precision each entry of ``Z x`` is one ``fdot``, rounded
     once, so the extended residual needs no such guard.)
@@ -714,27 +662,66 @@ def solve(Z: ImpedanceMatrix, h, precision: Precision | None = None):
         raise InvalidArgumentError(
             f"right-hand side must be a vector of shape ({Z.n},) in {Z.precision.spec()}"
             f" arithmetic, got dtype {h.dtype} and shape {h.shape}")
-    if Z.precision.is_extended:
-        return _solve_extended(Z, h)
-    return _solve_double(Z, h)
+    ar = Z.arithmetic
+    with ar.lock:
+        norm_h = ar.norm(h)
+        if norm_h == 0:
+            return np.full_like(h, ar.zero)
+        # each sector h excites is factored once, and the factors serve the
+        # refinement step and the condition estimate
+        apply_inverse = _sector_inverse(Z, h)
+        x, res = _refined(apply_inverse, h, lambda x: h - ar.matvec(Z.entries, x), ar.norm)
+        tol = _SOLVE_RESIDUAL_RTOL * norm_h
+        if not res <= tol:
+            reason = (f"solve residual {float(res / norm_h):.3e} exceeds"
+                      f" {_SOLVE_RESIDUAL_RTOL:.0e} at {Z.precision.spec()}")
+        elif Z.context is not None:  # an extended residual is rounded once per entry
+            return x
+        else:
+            # a residual formed in double is only known to about eps |Z| |x|
+            floor = np.finfo(float).eps * np.linalg.norm(_abs_matvec(Z.entries, x))
+            if floor <= tol:
+                return x
+            reason = (f"solve residual {res / norm_h:.3e} lies below the rounding error of Z x"
+                      f" in double, {floor / norm_h:.3e}, so it cannot show"
+                      f" {_SOLVE_RESIDUAL_RTOL:.0e}")
+        # Z is symmetric: its largest absolute row sum is its 1-norm
+        norm1_z = _abs_matvec(Z.entries, np.ones(Z.n)).max()
+        raise IllConditionedSolveError(
+            reason,
+            residual=float(res / norm_h),
+            kappa_estimate=float(norm1_z * _norm1_estimate(ar, apply_inverse, Z.n)),
+        )
 
 
-def _sector_inverse(Z: ImpedanceMatrix, h, factor, substitute):
+def _sector_inverse(Z: ImpedanceMatrix, h):
     """``v -> sum over the sectors h excites of E_s B_s^-1 E_s^T v``.
 
-    ``factor(B)`` factors a sector block, once per sector that h
-    excites; ``substitute(factors, b)`` solves with the factors.
-    Components of v in the other sectors are dropped.
+    Factors each sector block that h excites once; components of v in
+    the other sectors are dropped.  Extended blocks are factored and
+    solved with ``_LU_GUARD_BITS`` extra working bits.
     """
-    factored = [(sector, factor(sector.block(Z.entries)))
-                for sector in Z._sectors if np.any(sector.project(h) != 0)]
+    ctx = Z.context
+    if ctx is None:  # different algorithms: LAPACK getrf in double, a Crout LU at any width
+        factor, substitute, guard = _lu_factor_double, _lapack_lu_solve, contextlib.nullcontext
+    else:
+        factor = functools.partial(_crout_factor, ctx)
+        substitute = functools.partial(_crout_solve, ctx)
+
+        def guard():
+            return ctx.extraprec(_LU_GUARD_BITS)
+
+    with guard():
+        factored = [(sector, factor(sector.block(Z.entries)))
+                    for sector in Z._sectors if np.any(sector.project(h) != 0)]
 
     def apply(v):
-        parts = []
-        for sector, factors in factored:
-            y = substitute(factors, sector.project(v))
-            parts.append(sector.expand(y, np.zeros(Z.n, dtype=y.dtype)))
-        return sum(parts[1:], parts[0])
+        with guard():
+            parts = []
+            for sector, factors in factored:
+                y = substitute(factors, sector.project(v))
+                parts.append(sector.expand(y, np.zeros(Z.n, dtype=y.dtype)))
+            return sum(parts[1:], parts[0])
 
     return apply
 
@@ -779,68 +766,6 @@ def _abs_matvec(A, v, rows=256):
     """``|A| |v|``, a block of rows at a time, so no N x N temporary is made."""
     v = np.abs(v)
     return np.concatenate([np.abs(A[k:k + rows]) @ v for k in range(0, len(A), rows)])
-
-
-def _solve_double(Z: ImpedanceMatrix, h):
-    norm_h = np.linalg.norm(h)
-    if norm_h == 0:
-        return np.zeros_like(h)
-    apply_inverse = _sector_inverse(Z, h, _lu_factor_double, _lapack_lu_solve)
-    x, res = _refined(apply_inverse, h, lambda x: h - Z.entries @ x, np.linalg.norm)
-    tol = _SOLVE_RESIDUAL_RTOL * norm_h
-    if not res <= tol:
-        reason = f"solve residual {res / norm_h:.3e} exceeds {_SOLVE_RESIDUAL_RTOL:.0e}"
-    else:
-        # a residual formed in double is only known to about eps |Z| |x|
-        floor = np.finfo(float).eps * np.linalg.norm(_abs_matvec(Z.entries, x))
-        if floor <= tol:
-            return x
-        reason = (f"solve residual {res / norm_h:.3e} lies below the rounding error of Z x"
-                  f" in double, {floor / norm_h:.3e}, so it cannot show {_SOLVE_RESIDUAL_RTOL:.0e}")
-    raise IllConditionedSolveError(
-        reason,
-        residual=float(res / norm_h),
-        kappa_estimate=condition_number(Z),
-    )
-
-
-def _solve_extended(Z: ImpedanceMatrix, h):
-    with MP_LOCK:
-        ctx = Z.context
-        norm_h = ctx.norm(h)
-        if norm_h == 0:
-            return np.full(Z.n, ctx.zero, dtype=object)
-
-        def factor(block):
-            return _crout_factor(ctx, block)
-
-        def substitute(factors, v):
-            return np.array(_crout_solve(ctx, factors, v), dtype=object)
-
-        # factor each sector h excites once, and reuse the factors for the
-        # refinement step and the condition estimate
-        with ctx.extraprec(_LU_GUARD_BITS):
-            apply = _sector_inverse(Z, h, factor, substitute)
-
-        def apply_inverse(v):
-            with ctx.extraprec(_LU_GUARD_BITS):
-                return apply(v)
-
-        def residual(x):
-            # one rounding per entry of Z x, as mpmath's matrix product
-            return h - np.array([ctx.fdot(row, x) for row in Z.entries], dtype=object)
-
-        x, res = _refined(apply_inverse, h, residual, ctx.norm)
-        if not res <= _SOLVE_RESIDUAL_RTOL * norm_h:
-            # Z is symmetric: its largest absolute column sum is its 1-norm
-            norm1_z = max(ctx.fsum(column, absolute=True) for column in Z.entries.T)
-            raise IllConditionedSolveError(
-                f"solve residual {float(res / norm_h):.3e} exceeds {_SOLVE_RESIDUAL_RTOL:.0e}"
-                f" at {Z.precision.spec()}",
-                residual=float(res / norm_h),
-                kappa_estimate=float(norm1_z * _norm1_estimate(ctx, apply_inverse, Z.n)),
-            )
-        return x
 
 
 def _crout_factor(ctx, block):
@@ -894,7 +819,10 @@ def _crout_factor(ctx, block):
 
 
 def _crout_solve(ctx, factors, b):
-    """Solve ``B x = b`` with :func:`_crout_factor`'s factors: one ``fdot`` per entry."""
+    """Solve ``B x = b`` with :func:`_crout_factor`'s factors: one ``fdot`` per entry.
+
+    Returns x as an object array.
+    """
     perm, lower, upper = factors
     y = []
     for row, k in zip(lower, perm):
@@ -903,56 +831,53 @@ def _crout_solve(ctx, factors, b):
     for i in reversed(range(len(y))):
         row = upper[i]
         x[i] = (y[i] - ctx.fdot(row[1:], x[i + 1:])) / row[0]
-    return x
+    return np.array(x, dtype=object)
 
 
-def _norm1_estimate(ctx, apply_inverse, n):
+def _norm1_estimate(ar, apply_inverse, n):
     """Hager-Higham lower estimate of the 1-norm of a symmetric operator.
 
     Higham's refinement of Hager's method (ACM TOMS 670, LAPACK
     ``xLACON``): at most five power-method-like steps, each one or two
     products with the operator, then one product with an alternating
-    test vector; real arithmetic throughout.
+    test vector; real arithmetic ``ar`` throughout.
     """
     def apply(v):
-        return [ctx.re(c) for c in apply_inverse(np.array(v, dtype=object))]
+        return ar.real(apply_inverse(ar.number(v)))
 
     def sign(v):
-        return [1 if c >= 0 else -1 for c in v]
+        return np.where(v >= 0, 1.0, -1.0)
 
-    def norm1(v):
-        return ctx.fsum(abs(c) for c in v)
+    def largest(v):
+        return int(np.argmax(np.abs(v)))
 
-    v = apply([ctx.mpf(1) / n] * n)
+    v = apply(ar.number(np.ones(n)) / n)
     if n == 1:
         return abs(v[0])
-    est = norm1(v)
+    est = ar.norm(v, 1)
     xi = sign(v)
     x = apply(xi)  # the operator is symmetric: its transpose is itself
-    j = max(range(n), key=lambda i: abs(x[i]))
+    j = largest(x)
     for _ in range(4):
-        v = apply([1 if i == j else 0 for i in range(n)])
-        est_old, est = est, norm1(v)
-        if sign(v) == xi or est <= est_old:
+        v = apply(1.0 * (np.arange(n) == j))
+        est_old, est = est, ar.norm(v, 1)
+        if np.array_equal(sign(v), xi) or est <= est_old:
             break
         xi = sign(v)
         x = apply(xi)
-        j_last, j = j, max(range(n), key=lambda i: abs(x[i]))
+        j_last, j = j, largest(x)
         if x[j_last] == abs(x[j]):
             break
-    alt = apply([(-1) ** i * (1 + ctx.mpf(i) / (n - 1)) for i in range(n)])
-    return max(est, 2 * norm1(alt) / (3 * n))
+    alt = apply((-1.0) ** np.arange(n) * (1 + ar.number(np.arange(n)) / (n - 1)))
+    return max(est, 2 * ar.norm(alt, 1) / (3 * n))
 
 
 def quadratic_form(Z: ImpedanceMatrix, i):
     """Real radiated-power quadratic form ``Re(i^H Z i)``."""
     iv = np.asarray(i)
-    if Z.precision.is_extended:
-        with MP_LOCK:
-            ctx = Z.context
-            zi = [ctx.fdot(row, iv) for row in Z.entries]
-            return ctx.re(ctx.fdot([ctx.conj(c) for c in iv], zi))
-    return float(np.real(np.vdot(iv, Z.entries @ iv)))
+    ar = Z.arithmetic
+    with ar.lock:
+        return ar.real(ar.vdot(iv, ar.matvec(Z.entries, iv)))
 
 
 def write_matrix_text(Z: ImpedanceMatrix, path) -> None:

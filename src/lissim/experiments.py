@@ -6,10 +6,12 @@ truncation rank, and the fixed-aperture spacing sweep comparing all
 precoding schemes against the continuous no-coupling reference.
 
 Configuration is a strict JSON file (unknown keys rejected); every sweep
-is deterministic for a given config, and timing columns can be dropped
-to make outputs byte-comparable.  Sweep points are independent and run
-on a small thread pool capped by the ``LISSIM_MAX_WORKERS`` environment
-variable; row order always follows the configured grid.
+is deterministic for a given config at a fixed BLAS thread count (BLAS
+sums the double products in an order that depends on it), and timing
+columns can be dropped to make outputs byte-comparable.  Sweep points
+are independent and run on a small thread pool capped by the
+``LISSIM_MAX_WORKERS`` environment variable; row order always follows
+the configured grid.
 """
 
 from __future__ import annotations
@@ -466,8 +468,7 @@ def _spacing_point_rows(cfg: ExperimentConfig, spacing: float, kind: ElementKind
             except LisSimError as exc:
                 emit(scheme, geom.n, None, f"failed: {type(exc).__name__}")
         elif scheme == SCHEME_CA_PMF:
-            s, _ = coupling.sym_eig(Z)
-            retained = int(np.sum(np.maximum(s, 0.0) > cfg.svd_threshold))
+            retained = len(coupling._kept_modes(Z, cfg.svd_threshold)[2])
             try:
                 emit(scheme, retained, precoding.ca_pmf(Z, h, cfg.svd_threshold), "ok")
             except LisSimError as exc:
@@ -493,7 +494,7 @@ def run_spacing_sweep(cfg: ExperimentConfig) -> SweepResult:
 
     The aperture stays at the configured panel size while the pitch
     varies, so finer spacings mean more elements.  Every row carries the
-    continuous-surface no-coupling reference for its spacing; the
+    continuous-surface no-coupling reference, the same for every spacing; the
     high-precision scheme appears only when the configured precision is
     extended, and its condition-number column (like all others) reports
     the machine-double spectrum.
@@ -501,16 +502,14 @@ def run_spacing_sweep(cfg: ExperimentConfig) -> SweepResult:
     columns = ("spacing_m", "spacing_wavelengths", "n_elements", "element_kind",
                "scheme", "retained_modes", "directivity", "directivity_dbi",
                "kappa", "excitation_power", "d_nc_reference", "status", "wall_time_ms")
-    d_nc_values = {
-        spacing: metrics.d_nc(cfg.ue_position, cfg.panel_width_m, cfg.panel_height_m,
+    # the reference depends on the terminal, the panel and the wavelength, not the spacing
+    d_nc_value = metrics.d_nc(cfg.ue_position, cfg.panel_width_m, cfg.panel_height_m,
                               cfg.wavelength, double_span_limits=cfg.nc_double_span_limits)
-        for spacing in set(cfg.spacings_m)
-    }
     tasks = [(s, kind) for s in cfg.spacings_m for kind in cfg.element_kinds]
 
     def worker(task):
         spacing, kind = task
-        return _spacing_point_rows(cfg, spacing, kind, d_nc_values[spacing])
+        return _spacing_point_rows(cfg, spacing, kind, d_nc_value)
 
     rows = [row for block in _run_tasks(tasks, worker) for row in block]
     return SweepResult("spacing", columns, rows)

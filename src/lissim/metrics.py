@@ -21,7 +21,6 @@ from scipy import integrate
 
 from .coupling import ImpedanceMatrix, quadratic_form
 from .errors import InvalidArgumentError, NonRadiatingCurrentError, NumericalFailureError
-from .specfun import MP_LOCK
 from .geometry import as_vec3
 
 
@@ -44,12 +43,9 @@ def _snr_core(i, Z: ImpedanceMatrix, h, denom) -> float:
     if not denom > 0:
         raise NonRadiatingCurrentError(
             f"i^H Z i = {float(denom):.3e} is not positive; current does not radiate")
-    if Z.precision.is_extended:
-        with MP_LOCK:
-            num = abs(Z.context.fdot(h, i, conjugate=True)) ** 2
-            return float(num / denom)
-    num = abs(np.vdot(i, h)) ** 2
-    return float(num / denom)
+    ar = Z.arithmetic
+    with ar.lock:
+        return float(abs(ar.vdot(i, h)) ** 2 / denom)
 
 
 def snr(i, Z: ImpedanceMatrix, h, lb: LinkBudget = LinkBudget()) -> float:

@@ -19,7 +19,7 @@ from .coupling import (
     truncated_solve,
 )
 from .errors import DegenerateInputError, InvalidArgumentError, NonRadiatingCurrentError
-from .specfun import MP_LOCK, Precision
+from .specfun import Precision
 
 
 def nca_mf(h):
@@ -81,7 +81,6 @@ def _unit_power(i, Z: ImpedanceMatrix, power):
     iv = np.asarray(i)
     if iv.shape != (Z.n,):
         raise InvalidArgumentError(f"current vector must have shape ({Z.n},), got {iv.shape}")
-    if Z.precision.is_extended:
-        with MP_LOCK:
-            return iv * (1 / Z.context.sqrt(power))
-    return iv / np.sqrt(power)
+    ar = Z.arithmetic
+    with ar.lock:
+        return iv / ar.sqrt(power)

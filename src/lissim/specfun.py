@@ -1,9 +1,15 @@
-"""Special-function kernels for the coupling matrices.
+"""The arithmetic of each precision, and the special-function kernels.
+
+:class:`Precision` selects IEEE double or extended software floating
+point, and :meth:`Precision.arithmetic` hands out the few operations in
+which the two differ (elementwise roots and exponentials, inner and
+matrix-vector products, norms, the lock to compute under), so every
+numeric function elsewhere has one body for both.
 
 Two kernels drive everything: the unnormalized sinc ``sin(x)/x`` and the
 ratio ``J1(x)/x`` of the first-kind Bessel function of order one.  Both
-are even, bounded, and evaluated either in IEEE double or in extended
-software floating point selected by :class:`Precision`.
+are even, bounded, and evaluated in either arithmetic; under extended
+precision each distinct argument of an array is evaluated once.
 
 The double-precision J1 uses a Maclaurin series up to the branch cutoff
 and the standard trigonometric asymptotic form with minimax rational
@@ -17,6 +23,9 @@ for validating the production kernel.
 
 from __future__ import annotations
 
+import contextlib
+import functools
+import math
 import threading
 from dataclasses import dataclass
 
@@ -47,6 +56,65 @@ def _extended_context(bits: int):
             ctx.prec = bits
             _CTX_CACHE[bits] = ctx
         return ctx
+
+
+class _DoubleArithmetic:
+    """Machine double: float64 and complex128 arrays, with BLAS products."""
+
+    lock = contextlib.nullcontext()
+    dtype = float
+    zero = 0.0
+    pi = math.pi
+    sqrt = staticmethod(np.sqrt)
+    exp = staticmethod(np.exp)
+    real = staticmethod(np.real)
+    norm = staticmethod(np.linalg.norm)
+    vdot = staticmethod(np.vdot)
+
+    @staticmethod
+    def number(x):
+        """Real values (a scalar or an array) as float64."""
+        return np.asarray(x, dtype=float)
+
+    @staticmethod
+    def matvec(a, x):
+        return a @ x
+
+
+class _ExtendedArithmetic:
+    """Object arrays of one mpmath context's numbers; each inner product is one ``fdot``.
+
+    Compute under :attr:`lock`: mpmath raises a context's precision
+    inside many functions, so a context is only thread-safe under it.
+    """
+
+    lock = MP_LOCK
+    dtype = object
+
+    def __init__(self, ctx):
+        self.ctx = ctx
+        self.zero = ctx.zero
+        self.pi = ctx.pi
+        self.number = np.frompyfunc(ctx.mpf, 1, 1)
+        self.sqrt = np.frompyfunc(ctx.sqrt, 1, 1)
+        self.exp = np.frompyfunc(ctx.exp, 1, 1)
+        self.real = np.frompyfunc(ctx.re, 1, 1)
+        self.norm = ctx.norm
+
+    def matvec(self, a, x):
+        return np.array([self.ctx.fdot(row, x) for row in a], dtype=object)
+
+    def vdot(self, a, b):
+        """``sum conj(a_k) b_k``, rounded once."""
+        return self.ctx.fdot(b, a, conjugate=True)
+
+
+@functools.cache
+def _arithmetic(bits: int | None):
+    if bits is None:
+        return _DoubleArithmetic()
+    return _ExtendedArithmetic(_extended_context(bits))
+
 
 _SINC_SERIES_CUTOFF = 1e-4   # below this, sin(x)/x via its quadratic series
 _J1_BRANCH_CUTOFF = 5.0      # Maclaurin series below, asymptotic form above
@@ -105,6 +173,17 @@ class Precision:
         if not self.is_extended:
             return None
         return _extended_context(self.mantissa_bits)
+
+    def arithmetic(self):
+        """The operations in which this precision differs from the other, shared per width.
+
+        ``lock`` (a null context in double, :data:`MP_LOCK` in extended
+        precision), ``dtype``, ``zero``, ``pi``, ``number`` (real values
+        into this arithmetic), the elementwise ``sqrt``, ``exp`` and
+        ``real``, ``matvec``, ``vdot`` (``a^H b``) and ``norm`` (with an
+        optional order, as numpy's and mpmath's take).
+        """
+        return _arithmetic(self.mantissa_bits)
 
     def spec(self) -> str:
         return "double" if not self.is_extended else f"ext:{self.mantissa_bits}"
@@ -273,11 +352,31 @@ def _bessel_j1_double(x):
     return np.sign(x) * out
 
 
-def sinc_unnormalized(x):
-    """sin(x)/x in double with the removable singularity filled in.
+def _extended_kernel(precision: Precision, x, at_zero: float, numerator):
+    """``numerator(ctx, x)/x`` (``at_zero`` at 0) on each entry of x, once per distinct value."""
+    ctx = precision.context()
+    with MP_LOCK:
+        zero_value = ctx.mpf(at_zero)
+        values = {}
 
-    Accepts a float or ndarray (returned elementwise).
+        def once(v):
+            out = values.get(v)
+            if out is None:
+                w = ctx.mpf(v)
+                out = values[v] = zero_value if w == 0 else numerator(ctx, w) / w
+            return out
+
+        return np.frompyfunc(once, 1, 1)(x)
+
+
+def sinc_unnormalized(x, precision: Precision = Precision()):
+    """sin(x)/x with the removable singularity filled in.
+
+    Accepts a float or ndarray (returned elementwise); under extended
+    precision an object array (or a scalar) of the precision's numbers.
     """
+    if precision.is_extended:
+        return _extended_kernel(precision, x, 1.0, lambda ctx, v: ctx.sin(v))
     arr = np.asarray(x, dtype=float)
     small = np.abs(arr) < _SINC_SERIES_CUTOFF
     z = arr * arr
@@ -294,8 +393,8 @@ def j1_over_x(x, precision: Precision = Precision()):
     Parameters
     ----------
     x : float or ndarray
-        Argument(s).  Under extended precision a scalar is required,
-        converted to the precision's context.
+        Argument(s); under extended precision a scalar or an object
+        array, converted to the precision's context.
     precision : Precision
         Arithmetic to evaluate in.
 
@@ -304,12 +403,7 @@ def j1_over_x(x, precision: Precision = Precision()):
     float, ndarray, or mpf
     """
     if precision.is_extended:
-        with MP_LOCK:
-            ctx = precision.context()
-            xv = ctx.mpf(x)
-            if xv == 0:
-                return ctx.mpf(1) / 2
-            return ctx.besselj(1, xv) / xv
+        return _extended_kernel(precision, x, 0.5, lambda ctx, v: ctx.besselj(1, v))
     arr = np.asarray(x, dtype=float)
     zero = arr == 0.0
     safe = np.where(zero, 1.0, arr)

@@ -436,22 +436,25 @@ def test_solve_extended_broadside_factors_only_the_even_sector(factored_sizes):
     assert _mp_residual(ctx, Z, x, h) <= 1e-8 * ctx.norm(h)
 
 
-def test_solve_extended_refusal_estimates_kappa_from_the_factors(monkeypatch):
+@pytest.mark.parametrize("precision,eigensolver", [(Precision(), "_lapack_eigh"),
+                                                   (EXT, "_jacobi_eigh")], ids=["double", "ext"])
+def test_solve_refusal_estimates_kappa_from_the_factors(monkeypatch, precision, eigensolver):
+    # kappa about 2e9: well resolved by the double eigensolver too
     pitch = 0.15 * LAM
     geom = planar_grid(3 * pitch, 4 * pitch, pitch, pitch, ElementKind.PLANAR, LAM)
-    Z = impedance(geom, EXT)
-    h = channel_for(geom, [10.0, 1.3, -0.7], EXT)
+    Z = impedance(geom, precision)
+    h = channel_for(geom, [10.0, 1.3, -0.7], precision)
 
     def no_eigensolver(*args, **kwargs):
         raise AssertionError("the refusal must not run the eigensolver")
 
     monkeypatch.setattr(coupling, "_SOLVE_RESIDUAL_RTOL", 0.0)
-    monkeypatch.setattr(coupling, "_jacobi_eigh", no_eigensolver)
+    monkeypatch.setattr(coupling, eigensolver, no_eigensolver)
     with pytest.raises(IllConditionedSolveError) as info:
         solve(Z, h)
     monkeypatch.undo()
     err = info.value
-    assert 0.0 < err.residual <= 1e-60
+    assert 0.0 < err.residual <= (1e-60 if precision.is_extended else 1e-8)
     kappa = condition_number(Z)
     assert kappa / Z.n <= err.kappa_estimate <= kappa * Z.n
 
@@ -538,7 +541,7 @@ def test_extended_sector_jacobi_matches_full_jacobi_at_256_bits(n_y, n_z, kind):
     Z = impedance(geom, EXT)
     ctx = EXT.context()
     s, U = sym_eig(Z)
-    with coupling.MP_LOCK:
+    with EXT.arithmetic().lock:
         full, _ = coupling._jacobi_eigh(ctx, Z.entries)
     assert len(Z.orbits) < geom.n  # the layout has mirror orbits to split on
     assert max(abs(a - b) for a, b in zip(s, full)) <= 1e-60 * full[0]
@@ -560,7 +563,7 @@ def test_extended_eigenvalues_are_relatively_accurate_on_the_tenth_wavelength_li
     ref = Precision.extended(640).context()
     for sector in Z._sectors:
         block = sector.block(Z.entries)
-        with coupling.MP_LOCK:
+        with EXT.arithmetic().lock:
             values, _ = coupling._jacobi_eigh(ctx, block)
             exact, _ = ref.eigsy(ref.matrix(block.tolist()))
             exact = sorted((exact[k] for k in range(exact.rows)), reverse=True)
@@ -581,7 +584,7 @@ def test_extended_half_wavelength_isotropic_line_keeps_the_unit_start(monkeypatc
     monkeypatch.setattr(coupling, "_double_basis", no_double_basis)
     s, _ = sym_eig(Z)
     assert all(abs(v - 1) < 1e-70 for v in s)
-    with coupling.MP_LOCK:
+    with EXT.arithmetic().lock:
         for sector in Z._sectors:
             block = sector.block(Z.entries)
             values, vectors = coupling._jacobi_eigh(ctx, block)
@@ -612,8 +615,8 @@ def test_offset_table_build_is_mirror_invariant_and_matches_cdist_build(geom):
             perm[orbits[:, image]] = orbits[:, image ^ mirror]
         assert np.array_equal(Z[np.ix_(perm, perm)], Z)
     assert np.array_equal(Z, Z.T)
-    by_distance = coupling._kernel_double(
-        geom.kind, geom.wavenumber * cdist(geom.positions, geom.positions))
+    by_distance = coupling._kernel(
+        geom.kind, geom.wavenumber * cdist(geom.positions, geom.positions), Precision())
     assert np.max(np.abs(Z - by_distance)) <= 4 * np.spacing(1.0)
 
 
@@ -701,7 +704,7 @@ def test_custom_layout_extended_spectrum_is_bit_identical_to_full_jacobi():
     geom = custom_geometry(line.positions, line.kind, line.dy, line.dz, LAM)
     Z = impedance(geom, EXT)
     s, U = sym_eig(Z)
-    with coupling.MP_LOCK:
+    with EXT.arithmetic().lock:
         full, V = coupling._jacobi_eigh(EXT.context(), Z.entries)
     assert list(s) == full
     assert all(U[i, j] == V[i, j] for i in range(6) for j in range(6))

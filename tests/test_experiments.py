@@ -302,6 +302,34 @@ def test_extended_truncation_table_of_the_20_element_line_is_unchanged():
     assert run_experiment("truncation", cfg).to_csv() == frozen.read_text()
 
 
+_QUARTER_METRE_PANEL = {
+    "panel": {"width_m": 0.25, "height_m": 0.25},
+    "spacings": ["0.25 lambda", "0.2 lambda"],
+    "element_kinds": ["isotropic", "planar"],
+    "schemes": ["nCA-MF", "CA-MF", "CA-pMF", "HP-CA-MF"],
+}
+
+
+def _cli_table(tmp_path, experiment, settings=None):
+    """The ``--no-timing`` CSV of one CLI sweep in a fresh interpreter with one BLAS thread.
+
+    ``settings`` is the config as a dict; None runs the experiment's defaults.
+    """
+    out = tmp_path / f"{experiment}.csv"
+    args = [sys.executable, "-m", "lissim.cli", experiment, "--out", str(out), "--quiet",
+            "--no-timing"]
+    if settings is not None:
+        cfg = tmp_path / f"{experiment}.json"
+        cfg.write_text(json.dumps(settings))
+        args += ["--config", str(cfg)]
+    src = str(Path(lissim.__file__).parents[1])
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1",
+               LISSIM_MAX_WORKERS="1",
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    subprocess.run(args, env=env, check=True, timeout=600)
+    return out.read_text()
+
+
 def test_extended_spacing_table_of_the_quarter_metre_panel_is_unchanged(tmp_path):
     # the HP-CA-MF path bit for bit: the extended Z, channel and solve, and
     # the i^H h of the directivity, on the 9 x 9 and 11 x 11 grids.  The
@@ -309,23 +337,25 @@ def test_extended_spacing_table_of_the_quarter_metre_panel_is_unchanged(tmp_path
     # the BLAS summation order, so the sweep runs in a fresh interpreter
     # with one BLAS thread, as the table was frozen
     frozen = Path(__file__).parent / "data" / "spacing_hp_ext256.csv"
-    cfg = tmp_path / "spacing-hp.json"
-    cfg.write_text(json.dumps({
-        "panel": {"width_m": 0.25, "height_m": 0.25},
-        "spacings": ["0.25 lambda", "0.2 lambda"],
-        "element_kinds": ["isotropic", "planar"],
-        "schemes": ["nCA-MF", "CA-MF", "CA-pMF", "HP-CA-MF"],
-        "precision": "ext:256",
-    }))
-    out = tmp_path / "spacing-hp.csv"
-    src = str(Path(lissim.__file__).parents[1])
-    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1",
-               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    subprocess.run([sys.executable, "-m", "lissim.cli", "spacing", "--config", str(cfg),
-                    "--out", str(out), "--quiet", "--no-timing"], env=env, check=True)
-    table = out.read_text()
+    table = _cli_table(tmp_path, "spacing", dict(_QUARTER_METRE_PANEL, precision="ext:256"))
     assert len(table.splitlines()) == 1 + 16
     assert table == frozen.read_text()
+
+
+def test_double_spacing_table_of_the_quarter_metre_panel_is_unchanged(tmp_path):
+    # the double Z, channel, solve, spectrum and directivity bit for bit;
+    # frozen, like the extended table, with one BLAS thread
+    frozen = Path(__file__).parent / "data" / "spacing_hp_double.csv"
+    table = _cli_table(tmp_path, "spacing", dict(_QUARTER_METRE_PANEL, precision="double"))
+    assert len(table.splitlines()) == 1 + 12
+    assert table == frozen.read_text()
+
+
+def test_default_double_truncation_table_is_unchanged(tmp_path):
+    # the 20-element line at 0.3 wavelength: the double rank solves,
+    # normalization and directivity bit for bit
+    frozen = Path(__file__).parent / "data" / "truncation_default_double.csv"
+    assert _cli_table(tmp_path, "truncation") == frozen.read_text()
 
 
 def test_apply_overrides():
