@@ -32,9 +32,14 @@ eigendecomposition and the solve work on the sector blocks
 block and merges the spectra; the solve projects the right-hand side
 onto the sectors, skips those it does not excite (a broadside terminal
 excites only the even-even one), factors each remaining block once, and
-checks the residual against the full Z.  Layouts without lattice
-indices have one orbit per element, a single sector, and the sector
-block is Z itself, bit for bit.
+checks the residual against the full Z.  In extended precision every
+product with Z (those residuals, and the radiated power ``i^H Z i``)
+reads only the rows of the orbits' first members: one ``fdot`` per such
+row and per distinct mirror image of the vector, so a vector in one
+sector costs about N^2/4 terms instead of N^2, with the same bits as
+the row-by-row product.  Machine double keeps its BLAS product.  Layouts
+without lattice indices have one orbit per element, a single sector,
+and the sector block is Z itself, bit for bit.
 """
 
 from __future__ import annotations
@@ -70,6 +75,8 @@ _LU_GUARD_BITS = 10
 # value of each parity character on (identity, y mirror, z mirror, both),
 # the column order of ImpedanceMatrix.orbits
 _PARITIES = ((1, 1, 1, 1), (1, -1, 1, -1), (1, 1, -1, -1), (1, -1, -1, 1))
+# int64 keys of a custom layout's offset triples stay below this (see _pair_distances)
+_PAIR_KEY_LIMIT = 2 ** 62
 
 
 class _Sector:
@@ -191,6 +198,9 @@ class ImpedanceMatrix:
         self.orbits.setflags(write=False)
         with self.arithmetic.lock:
             self._sectors = _sectors(orbits, self.arithmetic)
+        if self.context is not None:  # what _product reads: see there
+            self._orbit_rows = entries[orbits[:, 0]].tolist()
+            self._mirrors = _mirror_permutations(orbits)
         self._eig = None
         self._eig_lock = threading.Lock()
 
@@ -209,6 +219,60 @@ class ImpedanceMatrix:
     def as_float_array(self) -> np.ndarray:
         """Entries rounded to float64 (e.g. for text dumps)."""
         return self.entries.astype(float)
+
+
+def _mirror_permutations(orbits):
+    """``(k, perm_k)`` for the identity (k = 0) and each mirror k that moves an element.
+
+    k is a column of ``_PARITIES`` (identity, y mirror, z mirror, both),
+    and ``perm_k`` maps member j of every orbit to member ``j ^ k``.
+    """
+    n = orbits.max() + 1
+    mirrors = []
+    for k in range(4):
+        perm = np.empty(n, dtype=int)
+        for j in range(4):
+            perm[orbits[:, j]] = orbits[:, j ^ k]
+        if k == 0 or np.any(perm != np.arange(n)):
+            mirrors.append((k, perm))
+    return mirrors
+
+
+def _product(Z: ImpedanceMatrix, v):
+    """``Z v`` in Z's arithmetic; call under its lock.
+
+    Under extended precision only the rows of the orbit representatives
+    ``a = Z.orbits[:, 0]`` are read.  Z is exactly invariant under the
+    mirrors, so ``(Z v)[image_k(a)] = fdot(Z[a], v[perm_k])``: one
+    ``fdot`` per representative row and per distinct image ``v[perm_k]``,
+    and an image equal to plus or minus one already formed reuses its
+    products, negated where needed.  ``fdot`` sums its products exactly
+    and rounds once to nearest, so every entry is bit for bit the
+    ``fdot`` of its own row of Z with v.  A vector in one parity sector
+    costs about N^2/4 terms, a vector spanning all four sectors N^2, and
+    a layout with one orbit per element the plain product.
+
+    Machine double keeps the BLAS product: BLAS sums each row in its own
+    order, so folding rows by the mirrors would change the double bits.
+    """
+    if Z.context is None:
+        return Z.entries @ v
+    fdot = Z.context.fdot
+    out = np.empty(Z.n, dtype=object)
+    formed = []  # (an image of v, the orbit rows' fdots with it)
+    for k, perm in Z._mirrors:
+        image = v[perm]
+        for earlier, products in formed:
+            if np.array_equal(image, earlier):
+                break
+            if np.array_equal(image, -earlier):
+                products = -products
+                break
+        else:
+            products = np.array([fdot(row, image) for row in Z._orbit_rows], dtype=object)
+            formed.append((image, products))
+        out[Z.orbits[:, k]] = products
+    return out
 
 
 def _kernel(kind: ElementKind, x, precision: Precision):
@@ -242,14 +306,29 @@ def _gather_offsets(rel, table):
 
 
 def _pair_distances(geom: ArrayGeometry, ar):
-    """The distance of every element pair, from the pair's double coordinate offsets."""
-    pos = geom.positions
-    r = np.empty((geom.n, geom.n), dtype=ar.dtype)
-    for a, p in enumerate(pos):
-        r[a, a:] = r[a:, a] = ar.sqrt((ar.number(pos[a:] - p) ** 2).sum(axis=1))
-    if np.count_nonzero(r == 0) > geom.n:
+    """Each element pair's index into a table of distances, and the table.
+
+    The table holds one distance per distinct triple of absolute double
+    coordinate offsets ``|p_b - p_a|``, found by sorting integer keys
+    built from each axis's distinct offsets.  The distance of a triple
+    is the pair formula ``sqrt(sum((p_b - p_a)^2))`` in the working
+    arithmetic, whose squares do not see the offsets' signs, so the
+    gathered distances equal a per-pair build bit for bit.
+    """
+    pos, n = geom.positions, geom.n
+    key = np.zeros(n * n, dtype=np.int64)
+    for coordinates in pos.T:
+        values, at = np.unique(coordinates, return_inverse=True)
+        offsets, code = np.unique(np.abs(np.subtract.outer(values, values)), return_inverse=True)
+        if (int(key.max()) + 1) * len(offsets) > _PAIR_KEY_LIMIT:
+            key = np.unique(key, return_inverse=True)[1]  # ranks, below N^2
+        key = key * len(offsets) + code.reshape(len(values), -1)[np.ix_(at, at)].ravel()
+    _, first, pairs, count = np.unique(
+        key, return_index=True, return_inverse=True, return_counts=True)
+    r = ar.sqrt((ar.number(pos[first % n] - pos[first // n]) ** 2).sum(axis=1))
+    if count[r == 0].sum() > n:
         raise InvalidGeometryError("duplicate element positions make Z exactly singular")
-    return r
+    return pairs.reshape(n, n), r
 
 
 def _physical_memory_bytes():
@@ -293,7 +372,9 @@ def impedance(geom: ArrayGeometry, precision: Precision = Precision()) -> Impeda
             rel, r = _offset_distances(geom, ar)
             entries = _gather_offsets(rel, _kernel(geom.kind, r * k, precision))
         else:
-            entries = _kernel(geom.kind, _pair_distances(geom, ar) * k, precision)
+            # one kernel value per distinct offset triple, then one gather
+            pairs, r = _pair_distances(geom, ar)
+            entries = _kernel(geom.kind, r * k, precision)[pairs]
     return ImpedanceMatrix(entries, geom.kind, precision, orbits=geom.mirror_orbits())
 
 
@@ -670,7 +751,7 @@ def solve(Z: ImpedanceMatrix, h, precision: Precision | None = None):
         # each sector h excites is factored once, and the factors serve the
         # refinement step and the condition estimate
         apply_inverse = _sector_inverse(Z, h)
-        x, res = _refined(apply_inverse, h, lambda x: h - ar.matvec(Z.entries, x), ar.norm)
+        x, res = _refined(apply_inverse, h, lambda x: h - _product(Z, x), ar.norm)
         tol = _SOLVE_RESIDUAL_RTOL * norm_h
         if not res <= tol:
             reason = (f"solve residual {float(res / norm_h):.3e} exceeds"
@@ -877,7 +958,7 @@ def quadratic_form(Z: ImpedanceMatrix, i):
     iv = np.asarray(i)
     ar = Z.arithmetic
     with ar.lock:
-        return ar.real(ar.vdot(iv, ar.matvec(Z.entries, iv)))
+        return ar.real(ar.vdot(iv, _product(Z, iv)))
 
 
 def write_matrix_text(Z: ImpedanceMatrix, path) -> None:

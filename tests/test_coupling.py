@@ -126,6 +126,8 @@ def test_duplicate_positions_rejected():
                          aperture_per_element=0.0, wavelength=0.1)
     with pytest.raises(InvalidGeometryError):
         impedance(geom)
+    with pytest.raises(InvalidGeometryError):
+        impedance(geom, EXT)
 
 
 def test_sym_eig_identity_and_rank_one():
@@ -708,6 +710,106 @@ def test_custom_layout_extended_spectrum_is_bit_identical_to_full_jacobi():
         full, V = coupling._jacobi_eigh(EXT.context(), Z.entries)
     assert list(s) == full
     assert all(U[i, j] == V[i, j] for i in range(6) for j in range(6))
+
+
+def _bits(x):
+    """The exact representation of an mpmath number: its type and mantissa-exponent tuples."""
+    return type(x), getattr(x, "_mpc_", None) or x._mpf_
+
+
+def _custom_copy(geom):
+    return custom_geometry(geom.positions, geom.kind, geom.dy, geom.dz, LAM)
+
+
+@pytest.mark.parametrize("precision", [Precision(), EXT], ids=["double", "ext"])
+@pytest.mark.parametrize("geom,key_limit", [
+    (_custom_copy(_lattice(11, 11, 0.2, ElementKind.PLANAR)), coupling._PAIR_KEY_LIMIT),
+    (custom_geometry(np.random.default_rng(5).normal(scale=0.1, size=(30, 3)),
+                     ElementKind.ISOTROPIC, 0.05, 0.05, LAM), coupling._PAIR_KEY_LIMIT),
+    # a limit of 0 ranks the keys before every axis, as a large 3-D layout would
+    (custom_geometry(np.indices((3, 3, 3)).reshape(3, -1).T * [0.03, 0.04, 0.05],
+                     ElementKind.PLANAR, 0.05, 0.05, LAM), 0),
+], ids=["grid", "cloud", "3d-grid-ranked"])
+def test_custom_layout_build_matches_the_per_pair_distance_formula_bit_for_bit(
+        monkeypatch, geom, key_limit, precision):
+    monkeypatch.setattr(coupling, "_PAIR_KEY_LIMIT", key_limit)
+    ar = precision.arithmetic()
+    pos = geom.positions
+    with ar.lock:
+        r = np.empty((geom.n, geom.n), dtype=ar.dtype)
+        for a, p in enumerate(pos):
+            r[a, a:] = r[a:, a] = ar.sqrt((ar.number(pos[a:] - p) ** 2).sum(axis=1))
+        k = 2 * ar.pi / ar.number(geom.wavelength)
+        expected = coupling._kernel(geom.kind, r * k, precision)
+    entries = impedance(geom, precision).entries
+    if precision.is_extended:
+        assert [_bits(x) for x in entries.ravel()] == [_bits(x) for x in expected.ravel()]
+    else:
+        assert np.array_equal(entries, expected)
+
+
+def _vectors_for_the_product(Z, rng):
+    """One real and one complex vector in each parity sector of Z, and two spanning all of them.
+
+    The sector vectors are ``expand`` outputs written into ``np.zeros``:
+    an odd sector leaves the elements its mirrors fix as Python-int zeros.
+    """
+    ctx = Z.context
+
+    def numbers(m, complex_):
+        if complex_:
+            return np.array([ctx.mpc(*rng.normal(size=2)) for _ in range(m)], dtype=object)
+        return np.array([ctx.mpf(x) for x in rng.normal(size=m)], dtype=object)
+
+    vectors = [numbers(Z.n, complex_) for complex_ in (False, True)]
+    for sector in Z._sectors:
+        for complex_ in (False, True):
+            y = numbers(len(sector.images), complex_)
+            vectors.append(sector.expand(y, np.zeros(Z.n, dtype=object)))
+    return vectors
+
+
+# (layout, the identity and the mirrors that move an element, whether an
+# odd sector leaves Python-int zeros)
+@pytest.mark.parametrize("geom,mirrors,int_zeros", [
+    (_lattice(5, 5, 0.2, ElementKind.PLANAR), [0, 1, 2, 3], True),
+    (_lattice(4, 5, 0.25, ElementKind.ISOTROPIC), [0, 1, 2, 3], True),
+    (geom_linear(20, 0.3), [0, 2, 3], False),
+    (_custom_copy(_lattice(3, 4, 0.3, ElementKind.PLANAR)), [0], False),
+], ids=["odd-odd", "even-odd", "line", "custom"])
+def test_extended_product_matches_the_row_by_row_product_bit_for_bit(geom, mirrors, int_zeros):
+    Z = impedance(geom, EXT)
+    assert [k for k, _ in Z._mirrors] == mirrors
+    ar = Z.arithmetic
+    vectors = _vectors_for_the_product(Z, np.random.default_rng(11))
+    assert any(type(x) is int for v in vectors for x in v) == int_zeros
+    with ar.lock:
+        for v in vectors:
+            got = coupling._product(Z, v)
+            assert [_bits(x) for x in got] == [_bits(x) for x in ar.matvec(Z.entries, v)]
+
+
+def test_extended_quadratic_form_of_an_even_vector_reads_one_row_per_orbit(monkeypatch):
+    geom = _lattice(11, 11, 0.25, ElementKind.PLANAR)
+    Z = impedance(geom, EXT)
+    h = channel_for(geom, [10.0, 0.0, 0.0], EXT)  # even under both mirrors
+    ctx, ar = Z.context, Z.arithmetic
+    with ar.lock:
+        expected = ar.real(ar.vdot(h, ar.matvec(Z.entries, h)))
+    fdot = ctx.fdot
+    calls = []
+
+    def counting_fdot(*args, **kwargs):
+        calls.append(len(args[0]))
+        return fdot(*args, **kwargs)
+
+    monkeypatch.setattr(ctx, "fdot", counting_fdot)
+    value = quadratic_form(Z, h)
+    monkeypatch.undo()
+    assert _bits(value) == _bits(expected)
+    # one fdot per orbit's row of Z (36 of 121 rows), then the vdot
+    assert (geom.n, len(Z.orbits)) == (121, 36)
+    assert calls == [geom.n] * (36 + 1)
 
 
 def test_impedance_refuses_a_matrix_larger_than_physical_memory(monkeypatch):
