@@ -63,7 +63,7 @@ from .geometry import (
 )
 from .metrics import LinkBudget, d_nc, directivity, excitation_power, snr, to_dbi
 from .precoding import ca_mf, ca_pmf, ca_pmf_rank, nca_mf, power_normalize
-from .specfun import Precision, j1_over_x, j1_series_oracle, sinc_unnormalized
+from .specfun import Precision, j1_over_x, sinc_unnormalized
 
 __version__ = "0.1.0"
 
@@ -106,7 +106,6 @@ __all__ = [
     "field_at",
     "impedance",
     "j1_over_x",
-    "j1_series_oracle",
     "linear_array",
     "load_config",
     "nca_mf",

@@ -8,19 +8,23 @@ radiator at the same range,
 
 which is invariant to scaling of the currents and, for a distant
 terminal, equals the classical array directivity.
+
+The continuous reference :func:`d_nc` integrates ``x / (4 pi d^3)`` over
+the aperture.  That integral is the solid angle the rectangle subtends
+at the terminal, divided by ``4 pi``, and is evaluated in closed form as
+the solid angles of the two triangles either side of a diagonal; no
+quadrature is involved.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate
 
 from .coupling import ImpedanceMatrix, quadratic_form
-from .errors import InvalidArgumentError, NonRadiatingCurrentError, NumericalFailureError
+from .errors import InvalidArgumentError, NonRadiatingCurrentError
 from .geometry import as_vec3
 
 
@@ -81,22 +85,49 @@ def excitation_power(i) -> float:
     return float(np.real(np.vdot(iv, iv)))
 
 
+def _triangle_solid_angle(x: float, corners, twice_area: float) -> float:
+    """Solid angle of a triangle in the surface plane, seen from height ``x`` above it.
+
+    ``corners`` are the triangle's three ``(y, z)`` vertices relative to
+    the viewpoint's foot on the plane.  Van Oosterom and Strackee's
+    formula (IEEE Trans. Biomed. Eng. 30(2), 1983):
+    ``tan(Omega / 2) = |R1 . (R2 x R3)| / (r1 r2 r3 + (R1 . R2) r3
+    + (R1 . R3) r2 + (R2 . R3) r1)`` for the vertex vectors ``R`` of
+    lengths ``r``, whose triple product is ``x`` times twice the area.
+    """
+    (ya, za), (yb, zb), (yc, zc) = corners
+    xx = x * x
+    ra, rb, rc = (math.sqrt(xx + y * y + z * z) for y, z in corners)
+    den = (ra * rb * rc + (xx + ya * yb + za * zb) * rc
+           + (xx + ya * yc + za * zc) * rb + (xx + yb * yc + zb * zc) * ra)
+    return 2.0 * math.atan2(x * twice_area, den)
+
+
 def d_nc(
     o,
     y_lis: float,
     z_lis: float,
     wavelength: float,
-    quad_tol: float = 1e-8,
     double_span_limits: bool = False,
 ) -> float:
     """Matched-filter directivity of the continuous no-coupling surface.
 
     ``(4 pi ||o|| / lambda)^2`` times the integral of
     ``x_ue / (4 pi d_p^3)`` over the aperture, with ``d_p`` the distance
-    from the terminal to the surface point; evaluated by adaptive 2-D
-    quadrature to relative tolerance ``quad_tol``.  For a far broadside
-    terminal this approaches the classical aperture directivity
-    ``4 pi A / lambda^2``.
+    from the terminal to the surface point.  That integral is the solid
+    angle ``Omega`` of the aperture seen from the terminal, over
+    ``4 pi``, so the result is ``4 pi (||o|| / lambda)^2 Omega``, in
+    closed form.  ``Omega`` is summed from the two triangles either side
+    of a diagonal.  Both are positive, so no term cancels another
+    wherever the terminal's projection falls (the four-corner ``atan``
+    form cancels once it leaves the aperture: 3e-12 relative error 10 m
+    away at 89 degrees off broadside).  Only a terminal much closer to
+    the surface than the aperture is wide loses digits, as
+    ``tan(Omega / 2)`` of a triangle nearly under it approaches a pole;
+    the relative error grows like ``1e-17 m / x_ue`` in front of the
+    centre of a 0.5 m panel (1e-14 at 1 mm, 2e-11 at 1 micrometre).  For
+    a far broadside terminal the result approaches the classical
+    aperture directivity ``4 pi A / lambda^2``.
 
     Parameters
     ----------
@@ -106,8 +137,6 @@ def d_nc(
         Aperture width and height in meters.
     wavelength : float
         Carrier wavelength in meters.
-    quad_tol : float
-        Relative tolerance passed to the adaptive quadrature.
     double_span_limits : bool
         Integrate over ``+-y_lis`` and ``+-z_lis`` (twice the physical
         span per axis) instead of the default physical aperture
@@ -115,31 +144,15 @@ def d_nc(
         reproduce a published variant of this reference integral.
     """
     ov = as_vec3(o)
-    x_ue = ov[0]
+    x_ue, o_y, o_z = (float(v) for v in ov)
     if x_ue <= 0.0:
         raise InvalidArgumentError(f"reference surface needs x_ue > 0, got {x_ue}")
-    if not (y_lis > 0 and z_lis > 0 and wavelength > 0):
-        raise InvalidArgumentError("aperture extents and wavelength must be positive")
-    if double_span_limits:
-        ya, yb, za, zb = -y_lis, y_lis, -z_lis, z_lis
-    else:
-        ya, yb, za, zb = -y_lis / 2, y_lis / 2, -z_lis / 2, z_lis / 2
-
-    def integrand(z: float, y: float) -> float:
-        d_sq = x_ue * x_ue + (y - ov[1]) ** 2 + (z - ov[2]) ** 2
-        return x_ue / (4.0 * math.pi * d_sq ** 1.5)
-
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", integrate.IntegrationWarning)
-        try:
-            value, abserr = integrate.dblquad(
-                integrand, ya, yb, za, zb, epsabs=0.0, epsrel=quad_tol)
-        except integrate.IntegrationWarning as exc:
-            raise NumericalFailureError(f"aperture quadrature did not converge: {exc}") from exc
-    # scipy's outer-loop error estimate is conservative; only a gross
-    # overshoot signals genuine non-convergence
-    if value > 0 and abserr > 1e4 * quad_tol * value:
-        raise NumericalFailureError(
-            f"aperture quadrature error estimate {abserr:.2e} exceeds tolerance", residual=abserr)
-    factor = (4.0 * math.pi * float(np.linalg.norm(ov)) / wavelength) ** 2
-    return factor * value
+    if not all(v > 0 and math.isfinite(v) for v in (y_lis, z_lis, wavelength)):
+        raise InvalidArgumentError("aperture extents and wavelength must be positive and finite")
+    half_y, half_z = (y_lis, z_lis) if double_span_limits else (y_lis / 2, z_lis / 2)
+    y1, y2 = -half_y - o_y, half_y - o_y
+    z1, z2 = -half_z - o_z, half_z - o_z
+    twice_area = 4.0 * half_y * half_z
+    omega = (_triangle_solid_angle(x_ue, ((y1, z1), (y2, z1), (y2, z2)), twice_area)
+             + _triangle_solid_angle(x_ue, ((y1, z1), (y2, z2), (y1, z2)), twice_area))
+    return 4.0 * math.pi * (float(np.linalg.norm(ov)) / wavelength) ** 2 * omega

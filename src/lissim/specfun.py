@@ -16,9 +16,7 @@ and the standard trigonometric asymptotic form with minimax rational
 corrections beyond it.  Either branch alone loses relative accuracy next
 to the zeros of J1, so narrow intervals around the first twelve positive
 zeros are re-evaluated from frozen Taylor expansions about the zero,
-with the zero location stored as a double-double pair.  An independent
-exactly-summed Maclaurin oracle (:func:`j1_series_oracle`) exists purely
-for validating the production kernel.
+with the zero location stored as a double-double pair.
 """
 
 from __future__ import annotations
@@ -32,7 +30,7 @@ from dataclasses import dataclass
 import mpmath
 import numpy as np
 
-from .errors import DomainError, InvalidArgumentError
+from .errors import InvalidArgumentError
 
 #: Serializes extended-precision computations.  mpmath contexts raise
 #: their own precision temporarily inside many functions, so a shared
@@ -119,7 +117,6 @@ def _arithmetic(bits: int | None):
 _SINC_SERIES_CUTOFF = 1e-4   # below this, sin(x)/x via its quadratic series
 _J1_BRANCH_CUTOFF = 5.0      # Maclaurin series below, asymptotic form above
 _ZERO_PATCH_RADIUS = 0.5
-_SERIES_ORACLE_MAX_X = 30.0
 
 
 @dataclass(frozen=True)
@@ -409,34 +406,3 @@ def j1_over_x(x, precision: Precision = Precision()):
     safe = np.where(zero, 1.0, arr)
     out = np.where(zero, 0.5, _bessel_j1_double(safe) / safe)
     return float(out) if np.isscalar(x) or arr.ndim == 0 else out
-
-
-def j1_series_oracle(x: float, terms: int) -> float:
-    """Partial Maclaurin sum for J1, summed free of rounding error.
-
-    Independent test oracle: the alternating series
-    ``sum_m (-1)^m (x/2)^(2m+1) / (m! (m+1)!)`` is evaluated with enough
-    working precision that cancellation between the large intermediate
-    terms cannot contaminate the double-rounded result.
-
-    Parameters
-    ----------
-    x : float
-        Argument, ``|x| <= 30`` (series accuracy domain).
-    terms : int
-        Number of series terms to sum, >= 1.
-    """
-    if not np.isfinite(x) or abs(x) > _SERIES_ORACLE_MAX_X:
-        raise DomainError(f"series oracle restricted to |x| <= {_SERIES_ORACLE_MAX_X}, got {x!r}")
-    if terms < 1:
-        raise InvalidArgumentError(f"terms must be >= 1, got {terms!r}")
-    ctx = mpmath.mp.clone()
-    # worst-case cancellation grows like e^(2|x|); pad well past it
-    ctx.prec = 53 + int(3 * abs(x)) + 60
-    half = ctx.mpf(x) / 2
-    term = half  # m = 0 term: (x/2) / (0! * 1!)
-    total = term
-    for m in range(1, terms):
-        term = -term * half * half / (m * (m + 1))
-        total += term
-    return float(total)

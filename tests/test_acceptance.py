@@ -53,7 +53,6 @@ from lissim import (
     excitation_power,
     impedance,
     j1_over_x,
-    j1_series_oracle,
     linear_array,
     nca_mf,
     planar_grid,
@@ -64,6 +63,7 @@ from lissim import (
     sym_eig,
 )
 from lissim.specfun import _J1_BRANCH_CUTOFF, _j1_asymptotic, _j1_small
+from oracles import j1_series_oracle
 
 LAM = SPEED_OF_LIGHT / 2.6e9
 UE = np.array([10.0, 0.0, 0.0])

@@ -1,3 +1,4 @@
+import gc
 import json
 import os
 import subprocess
@@ -382,6 +383,44 @@ def test_cli_success_and_output(tmp_path, capsys):
     text = out.read_text()
     assert text.splitlines()[0] == "spacing_m,spacing_wavelengths,n_elements,element_kind,kappa"
     assert capsys.readouterr().err == ""
+
+
+def test_cli_import_leaves_heavy_scipy_packages_unloaded():
+    # at run time only scipy.linalg (the double LU) is needed; importing
+    # scipy.integrate drags in optimize, special, sparse, fft and spatial,
+    # which cost every CLI run its set-up time
+    code = ("import sys, lissim.cli; "
+            "print(sorted(m for m in ('scipy.integrate', 'scipy.optimize', 'scipy.special', "
+            "'scipy.sparse') if m in sys.modules))")
+    src = str(Path(lissim.__file__).parents[1])
+    env = dict(os.environ,
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         check=True, timeout=120)
+    assert run.stdout.strip() == "[]"
+
+
+def test_cli_freezes_the_collector_for_the_sweep_only(tmp_path, monkeypatch):
+    # main freezes the objects alive before the sweep and unfreezes them
+    # when it returns, on success and on failure alike
+    frozen_during_sweep = []
+
+    def sweep(*args):
+        frozen_during_sweep.append(gc.get_freeze_count())
+        return run_experiment(*args)
+
+    monkeypatch.setattr(lissim.cli, "run_experiment", sweep)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"spacings": ["0.5 lambda"], "element_kinds": ["isotropic"]}))
+    assert cli_main(["conditioning", "--config", str(cfg), "--out", str(tmp_path / "c.csv"),
+                     "--quiet"]) == 0
+    assert gc.get_freeze_count() == 0
+    cfg.write_text(json.dumps({"spacings": ["0.001 lambda"], "element_kinds": ["isotropic"],
+                               "max_elements": 100}))
+    assert cli_main(["spacing", "--config", str(cfg), "--out", str(tmp_path / "s.csv"),
+                     "--quiet"]) == 3
+    assert gc.get_freeze_count() == 0
+    assert len(frozen_during_sweep) == 2 and min(frozen_during_sweep) > 0
 
 
 def test_cli_config_error_exit_code(tmp_path):

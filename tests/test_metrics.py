@@ -1,7 +1,9 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
+from scipy import integrate
 
 from lissim import (
     SPEED_OF_LIGHT,
@@ -41,6 +43,22 @@ def closed_form_d_nc(o_x: float, y_lis: float, z_lis: float, wavelength: float,
     b = span_scale * z_lis
     omega = 4.0 * math.atan(a * b / (o_x * math.sqrt(a * a + b * b + o_x * o_x)))
     return (4.0 * math.pi * o_x / wavelength) ** 2 * omega / (4.0 * math.pi)
+
+
+def quadrature_d_nc(o, y_lis: float, z_lis: float, wavelength: float,
+                    span_scale: float = 0.5) -> float:
+    # independent oracle for any terminal: adaptive 2-D quadrature of
+    # x/(4 pi d^3) over the aperture, which must converge without warnings
+    x, o_y, o_z = o
+    a, b = span_scale * y_lis, span_scale * z_lis
+
+    def integrand(z, y):
+        return x / (4.0 * math.pi * (x * x + (y - o_y) ** 2 + (z - o_z) ** 2) ** 1.5)
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", integrate.IntegrationWarning)
+        value, _ = integrate.dblquad(integrand, -a, a, -b, b, epsabs=0.0, epsrel=1e-12)
+    return (4.0 * math.pi * math.hypot(x, o_y, o_z) / wavelength) ** 2 * value
 
 
 def test_snr_matched_filter_on_identity():
@@ -158,8 +176,33 @@ def test_d_nc_monotone_off_broadside():
 
 def test_d_nc_bounded_near_surface():
     # grazing limit stays integrable and finite
-    value = d_nc([1e-3, 0.0, 0.0], 0.5, 0.5, LAM, quad_tol=1e-6)
+    value = d_nc([1e-3, 0.0, 0.0], 0.5, 0.5, LAM)
     assert np.isfinite(value) and value > 0
+
+
+@pytest.mark.parametrize("o, y_lis, z_lis, double_span", [
+    pytest.param([10.0, 0.0, 0.0], 0.5, 0.5, False, id="broadside"),
+    pytest.param([10.0, 1.0, -0.5], 0.5, 0.5, False, id="off-axis-projection-off-panel"),
+    pytest.param([3.0, 2.0, 1.5], 0.5, 0.5, False, id="off-both-axes-close-in"),
+    pytest.param([1.0, 5.0, 0.0], 0.5, 0.5, False, id="79-degrees-off"),
+    # where the four-corner atan form would lose 1.5e-11 to cancellation
+    pytest.param([0.5, 40.0, 0.0], 0.5, 0.5, False, id="89-degrees-off"),
+    pytest.param([2.0, 0.1, -0.2], 0.3, 0.7, False, id="non-square-projection-on-panel"),
+    pytest.param([10.0, 0.0, 0.0], 0.5, 0.25, False, id="non-square-broadside"),
+    pytest.param([10.0, 0.3, 0.0], 0.5, 0.5, True, id="double-span-limits"),
+    pytest.param([1e-3, 0.0, 0.0], 0.5, 0.5, False, id="1mm-in-front-of-centre"),
+    pytest.param([1e-3, 0.1, 0.05], 0.5, 0.5, False, id="1mm-in-front-off-centre"),
+])
+def test_d_nc_closed_form_matches_quadrature(o, y_lis, z_lis, double_span):
+    got = d_nc(o, y_lis, z_lis, LAM, double_span_limits=double_span)
+    want = quadrature_d_nc(o, y_lis, z_lis, LAM, span_scale=1.0 if double_span else 0.5)
+    assert got == pytest.approx(want, rel=1e-13)
+
+
+def test_d_nc_rejects_non_finite_extents():
+    for args in ((math.inf, 0.5, LAM), (0.5, math.nan, LAM), (0.5, 0.5, math.inf)):
+        with pytest.raises(InvalidArgumentError):
+            d_nc([10.0, 0.0, 0.0], *args)
 
 
 def test_d_nc_rejects_back_halfspace():

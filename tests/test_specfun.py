@@ -6,10 +6,10 @@ from lissim import (
     InvalidArgumentError,
     Precision,
     j1_over_x,
-    j1_series_oracle,
     sinc_unnormalized,
 )
 from lissim.specfun import _J1_BRANCH_CUTOFF, _j1_asymptotic, _j1_small
+from oracles import j1_series_oracle
 
 FIRST_J1_ZERO = 3.8317059702075123
 
