@@ -37,9 +37,15 @@ product with Z (those residuals, and the radiated power ``i^H Z i``)
 reads only the rows of the orbits' first members: one ``fdot`` per such
 row and per distinct mirror image of the vector, so a vector in one
 sector costs about N^2/4 terms instead of N^2, with the same bits as
-the row-by-row product.  Machine double keeps its BLAS product.  Layouts
-without lattice indices have one orbit per element, a single sector,
-and the sector block is Z itself, bit for bit.
+the row-by-row product.  Machine double keeps its BLAS product, but
+multiplies a complex vector one block of rows of Z at a time, each
+block cast to complex on its own, so no complex copy of the whole of Z
+is made.  Every row of a block gets the bits of the whole product.  A
+block of a single row would not, as numpy multiplies it by another
+route, so a one-row tail joins the block before it.  The gather that
+builds a lattice Z works by the same row blocks.  Layouts without
+lattice indices have one orbit per element, a single sector, and the
+sector block is Z itself, bit for bit.
 """
 
 from __future__ import annotations
@@ -77,6 +83,8 @@ _LU_GUARD_BITS = 10
 _PARITIES = ((1, 1, 1, 1), (1, -1, 1, -1), (1, 1, -1, -1), (1, -1, -1, 1))
 # int64 keys of a custom layout's offset triples stay below this (see _pair_distances)
 _PAIR_KEY_LIMIT = 2 ** 62
+# rows per block of the double products with Z and of the lattice gather (see _row_blocks)
+_ROW_BLOCK = 128
 
 
 class _Sector:
@@ -254,9 +262,20 @@ def _product(Z: ImpedanceMatrix, v):
 
     Machine double keeps the BLAS product: BLAS sums each row in its own
     order, so folding rows by the mirrors would change the double bits.
+    A vector of Z's dtype multiplies the whole of Z at once.  Any other
+    (a complex current) multiplies one block of rows at a time
+    (:func:`_row_blocks`), each block cast to the result's dtype and
+    written straight into it: numpy would otherwise cast all of Z, a
+    copy twice its size.  The blocks give the whole product's bits.
     """
     if Z.context is None:
-        return Z.entries @ v
+        dtype = np.result_type(Z.entries, v)
+        if dtype == Z.entries.dtype:
+            return Z.entries @ v
+        out = np.empty(Z.n, dtype=dtype)
+        for k, e in _row_blocks(Z.n):
+            np.matmul(Z.entries[k:e].astype(dtype), v, out=out[k:e])
+        return out
     fdot = Z.context.fdot
     out = np.empty(Z.n, dtype=object)
     formed = []  # (an image of v, the orbit rows' fdots with it)
@@ -273,6 +292,20 @@ def _product(Z: ImpedanceMatrix, v):
             formed.append((image, products))
         out[Z.orbits[:, k]] = products
     return out
+
+
+def _row_blocks(n):
+    """``(start, stop)`` of consecutive blocks of ``_ROW_BLOCK`` rows covering n rows.
+
+    A one-row tail joins the block before it: numpy multiplies a single
+    row by a vector by another route than a taller block, with other
+    bits than the whole product (at 128-row blocks, at N = 129, 257 and
+    385), while each row of a taller block gets the whole product's.
+    """
+    starts = list(range(0, n, _ROW_BLOCK))
+    if len(starts) > 1 and starts[-1] == n - 1:
+        starts.pop()
+    return list(zip(starts, starts[1:] + [n]))
 
 
 def _kernel(kind: ElementKind, x, precision: Precision):
@@ -294,15 +327,23 @@ def _offset_distances(geom: ArrayGeometry, ar):
 
 
 def _gather_offsets(rel, table):
-    """``Z[a, b] = table[|di|, |dj|]`` for the lattice offset of every element pair."""
-    def axis_offsets(i):
-        d = np.subtract.outer(i, i)
+    """``Z[a, b] = table[|di|, |dj|]`` for the lattice offset of every element pair.
+
+    One block of rows at a time, each block's flat table index formed in
+    place, so no N x N index array is made.
+    """
+    def axis_offsets(block, i):
+        d = np.subtract.outer(block, i)
         return np.abs(d, out=d)
 
-    flat = axis_offsets(rel[:, 0])
-    flat *= table.shape[1]
-    flat += axis_offsets(rel[:, 1])
-    return table.ravel()[flat]
+    values = table.ravel()
+    out = np.empty((len(rel), len(rel)), dtype=table.dtype)
+    for k, e in _row_blocks(len(rel)):
+        flat = axis_offsets(rel[k:e, 0], rel[:, 0])
+        flat *= table.shape[1]
+        flat += axis_offsets(rel[k:e, 1], rel[:, 1])
+        np.take(values, flat, out=out[k:e])
+    return out
 
 
 def _pair_distances(geom: ArrayGeometry, ar):
@@ -843,10 +884,13 @@ def _lu_factor_double(block):
     return lu, piv
 
 
-def _abs_matvec(A, v, rows=256):
-    """``|A| |v|``, a block of rows at a time, so no N x N temporary is made."""
+def _abs_matvec(A, v):
+    """``|A| |v|``, a block of rows at a time (:func:`_row_blocks`): no N x N temporary."""
     v = np.abs(v)
-    return np.concatenate([np.abs(A[k:k + rows]) @ v for k in range(0, len(A), rows)])
+    out = np.empty(len(A), dtype=np.result_type(A, v))
+    for k, e in _row_blocks(len(A)):
+        np.matmul(np.abs(A[k:e]), v, out=out[k:e])
+    return out
 
 
 def _crout_factor(ctx, block):

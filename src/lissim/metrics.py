@@ -12,8 +12,9 @@ terminal, equals the classical array directivity.
 The continuous reference :func:`d_nc` integrates ``x / (4 pi d^3)`` over
 the aperture.  That integral is the solid angle the rectangle subtends
 at the terminal, divided by ``4 pi``, and is evaluated in closed form as
-the solid angles of the two triangles either side of a diagonal; no
-quadrature is involved.
+the solid angles of the two triangles either side of a diagonal, or of
+the four rectangles that meet at the terminal's foot for a terminal
+almost on the surface; no quadrature is involved.
 """
 
 from __future__ import annotations
@@ -85,7 +86,7 @@ def excitation_power(i) -> float:
     return float(np.real(np.vdot(iv, iv)))
 
 
-def _triangle_solid_angle(x: float, corners, twice_area: float) -> float:
+def _triangle_solid_angle(x: float, corners, twice_area: float) -> tuple[float, bool]:
     """Solid angle of a triangle in the surface plane, seen from height ``x`` above it.
 
     ``corners`` are the triangle's three ``(y, z)`` vertices relative to
@@ -94,13 +95,34 @@ def _triangle_solid_angle(x: float, corners, twice_area: float) -> float:
     ``tan(Omega / 2) = |R1 . (R2 x R3)| / (r1 r2 r3 + (R1 . R2) r3
     + (R1 . R3) r2 + (R2 . R3) r1)`` for the vertex vectors ``R`` of
     lengths ``r``, whose triple product is ``x`` times twice the area.
+
+    Returns the solid angle and whether the denominator cancelled: it
+    came out below ``r1 r2 r3`` in magnitude, a quarter of the bound on
+    its terms.  That happens as ``Omega / 2`` nears ``pi / 2``, the pole
+    of the tangent, and costs digits when the viewpoint is also close
+    to the plane, above an edge of the triangle.
     """
     (ya, za), (yb, zb), (yc, zc) = corners
     xx = x * x
     ra, rb, rc = (math.sqrt(xx + y * y + z * z) for y, z in corners)
     den = (ra * rb * rc + (xx + ya * yb + za * zb) * rc
            + (xx + ya * yc + za * zc) * rb + (xx + yb * yc + zb * zc) * ra)
-    return 2.0 * math.atan2(x * twice_area, den)
+    return 2.0 * math.atan2(x * twice_area, den), abs(den) < ra * rb * rc
+
+
+def _foot_solid_angle(x: float, ys, zs) -> float:
+    """Solid angle of a rectangle that holds the viewpoint's foot, seen from height ``x``.
+
+    ``ys`` and ``zs`` are the rectangle's edges relative to the foot, so
+    the first of each is at most 0 and the second at least 0.  The
+    rectangle is the four rectangles that meet at the foot, and the one
+    with sides a and b subtends ``atan(a b / (x sqrt(x^2 + a^2 + b^2)))``
+    from above its corner: four positive terms, which nothing cancels
+    however close the viewpoint comes.
+    """
+    xx = x * x
+    return math.fsum(math.atan(abs(y * z) / (x * math.sqrt(xx + y * y + z * z)))
+                     for y in ys for z in zs)
 
 
 def d_nc(
@@ -121,13 +143,19 @@ def d_nc(
     of a diagonal.  Both are positive, so no term cancels another
     wherever the terminal's projection falls (the four-corner ``atan``
     form cancels once it leaves the aperture: 3e-12 relative error 10 m
-    away at 89 degrees off broadside).  Only a terminal much closer to
-    the surface than the aperture is wide loses digits, as
-    ``tan(Omega / 2)`` of a triangle nearly under it approaches a pole;
-    the relative error grows like ``1e-17 m / x_ue`` in front of the
-    centre of a 0.5 m panel (1e-14 at 1 mm, 2e-11 at 1 micrometre).  For
-    a far broadside terminal the result approaches the classical
-    aperture directivity ``4 pi A / lambda^2``.
+    away at 89 degrees off broadside).  A terminal much closer to the
+    surface than the aperture is wide, above a triangle's edge (in
+    front of the centre, say, on the diagonal), would lose digits, as
+    ``tan(Omega / 2)`` of that triangle approaches a pole and its
+    denominator cancels, about ``1e-17 m / x_ue`` relative on a 0.5 m
+    panel.  Where a denominator cancels and the terminal's foot is on
+    the aperture, ``Omega`` is summed instead from the four rectangles
+    that meet at the foot, whose terms all add (:func:`_foot_solid_angle`),
+    so the result keeps its digits however close the terminal comes.
+    A terminal as close above a point just off the aperture's edge still
+    loses them: there both forms cancel.  For a far broadside terminal
+    the result approaches the classical aperture directivity
+    ``4 pi A / lambda^2``.
 
     Parameters
     ----------
@@ -153,6 +181,11 @@ def d_nc(
     y1, y2 = -half_y - o_y, half_y - o_y
     z1, z2 = -half_z - o_z, half_z - o_z
     twice_area = 4.0 * half_y * half_z
-    omega = (_triangle_solid_angle(x_ue, ((y1, z1), (y2, z1), (y2, z2)), twice_area)
-             + _triangle_solid_angle(x_ue, ((y1, z1), (y2, z2), (y1, z2)), twice_area))
+    lower, lower_cancels = _triangle_solid_angle(
+        x_ue, ((y1, z1), (y2, z1), (y2, z2)), twice_area)
+    upper, upper_cancels = _triangle_solid_angle(
+        x_ue, ((y1, z1), (y2, z2), (y1, z2)), twice_area)
+    omega = lower + upper
+    if (lower_cancels or upper_cancels) and y1 <= 0.0 <= y2 and z1 <= 0.0 <= z2:
+        omega = _foot_solid_angle(x_ue, (y1, y2), (z1, z2))
     return 4.0 * math.pi * (float(np.linalg.norm(ov)) / wavelength) ** 2 * omega

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import mpmath
 import numpy as np
@@ -787,6 +788,122 @@ def test_extended_product_matches_the_row_by_row_product_bit_for_bit(geom, mirro
         for v in vectors:
             got = coupling._product(Z, v)
             assert [_bits(x) for x in got] == [_bits(x) for x in ar.matvec(Z.entries, v)]
+
+
+def _row_blocks_without_tail_merge(n):
+    rows = coupling._ROW_BLOCK
+    return [(k, min(k + rows, n)) for k in range(0, n, rows)]
+
+
+@pytest.mark.parametrize("rows", [4, 32, 64, 128, 256])
+def test_row_blocks_cover_the_rows_in_order_with_no_one_row_tail(monkeypatch, rows):
+    monkeypatch.setattr(coupling, "_ROW_BLOCK", rows)
+    for n in range(1, 3 * rows + 3):
+        blocks = coupling._row_blocks(n)
+        assert [k for k, _ in blocks] == [0] + [e for _, e in blocks[:-1]]
+        assert blocks[-1][1] == n
+        assert all(1 <= e - k <= rows + 1 for k, e in blocks)
+        assert n == 1 or blocks[-1][1] - blocks[-1][0] > 1
+
+
+# every N from 1 to 300, and N = 1 (mod the row block) up to 5 blocks
+_PRODUCT_SIZES = sorted({*range(1, 301),
+                         *range(1, 5 * coupling._ROW_BLOCK + 2, coupling._ROW_BLOCK)})
+
+
+def _double_products_differing_from_the_whole_product():
+    """``(N, dtype)`` of every real or complex vector whose ``_product`` is not ``Z.entries @ v``.
+
+    Random symmetric matrices of the sizes ``_PRODUCT_SIZES`` and the
+    lattice Z of 22 x 22, 29 x 29 and 44 x 44 grids.
+    """
+    rng = np.random.default_rng(29)
+    matrices = []
+    for n in _PRODUCT_SIZES:
+        a = rng.normal(size=(n, n))
+        matrices.append(ImpedanceMatrix(a + a.T, ElementKind.ISOTROPIC, Precision()))
+    matrices += [impedance(_lattice(side, side, 0.2, ElementKind.PLANAR)) for side in (22, 29, 44)]
+    assert [Z.n for Z in matrices[-3:]] == [484, 841, 1936]
+    differing = []
+    for Z in matrices:
+        for v in (rng.normal(size=Z.n), rng.normal(size=Z.n) + 1j * rng.normal(size=Z.n)):
+            if not np.array_equal(coupling._product(Z, v), Z.entries @ v):
+                differing.append((Z.n, v.dtype))
+    return differing
+
+
+def test_double_product_in_row_blocks_matches_the_whole_product_bit_for_bit():
+    assert _double_products_differing_from_the_whole_product() == []
+
+
+def test_a_one_row_tail_block_would_change_the_double_product_bits(monkeypatch):
+    # numpy multiplies a single row by another route than a taller block
+    monkeypatch.setattr(coupling, "_row_blocks", _row_blocks_without_tail_merge)
+    tails = {(n, np.dtype(complex)) for n in _PRODUCT_SIZES if n % coupling._ROW_BLOCK == 1 < n}
+    differing = _double_products_differing_from_the_whole_product()
+    assert differing and set(differing) <= tails
+
+
+def test_abs_matvec_in_row_blocks_matches_the_whole_product_bit_for_bit():
+    rng = np.random.default_rng(31)
+    # 513 is one row past two blocks of 256, the helper's earlier block size
+    for n in [*range(1, 301), 385, 484, 513]:
+        a, v = rng.normal(size=(n, n)), rng.normal(size=n)
+        assert np.array_equal(coupling._abs_matvec(a, v), np.abs(a) @ np.abs(v))
+
+
+def _flat_gather(rel, table):
+    """The lattice gather with two N x N index arrays at once."""
+    di = np.abs(np.subtract.outer(rel[:, 0], rel[:, 0]))
+    dj = np.abs(np.subtract.outer(rel[:, 1], rel[:, 1]))
+    return table.ravel()[di * table.shape[1] + dj]
+
+
+@pytest.mark.parametrize("n_y,n_z,precision", [
+    (22, 22, Precision()), (44, 44, Precision()), (17, 30, Precision()), (1, 129, Precision()),
+    (13, 10, EXT), (1, 257, EXT),
+], ids=["484", "1936", "17x30", "line-129", "ext-130", "ext-line-257"])
+def test_gather_in_row_blocks_matches_the_flat_index_gather(n_y, n_z, precision):
+    geom = _lattice(n_y, n_z, 0.3, ElementKind.ISOTROPIC)
+    ar = precision.arithmetic()
+    with ar.lock:
+        rel, r = coupling._offset_distances(geom, ar)
+        table = coupling._kernel(geom.kind, r * (2 * ar.pi / ar.number(LAM)), precision)
+    got, want = coupling._gather_offsets(rel, table), _flat_gather(rel, table)
+    assert got.dtype == want.dtype and got.shape == (geom.n, geom.n)
+    if precision.is_extended:
+        assert [_bits(x) for x in got.ravel()] == [_bits(x) for x in want.ravel()]
+    else:
+        assert np.array_equal(got, want)
+
+
+def _peak_traced_bytes(f):
+    """The peak of the allocations traced while f runs; tracemalloc sees numpy's buffers."""
+    tracemalloc.start()
+    try:
+        f()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_double_build_and_products_make_no_n_squared_temporary():
+    # a complex copy of Z is 16 N^2 bytes, and each index array of a
+    # flat gather 8 N^2: the build holds Z and one row block's two int64
+    # offset arrays (a third block's worth covers the layout's small
+    # arrays); the product casts one row block to complex
+    geom = _lattice(29, 29, 0.45, ElementKind.PLANAR)
+    n = geom.n
+    assert n == 841
+    build = _peak_traced_bytes(lambda: impedance(geom))
+    assert build < 8 * n ** 2 + 3 * 8 * coupling._ROW_BLOCK * n
+    Z = impedance(geom)
+    rng = np.random.default_rng(37)
+    i = rng.normal(size=n) + 1j * rng.normal(size=n)
+    h = channel_isotropic(geom, [10.0, 1.0, 0.5])  # off axis: all four sectors
+    assert h.dtype == complex
+    assert _peak_traced_bytes(lambda: quadratic_form(Z, i)) < 4 * n ** 2
+    assert _peak_traced_bytes(lambda: solve(Z, h)) < 8 * n ** 2
 
 
 def test_extended_quadratic_form_of_an_even_vector_reads_one_row_per_orbit(monkeypatch):

@@ -352,6 +352,15 @@ def test_double_spacing_table_of_the_quarter_metre_panel_is_unchanged(tmp_path):
     assert table == frozen.read_text()
 
 
+def test_default_double_spacing_table_is_unchanged(tmp_path):
+    # the fixed-aperture sweep up to N = 1936 (44 x 44), so the double Z
+    # build and the products with Z run over many row blocks
+    frozen = Path(__file__).parent / "data" / "spacing_default_double.csv"
+    table = _cli_table(tmp_path, "spacing")
+    assert len(table.splitlines()) == 1 + 114
+    assert table == frozen.read_text()
+
+
 def test_default_double_truncation_table_is_unchanged(tmp_path):
     # the 20-element line at 0.3 wavelength: the double rank solves,
     # normalization and directivity bit for bit

@@ -1,6 +1,7 @@
 import math
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 from scipy import integrate
@@ -178,6 +179,37 @@ def test_d_nc_bounded_near_surface():
     # grazing limit stays integrable and finite
     value = d_nc([1e-3, 0.0, 0.0], 0.5, 0.5, LAM)
     assert np.isfinite(value) and value > 0
+
+
+def d_nc_200_bit(o, y_lis: float, z_lis: float, wavelength: float) -> float:
+    # independent oracle: the rectangle's solid angle as the signed sum of
+    # atan(y z / (x r)) over its corners, at 200 bits, where cancelling
+    # terms still leave far more than double's digits
+    ctx = mpmath.mp.clone()
+    ctx.prec = 200
+    x, o_y, o_z = (ctx.mpf(v) for v in o)
+    a, b = ctx.mpf(y_lis) / 2, ctx.mpf(z_lis) / 2
+    omega = ctx.fsum((1 if i == j else -1) * ctx.atan(y * z / (x * ctx.hypot(x, ctx.hypot(y, z))))
+                     for i, y in enumerate((-a - o_y, a - o_y))
+                     for j, z in enumerate((-b - o_z, b - o_z)))
+    return float(4 * ctx.pi * (x * x + o_y * o_y + o_z * o_z) / ctx.mpf(wavelength) ** 2 * omega)
+
+
+@pytest.mark.parametrize("o_y, o_z", [
+    pytest.param(0.0, 0.0, id="centre"),
+    pytest.param(0.1, 0.1, id="on-the-diagonal"),
+    pytest.param(0.1, 0.05, id="off-the-diagonal"),
+    pytest.param(-0.2, 0.2, id="other-diagonal"),
+    pytest.param(0.25, 0.0, id="above-an-edge"),
+])
+def test_d_nc_keeps_its_digits_for_a_terminal_almost_on_the_surface(o_y, o_z):
+    # on the diagonal the triangle form's denominator cancels: it lost
+    # 2e-11 at 1 micrometre and 1.8e-2 at 1e-15 m in front of the centre
+    for exponent in range(3, 13):
+        o = [10.0 ** -exponent, o_y, o_z]
+        # d_nc falls like x^2: no absolute tolerance
+        assert d_nc(o, 0.5, 0.5, LAM) == pytest.approx(d_nc_200_bit(o, 0.5, 0.5, LAM),
+                                                       rel=1e-14, abs=0.0)
 
 
 @pytest.mark.parametrize("o, y_lis, z_lis, double_span", [
