@@ -61,7 +61,7 @@ from .geometry import (
     linear_array,
     planar_grid,
 )
-from .metrics import LinkBudget, d_nc, directivity, excitation_power, snr, to_dbi
+from .metrics import d_nc, directivity, excitation_power, snr, to_dbi
 from .precoding import ca_mf, ca_pmf, ca_pmf_rank, nca_mf, power_normalize
 from .specfun import Precision, j1_over_x, sinc_unnormalized
 
@@ -82,7 +82,6 @@ __all__ = [
     "ImpedanceMatrix",
     "InvalidArgumentError",
     "InvalidGeometryError",
-    "LinkBudget",
     "LisSimError",
     "NonRadiatingCurrentError",
     "NumericalFailureError",

@@ -734,7 +734,7 @@ def rank_truncated_solve(Z: ImpedanceMatrix, h, modes: int):
     return _modal_solve(Z, *_leading_modes(Z, modes), h)
 
 
-def solve(Z: ImpedanceMatrix, h, precision: Precision | None = None):
+def solve(Z: ImpedanceMatrix, h):
     """Solve ``Z x = h`` with one pass of iterative refinement.
 
     The relative residual ``||Zx - h|| / ||h||`` must come out at or
@@ -764,9 +764,6 @@ def solve(Z: ImpedanceMatrix, h, precision: Precision | None = None):
     h : array-like, shape (N,)
         Right-hand side in Z's arithmetic: of mpmath numbers (an object
         array, or an mpmath column) exactly when Z is extended.
-    precision : Precision, optional
-        Must agree with ``Z.precision`` when given; the working
-        arithmetic always follows the matrix.
 
     Returns
     -------
@@ -774,11 +771,6 @@ def solve(Z: ImpedanceMatrix, h, precision: Precision | None = None):
         The current, of h's dtype under machine double and an object
         array of mpmath numbers under extended precision.
     """
-    if precision is not None and precision != Z.precision:
-        raise InvalidArgumentError(
-            f"solve precision {precision.spec()} does not match matrix precision "
-            f"{Z.precision.spec()}; build Z at the precision you want to solve in"
-        )
     h = np.asarray(h)
     if h.shape != (Z.n,) or (h.dtype == object) != Z.precision.is_extended:
         raise InvalidArgumentError(

@@ -41,16 +41,14 @@ class IllConditionedSolveError(NumericalFailureError):
     residual : float
         Achieved relative residual ``||Zx - h|| / ||h||``.
     kappa_estimate : float
-        Estimated condition number of the matrix.  The machine-double
-        solve reports the 2-norm condition number from the
-        eigendecomposition.  The extended-precision solve reports
-        ``||Z||_1`` times a Hager-Higham lower estimate (ACM TOMS 670)
-        of ``||Z^-1||_1`` on the parity sectors the right-hand side
-        excites, computed from the sector LU factors the solve already
-        holds, so the refusal costs a few triangular solves and no
-        eigendecomposition.  When every sector is excited this
-        estimates the 1-norm condition number, which lies within a
-        factor N of the 2-norm one.
+        Estimated condition number of the matrix.  The solve reports,
+        in both precisions, ``||Z||_1`` times a Hager-Higham lower
+        estimate (ACM TOMS 670) of ``||Z^-1||_1`` on the parity sectors
+        the right-hand side excites, computed from the sector LU
+        factors the solve already holds, so the refusal costs a few
+        triangular solves and no eigendecomposition.  When every sector
+        is excited this estimates the 1-norm condition number, which
+        lies within a factor N of the 2-norm one.
     """
 
     def __init__(self, message: str, residual: float, kappa_estimate: float):

@@ -31,8 +31,14 @@ from . import coupling, metrics, precoding
 from .channel import channel_for
 from .coupling import ImpedanceMatrix, impedance, write_matrix_text
 from .errors import ConfigError, LisSimError
-from .geometry import SPEED_OF_LIGHT, ArrayGeometry, ElementKind, linear_array, planar_grid
-from .metrics import LinkBudget
+from .geometry import (
+    DEFAULT_MAX_ELEMENTS,
+    SPEED_OF_LIGHT,
+    ArrayGeometry,
+    ElementKind,
+    linear_array,
+    planar_grid,
+)
 from .specfun import Precision
 
 SCHEME_NCA_MF = "nCA-MF"
@@ -49,6 +55,13 @@ _SPACING_RE = re.compile(r"^\s*([0-9.eE+\-]+)\s*\*?\s*(?:lambda|λ|wl|wavelength
 
 _KIND_NAMES = {k.value: k for k in ElementKind}
 
+#: The top-level keys a config file may set; any other key is refused.
+CONFIG_KEYS = frozenset({
+    "frequency_hz", "panel", "linear_elements", "element_kinds", "spacings",
+    "ue_position", "schemes", "svd_threshold", "precision",
+    "output_path", "include_timing", "max_elements", "hp_max_elements",
+})
+
 
 @dataclass(frozen=True)
 class ExperimentConfig:
@@ -64,12 +77,10 @@ class ExperimentConfig:
     schemes: tuple[str, ...] = (SCHEME_NCA_MF, SCHEME_CA_MF, SCHEME_CA_PMF)
     svd_threshold: float = 1e-9
     precision: Precision = Precision()
-    link_budget: LinkBudget = LinkBudget()
     output_path: str = "sweep.csv"
     include_timing: bool = True
-    max_elements: int = 100_000
+    max_elements: int = DEFAULT_MAX_ELEMENTS
     hp_max_elements: int = 2_000
-    nc_double_span_limits: bool = False
     dump_dir: str | None = None
 
     @property
@@ -80,9 +91,8 @@ class ExperimentConfig:
 def parse_spacing(entry, wavelength: float) -> float:
     """Meters from a numeric entry or an ``"<x> lambda"`` string."""
     if isinstance(entry, (int, float)) and not isinstance(entry, bool):
-        value = float(entry)
-        if not (value > 0 and math.isfinite(value)):
-            raise ConfigError(f"spacing must be positive and finite, got {entry!r}")
+        value = _real(entry, "spacing")
+        _require(value > 0, f"spacing must be positive and finite, got {entry!r}")
         return value
     if isinstance(entry, str):
         m = _SPACING_RE.match(entry)
@@ -107,34 +117,46 @@ def _require(cond: bool, message: str) -> None:
         raise ConfigError(message)
 
 
+def _real(value, name: str) -> float:
+    """A JSON number as a finite float; a bool, string, null or list is refused."""
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        try:
+            number = float(value)
+        except OverflowError:  # an integer literal beyond the float range
+            number = math.inf
+        if math.isfinite(number):
+            return number
+    raise ConfigError(f"{name} must be a finite number, got {value!r}")
+
+
+def _count(raw: dict, key: str, default: int) -> int:
+    """``raw[key]`` (or ``default``) as a positive integer; a bool is refused."""
+    value = raw.get(key, default)
+    _require(isinstance(value, int) and not isinstance(value, bool) and value >= 1,
+             f"{key} must be a positive integer, got {value!r}")
+    return value
+
+
 def config_from_dict(raw: dict) -> ExperimentConfig:
     """Build a config from parsed JSON, rejecting unknown keys."""
     _require(isinstance(raw, dict), "config root must be a JSON object")
-    known = {
-        "frequency_hz", "panel", "linear_elements", "element_kinds", "spacings",
-        "ue_position", "schemes", "svd_threshold", "precision", "link_budget",
-        "output_path", "include_timing", "max_elements", "hp_max_elements",
-        "nc_double_span_limits",
-    }
-    unknown = set(raw) - known
+    unknown = set(raw) - CONFIG_KEYS
     _require(not unknown, f"unknown config keys: {sorted(unknown)}")
 
     defaults = ExperimentConfig()
-    freq = float(raw.get("frequency_hz", defaults.frequency_hz))
-    _require(freq > 0 and math.isfinite(freq), f"frequency_hz must be positive, got {freq!r}")
+    freq = _real(raw.get("frequency_hz", defaults.frequency_hz), "frequency_hz")
+    _require(freq > 0, f"frequency_hz must be positive, got {freq!r}")
     wavelength = SPEED_OF_LIGHT / freq
 
     panel = raw.get("panel", {})
     _require(isinstance(panel, dict), "panel must be an object")
     _require(set(panel) <= {"width_m", "height_m"},
              f"unknown panel keys: {sorted(set(panel) - {'width_m', 'height_m'})}")
-    width = float(panel.get("width_m", defaults.panel_width_m))
-    height = float(panel.get("height_m", defaults.panel_height_m))
+    width = _real(panel.get("width_m", defaults.panel_width_m), "panel width_m")
+    height = _real(panel.get("height_m", defaults.panel_height_m), "panel height_m")
     _require(width > 0 and height > 0, "panel dimensions must be positive")
 
-    linear_elements = raw.get("linear_elements", defaults.linear_elements)
-    _require(isinstance(linear_elements, int) and linear_elements >= 1,
-             f"linear_elements must be a positive integer, got {linear_elements!r}")
+    linear_elements = _count(raw, "linear_elements", defaults.linear_elements)
 
     kinds_raw = raw.get("element_kinds", [k.value for k in defaults.element_kinds])
     _require(isinstance(kinds_raw, list) and kinds_raw, "element_kinds must be a non-empty list")
@@ -153,8 +175,7 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
     ue_raw = raw.get("ue_position", list(defaults.ue_position))
     _require(isinstance(ue_raw, list) and len(ue_raw) == 3,
              "ue_position must be a list of three numbers")
-    ue = tuple(float(v) for v in ue_raw)
-    _require(all(math.isfinite(v) for v in ue), "ue_position must be finite")
+    ue = tuple(_real(v, "ue_position entry") for v in ue_raw)
 
     schemes_raw = raw.get("schemes", list(defaults.schemes))
     _require(isinstance(schemes_raw, list) and schemes_raw, "schemes must be a non-empty list")
@@ -162,24 +183,11 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
         _require(s in ALL_SCHEMES, f"unknown scheme {s!r}; choose from {ALL_SCHEMES}")
     schemes = tuple(dict.fromkeys(schemes_raw))
 
-    threshold = float(raw.get("svd_threshold", defaults.svd_threshold))
+    threshold = _real(raw.get("svd_threshold", defaults.svd_threshold), "svd_threshold")
     _require(threshold >= 0, f"svd_threshold must be >= 0, got {threshold!r}")
 
     try:
         precision = Precision.parse(raw.get("precision", "double"))
-    except LisSimError as exc:
-        raise ConfigError(str(exc)) from exc
-
-    lb_raw = raw.get("link_budget", {})
-    _require(isinstance(lb_raw, dict), "link_budget must be an object")
-    lb_known = {"ptx_watts", "noise_variance_watts"}
-    _require(set(lb_raw) <= lb_known,
-             f"unknown link_budget keys: {sorted(set(lb_raw) - lb_known)}")
-    try:
-        budget = LinkBudget(
-            ptx=float(lb_raw.get("ptx_watts", 1.0)),
-            noise_var=float(lb_raw.get("noise_variance_watts", 1.0)),
-        )
     except LisSimError as exc:
         raise ConfigError(str(exc)) from exc
 
@@ -188,15 +196,9 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
 
     include_timing = raw.get("include_timing", True)
     _require(isinstance(include_timing, bool), "include_timing must be a boolean")
-    nc_double = raw.get("nc_double_span_limits", False)
-    _require(isinstance(nc_double, bool), "nc_double_span_limits must be a boolean")
 
-    max_elements = raw.get("max_elements", defaults.max_elements)
-    _require(isinstance(max_elements, int) and max_elements >= 1,
-             "max_elements must be a positive integer")
-    hp_max = raw.get("hp_max_elements", defaults.hp_max_elements)
-    _require(isinstance(hp_max, int) and hp_max >= 1,
-             "hp_max_elements must be a positive integer")
+    max_elements = _count(raw, "max_elements", defaults.max_elements)
+    hp_max = _count(raw, "hp_max_elements", defaults.hp_max_elements)
 
     return ExperimentConfig(
         frequency_hz=freq,
@@ -209,12 +211,10 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
         schemes=schemes,
         svd_threshold=threshold,
         precision=precision,
-        link_budget=budget,
         output_path=output_path,
         include_timing=include_timing,
         max_elements=max_elements,
         hp_max_elements=hp_max,
-        nc_double_span_limits=nc_double,
     )
 
 
@@ -504,7 +504,7 @@ def run_spacing_sweep(cfg: ExperimentConfig) -> SweepResult:
                "kappa", "excitation_power", "d_nc_reference", "status", "wall_time_ms")
     # the reference depends on the terminal, the panel and the wavelength, not the spacing
     d_nc_value = metrics.d_nc(cfg.ue_position, cfg.panel_width_m, cfg.panel_height_m,
-                              cfg.wavelength, double_span_limits=cfg.nc_double_span_limits)
+                              cfg.wavelength)
     tasks = [(s, kind) for s in cfg.spacings_m for kind in cfg.element_kinds]
 
     def worker(task):
@@ -543,6 +543,7 @@ def apply_overrides(cfg: ExperimentConfig, *, precision: str | None = None,
         except LisSimError as exc:
             raise ConfigError(str(exc)) from exc
     if threshold is not None:
+        threshold = _real(threshold, "threshold")
         _require(threshold >= 0, f"threshold must be >= 0, got {threshold!r}")
         updates["svd_threshold"] = threshold
     if output_path is not None:

@@ -54,10 +54,6 @@ class ArrayGeometry:
         Element model shared by all elements.
     dy, dz : float
         Center-to-center pitch along y and z in meters.
-    aperture_per_element : float
-        Physical element aperture ``dy * dz`` for planar elements, 0 for
-        isotropic ones.  Bookkeeping only: the constant gain factor it
-        would introduce cancels in every power ratio.
     wavelength : float
         Carrier wavelength in meters.
     lattice_indices : ndarray of int, shape (N, 2), optional
@@ -69,7 +65,6 @@ class ArrayGeometry:
     kind: ElementKind
     dy: float
     dz: float
-    aperture_per_element: float
     wavelength: float
     lattice_indices: np.ndarray | None = field(default=None, repr=False)
 
@@ -185,13 +180,11 @@ def planar_grid(
     y = (_centered_axis(n_y))[iy] * dy
     z = (_centered_axis(n_z))[iz] * dz
     positions = np.column_stack([np.zeros(n_y * n_z), y, z])
-    aperture = dy * dz if kind is ElementKind.PLANAR else 0.0
     return ArrayGeometry(
         positions=positions,
         kind=kind,
         dy=dy,
         dz=dz,
-        aperture_per_element=aperture,
         wavelength=wavelength,
         lattice_indices=np.column_stack([iy, iz]),
     )
@@ -217,13 +210,11 @@ def linear_array(
 
     z = _centered_axis(n) * dz
     positions = np.column_stack([np.zeros(n), np.zeros(n), z])
-    aperture = dz * dz if kind is ElementKind.PLANAR else 0.0
     return ArrayGeometry(
         positions=positions,
         kind=kind,
         dy=dz,
         dz=dz,
-        aperture_per_element=aperture,
         wavelength=wavelength,
         lattice_indices=np.column_stack([np.zeros(n, dtype=int), np.arange(n)]),
     )
@@ -244,11 +235,7 @@ def custom_geometry(
         raise InvalidArgumentError("positions must be finite")
     if np.unique(pos, axis=0).shape[0] != pos.shape[0]:
         raise InvalidGeometryError("element positions must be pairwise distinct")
-    aperture = dy * dz if kind is ElementKind.PLANAR else 0.0
-    return ArrayGeometry(
-        positions=pos, kind=kind, dy=dy, dz=dz,
-        aperture_per_element=aperture, wavelength=wavelength,
-    )
+    return ArrayGeometry(positions=pos, kind=kind, dy=dy, dz=dz, wavelength=wavelength)
 
 
 def distance(o, p) -> float:

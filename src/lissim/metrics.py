@@ -20,27 +20,12 @@ almost on the surface; no quadrature is involved.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .coupling import ImpedanceMatrix, quadratic_form
 from .errors import InvalidArgumentError, NonRadiatingCurrentError
 from .geometry import as_vec3
-
-
-@dataclass(frozen=True)
-class LinkBudget:
-    """Transmit power and receiver noise variance, both in watts."""
-
-    ptx: float = 1.0
-    noise_var: float = 1.0
-
-    def __post_init__(self):
-        if not (self.ptx > 0 and math.isfinite(self.ptx)):
-            raise InvalidArgumentError(f"ptx must be positive, got {self.ptx!r}")
-        if not (self.noise_var > 0 and math.isfinite(self.noise_var)):
-            raise InvalidArgumentError(f"noise_var must be positive, got {self.noise_var!r}")
 
 
 def _snr_core(i, Z: ImpedanceMatrix, h, denom) -> float:
@@ -53,12 +38,13 @@ def _snr_core(i, Z: ImpedanceMatrix, h, denom) -> float:
         return float(abs(ar.vdot(i, h)) ** 2 / denom)
 
 
-def snr(i, Z: ImpedanceMatrix, h, lb: LinkBudget = LinkBudget()) -> float:
-    """Receive SNR ``(ptx / noise_var) * |i^H h|^2 / (i^H Z i)``.
+def snr(i, Z: ImpedanceMatrix, h) -> float:
+    """Receive SNR ``|i^H h|^2 / (i^H Z i)`` at unit transmit power and noise variance.
 
     Dimensionless, non-negative, and invariant to scaling of ``i``.
+    Another power budget scales it by ``ptx / noise_var``.
     """
-    return lb.ptx / lb.noise_var * _snr_core(i, Z, h, quadratic_form(Z, i))
+    return _snr_core(i, Z, h, quadratic_form(Z, i))
 
 
 def directivity(i, Z: ImpedanceMatrix, h, o, wavelength: float) -> float:
@@ -125,13 +111,7 @@ def _foot_solid_angle(x: float, ys, zs) -> float:
                      for y in ys for z in zs)
 
 
-def d_nc(
-    o,
-    y_lis: float,
-    z_lis: float,
-    wavelength: float,
-    double_span_limits: bool = False,
-) -> float:
+def d_nc(o, y_lis: float, z_lis: float, wavelength: float) -> float:
     """Matched-filter directivity of the continuous no-coupling surface.
 
     ``(4 pi ||o|| / lambda)^2`` times the integral of
@@ -165,11 +145,12 @@ def d_nc(
         Aperture width and height in meters.
     wavelength : float
         Carrier wavelength in meters.
-    double_span_limits : bool
-        Integrate over ``+-y_lis`` and ``+-z_lis`` (twice the physical
-        span per axis) instead of the default physical aperture
-        ``+-y_lis/2``, ``+-z_lis/2``.  Off by default; exists to
-        reproduce a published variant of this reference integral.
+
+    A published variant of this reference integrates over ``+-y_lis``
+    and ``+-z_lis``, twice the physical span per axis; that is
+    ``d_nc(o, 2 * y_lis, 2 * z_lis, wavelength)``, bit for bit: the
+    half extents ``(2 * y_lis) / 2`` are ``y_lis`` exactly in binary
+    floating point.
     """
     ov = as_vec3(o)
     x_ue, o_y, o_z = (float(v) for v in ov)
@@ -177,7 +158,7 @@ def d_nc(
         raise InvalidArgumentError(f"reference surface needs x_ue > 0, got {x_ue}")
     if not all(v > 0 and math.isfinite(v) for v in (y_lis, z_lis, wavelength)):
         raise InvalidArgumentError("aperture extents and wavelength must be positive and finite")
-    half_y, half_z = (y_lis, z_lis) if double_span_limits else (y_lis / 2, z_lis / 2)
+    half_y, half_z = y_lis / 2, z_lis / 2
     y1, y2 = -half_y - o_y, half_y - o_y
     z1, z2 = -half_z - o_z, half_z - o_z
     twice_area = 4.0 * half_y * half_z

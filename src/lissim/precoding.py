@@ -19,7 +19,6 @@ from .coupling import (
     truncated_solve,
 )
 from .errors import DegenerateInputError, InvalidArgumentError, NonRadiatingCurrentError
-from .specfun import Precision
 
 
 def nca_mf(h):
@@ -36,14 +35,14 @@ def nca_mf(h):
     return hv.copy()
 
 
-def ca_mf(Z: ImpedanceMatrix, h, precision: Precision | None = None):
+def ca_mf(Z: ImpedanceMatrix, h):
     """Coupling-aware matched filter ``Z^{-1} h`` via a linear solve.
 
     Maximizes ``|i^H h|^2 / (i^H Z i)`` over all currents.  Uses the
     refined solve, never an explicit inverse; an ill-conditioned-solve
     error propagates when the residual target cannot be met.
     """
-    return solve(Z, h, precision)
+    return solve(Z, h)
 
 
 def ca_pmf(Z: ImpedanceMatrix, h, s_min_threshold: float):

@@ -69,8 +69,10 @@ def test_config_rejects_unknown_keys():
         config_from_dict({"spacings": [0.1], "frequenzy_hz": 1e9})
     with pytest.raises(ConfigError, match="unknown panel keys"):
         config_from_dict({"spacings": [0.1], "panel": {"width": 0.5}})
-    with pytest.raises(ConfigError, match="unknown link_budget keys"):
-        config_from_dict({"spacings": [0.1], "link_budget": {"ptx": 1.0}})
+    # keys of earlier releases that changed no output
+    for key, value in (("link_budget", {"ptx_watts": 1.0}), ("nc_double_span_limits", False)):
+        with pytest.raises(ConfigError, match="unknown config keys"):
+            config_from_dict({"spacings": [0.1], key: value})
 
 
 def test_config_validation_errors():
@@ -84,6 +86,38 @@ def test_config_validation_errors():
         config_from_dict({"spacings": [0.1], "precision": "ext:banana"})
     with pytest.raises(ConfigError):
         config_from_dict({"spacings": [0.1], "svd_threshold": -1.0})
+    # a number must be a finite JSON number: not a string, null, list or bool
+    for bad in ({"frequency_hz": "abc"}, {"frequency_hz": True}, {"frequency_hz": float("inf")},
+                {"panel": {"width_m": None}}, {"panel": {"width_m": float("inf")}},
+                {"panel": {"height_m": [0.5]}}, {"svd_threshold": "x"},
+                {"svd_threshold": float("nan")}, {"ue_position": ["a", 0, 0]},
+                {"ue_position": [10.0, None, 0.0]}, {"spacings": [10 ** 400]}):
+        with pytest.raises(ConfigError, match="must be a finite number"):
+            config_from_dict({"spacings": [0.1], **bad})
+    for key in ("linear_elements", "max_elements", "hp_max_elements"):
+        for bad in (True, 2.0, "3", 0):
+            with pytest.raises(ConfigError, match="must be a positive integer"):
+                config_from_dict({"spacings": [0.1], key: bad})
+
+
+def test_malformed_number_error_names_its_key():
+    cases = (({"frequency_hz": None}, "frequency_hz"),
+             ({"panel": {"height_m": "0.5"}}, "panel height_m"),
+             ({"spacings": [10 ** 400]}, "spacing"),
+             ({"ue_position": [10.0, 0.0, [0.0]]}, "ue_position entry"),
+             ({"svd_threshold": -float("inf")}, "svd_threshold"))
+    for bad, key in cases:
+        with pytest.raises(ConfigError) as excinfo:
+            config_from_dict({"spacings": [0.1], **bad})
+        assert str(excinfo.value).startswith(f"{key} must be a finite number, got ")
+
+
+def test_readme_config_example_parses_and_sets_every_key():
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    section = readme.split("### Configuration file", 1)[1]
+    example = json.loads(section.split("```json", 1)[1].split("```", 1)[0])
+    config_from_dict(example)
+    assert set(example) == experiments.CONFIG_KEYS
 
 
 def test_default_configs_parse_for_all_experiments():
@@ -103,14 +137,12 @@ def test_load_config_round_trip(tmp_path):
         "spacings": ["0.5 lambda", 0.04],
         "element_kinds": ["planar"],
         "precision": "ext:128",
-        "link_budget": {"ptx_watts": 2.0, "noise_variance_watts": 0.5},
     }))
     cfg = load_config(path)
     assert cfg.frequency_hz == 3.0e9
     assert cfg.spacings_m[0] == pytest.approx(0.5 * SPEED_OF_LIGHT / 3.0e9)
     assert cfg.spacings_m[1] == 0.04
     assert cfg.precision == Precision.extended(128)
-    assert cfg.link_budget.ptx == 2.0
 
 
 def test_conditioning_sweep_reference_values():
@@ -379,6 +411,8 @@ def test_apply_overrides():
     with pytest.raises(ConfigError):
         apply_overrides(cfg, threshold=-2.0)
     with pytest.raises(ConfigError):
+        apply_overrides(cfg, threshold=float("inf"))
+    with pytest.raises(ConfigError):
         apply_overrides(cfg, precision="half")
 
 
@@ -439,6 +473,20 @@ def test_cli_config_error_exit_code(tmp_path):
     unknown = tmp_path / "unknown.json"
     unknown.write_text(json.dumps({"spacings": [0.1], "frequency": 1.0}))
     assert cli_main(["spacing", "--config", str(unknown), "--quiet"]) == 2
+
+
+def test_cli_malformed_number_exit_code(tmp_path, capsys):
+    # malformed numbers are configuration errors, not tracebacks or numerical failures
+    for text, key in (('{"spacings": [0.1], "frequency_hz": "abc"}', "frequency_hz"),
+                      ('{"spacings": [0.1], "panel": {"width_m": Infinity}}', "panel width_m"),
+                      ('{"spacings": [0.1], "svd_threshold": "x"}', "svd_threshold"),
+                      ('{"spacings": [0.1], "ue_position": ["a", 0, 0]}', "ue_position entry")):
+        malformed = tmp_path / "malformed.json"
+        malformed.write_text(text)
+        assert cli_main(["spacing", "--config", str(malformed), "--quiet"]) == 2
+        assert f"config error: {key} must be a finite number" in capsys.readouterr().err
+    assert cli_main(["spacing", "--threshold", "inf", "--quiet"]) == 2
+    assert "config error: threshold must be a finite number" in capsys.readouterr().err
 
 
 def test_cli_numerical_failure_exit_code(tmp_path):

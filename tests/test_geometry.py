@@ -36,7 +36,6 @@ def test_planar_grid_element_count_at_half_wavelength():
     # floor(0.5 / (lambda/2)) + 1 = 9 per axis at 2.6 GHz
     g = planar_grid(0.5, 0.5, LAM / 2, LAM / 2, ElementKind.PLANAR, LAM)
     assert g.n == 81
-    assert g.aperture_per_element == pytest.approx((LAM / 2) ** 2)
 
 
 def test_planar_grid_capacity_cap():
@@ -156,6 +155,5 @@ def test_mirror_orbits_of_lattices_and_custom_layouts():
 
     # an L-shaped lattice maps onto itself under neither mirror
     ell = ArrayGeometry(positions=g.positions[:4].copy(), kind=g.kind, dy=g.dy, dz=g.dz,
-                        aperture_per_element=g.aperture_per_element, wavelength=LAM,
-                        lattice_indices=g.lattice_indices[:4].copy())
+                        wavelength=LAM, lattice_indices=g.lattice_indices[:4].copy())
     assert ell.mirror_orbits().tolist() == [[k] * 4 for k in range(4)]

@@ -11,7 +11,6 @@ from lissim import (
     ElementKind,
     ImpedanceMatrix,
     InvalidArgumentError,
-    LinkBudget,
     NonRadiatingCurrentError,
     Precision,
     ca_mf,
@@ -65,8 +64,7 @@ def quadrature_d_nc(o, y_lis: float, z_lis: float, wavelength: float,
 def test_snr_matched_filter_on_identity():
     h = np.array([0.5, -0.3j, 0.2 + 0.1j])
     Z = _direct(np.eye(3))
-    lb = LinkBudget(ptx=4.0, noise_var=2.0)
-    assert snr(h, Z, h, lb) == pytest.approx(2.0 * np.vdot(h, h).real, rel=1e-14)
+    assert snr(h, Z, h) == pytest.approx(np.vdot(h, h).real, rel=1e-14)
 
 
 def test_snr_orthogonal_current_is_zero():
@@ -120,9 +118,8 @@ def test_snr_and_directivity_shared_core():
     o = np.array([12.0, 1.0, -0.5])
     h = channel_planar(geom, o)
     i = nca_mf(h)
-    lb = LinkBudget(ptx=3.0, noise_var=0.5)
-    ratio = (lb.ptx / lb.noise_var) * (LAM / (4 * np.pi * np.linalg.norm(o))) ** 2
-    assert snr(i, Z, h, lb) == pytest.approx(
+    ratio = (LAM / (4 * np.pi * np.linalg.norm(o))) ** 2
+    assert snr(i, Z, h) == pytest.approx(
         directivity(i, Z, h, o, LAM) * ratio, rel=1e-14)
 
 
@@ -137,13 +134,6 @@ def test_to_dbi():
         to_dbi(0.0)
 
 
-def test_link_budget_validation():
-    with pytest.raises(InvalidArgumentError):
-        LinkBudget(ptx=0.0)
-    with pytest.raises(InvalidArgumentError):
-        LinkBudget(noise_var=-1.0)
-
-
 def test_d_nc_far_broadside_approaches_aperture_limit():
     value = d_nc([10.0, 0.0, 0.0], 0.5, 0.5, LAM)
     assert value == pytest.approx(4.0 * np.pi * 0.25 / LAM**2, rel=1e-2)
@@ -156,7 +146,8 @@ def test_d_nc_matches_closed_form_oracle():
 
 
 def test_d_nc_double_span_limits_match_closed_form():
-    got = d_nc([10.0, 0.0, 0.0], 0.5, 0.5, LAM, double_span_limits=True)
+    # the published variant integrates twice the physical span per axis
+    got = d_nc([10.0, 0.0, 0.0], 1.0, 1.0, LAM)
     assert got == pytest.approx(closed_form_d_nc(10.0, 0.5, 0.5, LAM, span_scale=1.0), rel=1e-7)
     assert got > d_nc([10.0, 0.0, 0.0], 0.5, 0.5, LAM)
 
@@ -226,7 +217,8 @@ def test_d_nc_keeps_its_digits_for_a_terminal_almost_on_the_surface(o_y, o_z):
     pytest.param([1e-3, 0.1, 0.05], 0.5, 0.5, False, id="1mm-in-front-off-centre"),
 ])
 def test_d_nc_closed_form_matches_quadrature(o, y_lis, z_lis, double_span):
-    got = d_nc(o, y_lis, z_lis, LAM, double_span_limits=double_span)
+    scale = 2.0 if double_span else 1.0
+    got = d_nc(o, scale * y_lis, scale * z_lis, LAM)
     want = quadrature_d_nc(o, y_lis, z_lis, LAM, span_scale=1.0 if double_span else 0.5)
     assert got == pytest.approx(want, rel=1e-13)
 
