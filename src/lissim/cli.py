@@ -29,6 +29,7 @@ import sys
 
 from .errors import ConfigError, LisSimError
 from .experiments import (
+    EXPERIMENTS,
     ExperimentConfig,
     apply_overrides,
     default_config,
@@ -47,13 +48,9 @@ def build_parser() -> argparse.ArgumentParser:
         description="Coupled-surface simulation sweeps; results are written as CSV.",
     )
     sub = parser.add_subparsers(dest="experiment", required=True)
-    for name, help_text in (
-        ("conditioning", "condition number of the coupling matrix vs element spacing"),
-        ("profile", "eigenvalue profile of the coupling matrix"),
-        ("truncation", "directivity and current cost vs truncation rank"),
-        ("spacing", "fixed-aperture directivity sweep across precoding schemes"),
-    ):
-        p = sub.add_parser(name, help=help_text)
+    for name, runner in EXPERIMENTS.items():
+        # a runner's docstring opens with the table it writes
+        p = sub.add_parser(name, help=(runner.__doc__ or "").partition("\n")[0])
         p.add_argument("--config", metavar="PATH",
                        help="JSON config file (built-in defaults when omitted)")
         p.add_argument("--out", metavar="PATH",

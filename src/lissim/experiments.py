@@ -1,15 +1,18 @@
 """Reproducible parameter sweeps emitting CSV tables.
 
-Four studies: condition number versus element spacing, the eigenvalue
-profile of the coupling matrix, directivity/current cost versus
-truncation rank, and the fixed-aperture spacing sweep comparing all
-precoding schemes against the continuous no-coupling reference.
+Four studies (``EXPERIMENTS``): condition number versus element spacing,
+the eigenvalue profile of the coupling matrix, directivity/current cost
+versus truncation rank, and the fixed-aperture spacing sweep comparing
+all precoding schemes against the continuous no-coupling reference.
+Each study yields its rows' own cells at one array; one driver,
+``_sweep``, does the layout, ``Z``, its dump, the shared leading columns
+and the row timing for all four.
 
 Configuration is a strict JSON file (unknown keys rejected); every sweep
 is deterministic for a given config at a fixed BLAS thread count (BLAS
-sums the double products in an order that depends on it), and timing
-columns can be dropped to make outputs byte-comparable.  Sweep points
-are independent and run on a small thread pool capped by the
+sums the double products in an order that depends on it), and the
+timing column can be left out to make outputs byte-comparable.  Sweep
+points are independent and run on a small thread pool capped by the
 ``LISSIM_MAX_WORKERS`` environment variable; row order always follows
 the configured grid.
 """
@@ -29,7 +32,7 @@ import numpy as np
 
 from . import coupling, metrics, precoding
 from .channel import channel_for
-from .coupling import ImpedanceMatrix, impedance, write_matrix_text
+from .coupling import impedance, write_matrix_text
 from .errors import ConfigError, LisSimError
 from .geometry import (
     DEFAULT_MAX_ELEMENTS,
@@ -46,8 +49,6 @@ SCHEME_CA_MF = "CA-MF"
 SCHEME_CA_PMF = "CA-pMF"
 SCHEME_HP_CA_MF = "HP-CA-MF"
 ALL_SCHEMES = (SCHEME_NCA_MF, SCHEME_CA_MF, SCHEME_CA_PMF, SCHEME_HP_CA_MF)
-
-EXPERIMENTS = ("conditioning", "profile", "truncation", "spacing")
 
 MAX_WORKERS_ENV = "LISSIM_MAX_WORKERS"
 
@@ -137,6 +138,19 @@ def _count(raw: dict, key: str, default: int) -> int:
     return value
 
 
+def _threshold(value, name: str) -> float:
+    threshold = _real(value, name)
+    _require(threshold >= 0, f"{name} must be >= 0, got {threshold!r}")
+    return threshold
+
+
+def _precision(spec) -> Precision:
+    try:
+        return Precision.parse(spec)
+    except LisSimError as exc:
+        raise ConfigError(str(exc)) from exc
+
+
 def config_from_dict(raw: dict) -> ExperimentConfig:
     """Build a config from parsed JSON, rejecting unknown keys."""
     _require(isinstance(raw, dict), "config root must be a JSON object")
@@ -176,6 +190,8 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
     _require(isinstance(ue_raw, list) and len(ue_raw) == 3,
              "ue_position must be a list of three numbers")
     ue = tuple(_real(v, "ue_position entry") for v in ue_raw)
+    # the surface radiates into x > 0, where d_nc and the planar channel are defined
+    _require(ue[0] > 0, f"ue_position x must be positive, got {ue[0]!r}")
 
     schemes_raw = raw.get("schemes", list(defaults.schemes))
     _require(isinstance(schemes_raw, list) and schemes_raw, "schemes must be a non-empty list")
@@ -183,13 +199,8 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
         _require(s in ALL_SCHEMES, f"unknown scheme {s!r}; choose from {ALL_SCHEMES}")
     schemes = tuple(dict.fromkeys(schemes_raw))
 
-    threshold = _real(raw.get("svd_threshold", defaults.svd_threshold), "svd_threshold")
-    _require(threshold >= 0, f"svd_threshold must be >= 0, got {threshold!r}")
-
-    try:
-        precision = Precision.parse(raw.get("precision", "double"))
-    except LisSimError as exc:
-        raise ConfigError(str(exc)) from exc
+    threshold = _threshold(raw.get("svd_threshold", defaults.svd_threshold), "svd_threshold")
+    precision = _precision(raw.get("precision", "double"))
 
     output_path = raw.get("output_path", defaults.output_path)
     _require(isinstance(output_path, str) and output_path, "output_path must be a string")
@@ -253,16 +264,6 @@ class SweepResult:
     experiment: str
     columns: tuple[str, ...]
     rows: list[tuple] = field(default_factory=list)
-
-    def drop_column(self, name: str) -> "SweepResult":
-        if name not in self.columns:
-            return self
-        idx = self.columns.index(name)
-        return SweepResult(
-            experiment=self.experiment,
-            columns=tuple(c for c in self.columns if c != name),
-            rows=[tuple(v for j, v in enumerate(row) if j != idx) for row in self.rows],
-        )
 
     def column(self, name: str) -> list:
         idx = self.columns.index(name)
@@ -340,58 +341,57 @@ def _grid_geometry(cfg: ExperimentConfig, spacing: float, kind: ElementKind) -> 
                        kind, cfg.wavelength, max_elements=cfg.max_elements)
 
 
-def _maybe_dump(cfg: ExperimentConfig, Z: ImpedanceMatrix, spacing: float,
-                kind: ElementKind) -> None:
-    if cfg.dump_dir is None:
-        return
-    directory = Path(cfg.dump_dir)
-    directory.mkdir(parents=True, exist_ok=True)
-    name = f"Z_{kind.value}_d{spacing:.9g}m.txt"
-    write_matrix_text(Z, directory / name)
+def _sweep(experiment: str, cfg: ExperimentConfig, columns: tuple[str, ...], layout,
+           precision: Precision, point) -> SweepResult:
+    """Tabulate the generator ``point(geom, Z)`` at every configured spacing and kind.
+
+    ``point`` yields each row's cells for ``columns``; the driver lays out
+    ``layout(cfg, spacing, kind)``, builds ``Z`` in ``precision``, dumps it
+    to ``cfg.dump_dir`` when set, and prefixes every row with the point's
+    spacing, element count and kind.  With ``cfg.include_timing`` each row
+    ends with its ``_RowClock`` lap.
+    """
+    timed = cfg.include_timing
+
+    def worker(task):
+        spacing, kind = task
+        clock = _RowClock()
+        geom = layout(cfg, spacing, kind)
+        Z = impedance(geom, precision)
+        if cfg.dump_dir is not None:
+            directory = Path(cfg.dump_dir)
+            directory.mkdir(parents=True, exist_ok=True)
+            write_matrix_text(Z, directory / f"Z_{kind.value}_d{spacing:.9g}m.txt")
+        lead = (spacing, spacing / cfg.wavelength, geom.n, kind.value)
+        # the point runs lazily, so each lap holds the work of its own row
+        return [lead + cells + ((clock.lap_ms(),) if timed else ())
+                for cells in point(geom, Z)]
+
+    tasks = [(s, kind) for s in cfg.spacings_m for kind in cfg.element_kinds]
+    rows = [row for block in _run_tasks(tasks, worker) for row in block]
+    columns = ("spacing_m", "spacing_wavelengths", "n_elements", "element_kind", *columns)
+    return SweepResult(experiment, columns + (("wall_time_ms",) if timed else ()), rows)
 
 
 def run_conditioning_sweep(cfg: ExperimentConfig) -> SweepResult:
-    """Condition number of Z per spacing for each element kind."""
-    columns = ("spacing_m", "spacing_wavelengths", "n_elements", "element_kind",
-               "kappa", "wall_time_ms")
-    tasks = [(s, kind) for s in cfg.spacings_m for kind in cfg.element_kinds]
+    """Condition number of the coupling matrix vs element spacing."""
+    def point(geom, Z):
+        yield (coupling.condition_number(Z),)
 
-    def worker(task):
-        spacing, kind = task
-        start = time.perf_counter()
-        geom = _linear_geometry(cfg, spacing, kind)
-        Z = impedance(geom, cfg.precision)
-        _maybe_dump(cfg, Z, spacing, kind)
-        kappa = coupling.condition_number(Z)
-        elapsed = (time.perf_counter() - start) * 1e3
-        return (spacing, spacing / cfg.wavelength, geom.n, kind.value, kappa, elapsed)
-
-    return SweepResult("conditioning", columns, _run_tasks(tasks, worker))
+    return _sweep("conditioning", cfg, ("kappa",), _linear_geometry, cfg.precision, point)
 
 
 def run_singular_profile(cfg: ExperimentConfig) -> SweepResult:
-    """Sorted eigenvalues of Z for each configured spacing and kind."""
-    columns = ("spacing_m", "spacing_wavelengths", "n_elements", "element_kind",
-               "mode_index", "eigenvalue", "wall_time_ms")
-    tasks = [(s, kind) for s in cfg.spacings_m for kind in cfg.element_kinds]
+    """Eigenvalue profile of the coupling matrix, in descending order."""
+    def point(geom, Z):  # (mode_index, eigenvalue) pairs
+        yield from enumerate(map(float, coupling.sym_eig(Z)[0]), start=1)
 
-    def worker(task):
-        spacing, kind = task
-        start = time.perf_counter()
-        geom = _linear_geometry(cfg, spacing, kind)
-        Z = impedance(geom, cfg.precision)
-        _maybe_dump(cfg, Z, spacing, kind)
-        s, _ = coupling.sym_eig(Z)
-        elapsed = (time.perf_counter() - start) * 1e3
-        return [(spacing, spacing / cfg.wavelength, geom.n, kind.value,
-                 idx + 1, float(v), elapsed) for idx, v in enumerate(s)]
-
-    rows = [row for block in _run_tasks(tasks, worker) for row in block]
-    return SweepResult("profile", columns, rows)
+    return _sweep("profile", cfg, ("mode_index", "eigenvalue"), _linear_geometry,
+                  cfg.precision, point)
 
 
 def run_truncation_sweep(cfg: ExperimentConfig) -> SweepResult:
-    """Directivity and current cost versus truncation rank (linear array).
+    """Directivity and current cost vs truncation rank (linear array).
 
     For every retained-mode count, the truncated matched filter is
     power-normalized so radiated power is one; the reported excitation
@@ -402,21 +402,11 @@ def run_truncation_sweep(cfg: ExperimentConfig) -> SweepResult:
     subspace has zero directivity, so the row reports directivity 0
     (``-inf`` dBi) and the zero current's excitation power 0.
     """
-    columns = ("spacing_m", "spacing_wavelengths", "n_elements", "element_kind",
-               "scheme", "retained_modes", "directivity", "directivity_dbi",
-               "kappa", "excitation_power", "wall_time_ms")
-    tasks = [(s, kind) for s in cfg.spacings_m for kind in cfg.element_kinds]
     o = np.asarray(cfg.ue_position)
 
-    def worker(task):
-        spacing, kind = task
-        clock = _RowClock()
-        geom = _linear_geometry(cfg, spacing, kind)
-        Z = impedance(geom, cfg.precision)
-        _maybe_dump(cfg, Z, spacing, kind)
+    def point(geom, Z):
         h = channel_for(geom, o, cfg.precision)
         kappa = coupling.condition_number(Z)
-        out = []
         # precoding.ca_pmf_rank(Z, h, m) for every m, built in one pass
         for m, i in enumerate(coupling._rank_solves(Z, h), start=1):
             if not np.any(i):
@@ -429,68 +419,15 @@ def run_truncation_sweep(cfg: ExperimentConfig) -> SweepResult:
                 d_lin = metrics._directivity(i, Z, h, o, cfg.wavelength, radiated)
                 d_dbi = metrics.to_dbi(d_lin)
                 power = metrics.excitation_power(i_hat)
-            out.append((spacing, spacing / cfg.wavelength, geom.n, kind.value,
-                        SCHEME_CA_PMF, m, d_lin, d_dbi, kappa, power, clock.lap_ms()))
-        return out
+            yield (SCHEME_CA_PMF, m, d_lin, d_dbi, kappa, power)
 
-    rows = [row for block in _run_tasks(tasks, worker) for row in block]
-    return SweepResult("truncation", columns, rows)
-
-
-def _spacing_point_rows(cfg: ExperimentConfig, spacing: float, kind: ElementKind,
-                        d_nc_value: float):
-    clock = _RowClock()
-    o = np.asarray(cfg.ue_position)
-    rows = []
-    geom = _grid_geometry(cfg, spacing, kind)
-    Z = impedance(geom)  # machine-double matrix shared by nCA/CA/pMF and kappa
-    _maybe_dump(cfg, Z, spacing, kind)
-    h = channel_for(geom, o)
-    kappa = coupling.condition_number(Z)
-    lam = cfg.wavelength
-
-    def emit(scheme, retained, current, status, Z_use=Z, h_use=h):
-        if current is None:
-            d_lin = d_dbi = power = None
-        else:
-            d_lin = metrics.directivity(current, Z_use, h_use, o, lam)
-            d_dbi = metrics.to_dbi(d_lin)
-            power = metrics.excitation_power(current)
-        rows.append((spacing, spacing / lam, geom.n, kind.value, scheme, retained,
-                     d_lin, d_dbi, kappa, power, d_nc_value, status, clock.lap_ms()))
-
-    for scheme in cfg.schemes:
-        if scheme == SCHEME_NCA_MF:
-            emit(scheme, geom.n, precoding.nca_mf(h), "ok")
-        elif scheme == SCHEME_CA_MF:
-            try:
-                emit(scheme, geom.n, precoding.ca_mf(Z, h), "ok")
-            except LisSimError as exc:
-                emit(scheme, geom.n, None, f"failed: {type(exc).__name__}")
-        elif scheme == SCHEME_CA_PMF:
-            retained = len(coupling._kept_modes(Z, cfg.svd_threshold)[2])
-            try:
-                emit(scheme, retained, precoding.ca_pmf(Z, h, cfg.svd_threshold), "ok")
-            except LisSimError as exc:
-                emit(scheme, retained, None, f"failed: {type(exc).__name__}")
-        elif scheme == SCHEME_HP_CA_MF:
-            if not cfg.precision.is_extended:
-                continue  # high-precision column only exists on extended runs
-            if geom.n > cfg.hp_max_elements:
-                emit(scheme, None, None, "skipped: exceeds hp_max_elements")
-                continue
-            Z_hp = impedance(geom, cfg.precision)
-            h_hp = channel_for(geom, o, cfg.precision)
-            try:
-                emit(scheme, geom.n, precoding.ca_mf(Z_hp, h_hp), "ok",
-                     Z_use=Z_hp, h_use=h_hp)
-            except LisSimError as exc:
-                emit(scheme, geom.n, None, f"failed: {type(exc).__name__}")
-    return rows
+    return _sweep("truncation", cfg, ("scheme", "retained_modes", "directivity",
+                                      "directivity_dbi", "kappa", "excitation_power"),
+                  _linear_geometry, cfg.precision, point)
 
 
 def run_spacing_sweep(cfg: ExperimentConfig) -> SweepResult:
-    """Fixed-aperture grid sweep: directivity per spacing and scheme.
+    """Fixed-aperture directivity sweep across precoding schemes.
 
     The aperture stays at the configured panel size while the pitch
     varies, so finer spacings mean more elements.  Every row carries the
@@ -499,23 +436,56 @@ def run_spacing_sweep(cfg: ExperimentConfig) -> SweepResult:
     extended, and its condition-number column (like all others) reports
     the machine-double spectrum.
     """
-    columns = ("spacing_m", "spacing_wavelengths", "n_elements", "element_kind",
-               "scheme", "retained_modes", "directivity", "directivity_dbi",
-               "kappa", "excitation_power", "d_nc_reference", "status", "wall_time_ms")
+    o = np.asarray(cfg.ue_position)
+    lam = cfg.wavelength
     # the reference depends on the terminal, the panel and the wavelength, not the spacing
-    d_nc_value = metrics.d_nc(cfg.ue_position, cfg.panel_width_m, cfg.panel_height_m,
-                              cfg.wavelength)
-    tasks = [(s, kind) for s in cfg.spacings_m for kind in cfg.element_kinds]
+    d_nc_value = metrics.d_nc(cfg.ue_position, cfg.panel_width_m, cfg.panel_height_m, lam)
 
-    def worker(task):
-        spacing, kind = task
-        return _spacing_point_rows(cfg, spacing, kind, d_nc_value)
+    def point(geom, Z):  # Z in machine double, shared by nCA/CA/pMF and kappa
+        h = channel_for(geom, o)
+        kappa = coupling.condition_number(Z)
 
-    rows = [row for block in _run_tasks(tasks, worker) for row in block]
-    return SweepResult("spacing", columns, rows)
+        def cells(scheme, retained, current, status, Z_use=Z, h_use=h):
+            if current is None:
+                d_lin = d_dbi = power = None
+            else:
+                d_lin = metrics.directivity(current, Z_use, h_use, o, lam)
+                d_dbi = metrics.to_dbi(d_lin)
+                power = metrics.excitation_power(current)
+            return (scheme, retained, d_lin, d_dbi, kappa, power, d_nc_value, status)
+
+        def solved(scheme, retained, solve, Z_use=Z, h_use=h):
+            # a refusal in the solve or in the directivity marks the row failed
+            try:
+                return cells(scheme, retained, solve(), "ok", Z_use, h_use)
+            except LisSimError as exc:
+                return cells(scheme, retained, None, f"failed: {type(exc).__name__}")
+
+        for scheme in cfg.schemes:
+            if scheme == SCHEME_NCA_MF:
+                yield cells(scheme, geom.n, precoding.nca_mf(h), "ok")
+            elif scheme == SCHEME_CA_MF:
+                yield solved(scheme, geom.n, lambda: precoding.ca_mf(Z, h))
+            elif scheme == SCHEME_CA_PMF:
+                retained = len(coupling._kept_modes(Z, cfg.svd_threshold)[2])
+                yield solved(scheme, retained, lambda: precoding.ca_pmf(Z, h, cfg.svd_threshold))
+            elif scheme == SCHEME_HP_CA_MF:
+                if not cfg.precision.is_extended:
+                    continue  # high-precision column only exists on extended runs
+                if geom.n > cfg.hp_max_elements:
+                    yield cells(scheme, None, None, "skipped: exceeds hp_max_elements")
+                    continue
+                Z_hp = impedance(geom, cfg.precision)
+                h_hp = channel_for(geom, o, cfg.precision)
+                yield solved(scheme, geom.n, lambda: precoding.ca_mf(Z_hp, h_hp), Z_hp, h_hp)
+
+    return _sweep("spacing", cfg, ("scheme", "retained_modes", "directivity", "directivity_dbi",
+                                   "kappa", "excitation_power", "d_nc_reference", "status"),
+                  _grid_geometry, Precision(), point)
 
 
-_RUNNERS = {
+#: Every experiment's runner, by the name the command line gives it.
+EXPERIMENTS = {
     "conditioning": run_conditioning_sweep,
     "profile": run_singular_profile,
     "truncation": run_truncation_sweep,
@@ -524,11 +494,8 @@ _RUNNERS = {
 
 
 def run_experiment(experiment: str, cfg: ExperimentConfig) -> SweepResult:
-    _require(experiment in _RUNNERS, f"unknown experiment {experiment!r}")
-    result = _RUNNERS[experiment](cfg)
-    if not cfg.include_timing:
-        result = result.drop_column("wall_time_ms")
-    return result
+    _require(experiment in EXPERIMENTS, f"unknown experiment {experiment!r}")
+    return EXPERIMENTS[experiment](cfg)
 
 
 def apply_overrides(cfg: ExperimentConfig, *, precision: str | None = None,
@@ -538,14 +505,9 @@ def apply_overrides(cfg: ExperimentConfig, *, precision: str | None = None,
     """Command-line overrides layered on top of a parsed config."""
     updates = {}
     if precision is not None:
-        try:
-            updates["precision"] = Precision.parse(precision)
-        except LisSimError as exc:
-            raise ConfigError(str(exc)) from exc
+        updates["precision"] = _precision(precision)
     if threshold is not None:
-        threshold = _real(threshold, "threshold")
-        _require(threshold >= 0, f"threshold must be >= 0, got {threshold!r}")
-        updates["svd_threshold"] = threshold
+        updates["svd_threshold"] = _threshold(threshold, "threshold")
     if output_path is not None:
         updates["output_path"] = output_path
     if include_timing is not None:

@@ -98,6 +98,10 @@ def test_config_validation_errors():
         for bad in (True, 2.0, "3", 0):
             with pytest.raises(ConfigError, match="must be a positive integer"):
                 config_from_dict({"spacings": [0.1], key: bad})
+    # the surface radiates into x > 0: a terminal behind or on its plane is refused
+    for bad in ([-10.0, 0.0, 0.0], [0.0, 0.0, 0.0], [0, 1.0, -2.0], [-1e-300, 0.0, 0.0]):
+        with pytest.raises(ConfigError, match="ue_position x must be positive"):
+            config_from_dict({"spacings": [0.1], "ue_position": bad})
 
 
 def test_malformed_number_error_names_its_key():
@@ -238,14 +242,21 @@ def test_spacing_sweep_hp_cap_marks_skipped_rows():
     assert all(v is None for v in res.column("directivity"))
 
 
-def test_csv_determinism_without_timing():
+@pytest.mark.parametrize("experiment,runner", [
+    ("conditioning", run_conditioning_sweep), ("profile", run_singular_profile),
+    ("truncation", run_truncation_sweep), ("spacing", run_spacing_sweep)])
+def test_csv_determinism_without_timing(experiment, runner):
     cfg = make_config(spacings=["0.5 lambda", "0.35 lambda"])
-    a = run_experiment("conditioning", cfg).to_csv()
-    b = run_experiment("conditioning", cfg).to_csv()
+    a = run_experiment(experiment, cfg).to_csv()
+    b = run_experiment(experiment, cfg).to_csv()
     assert a == b
     assert "wall_time_ms" not in a
     header = a.splitlines()[0].split(",")
-    assert header[0] == "spacing_m"
+    assert header[:4] == ["spacing_m", "spacing_wavelengths", "n_elements", "element_kind"]
+    # the runner itself leaves the column out, not only run_experiment
+    direct = runner(cfg)
+    assert "wall_time_ms" not in direct.columns
+    assert direct.to_csv() == a
 
 
 def test_csv_keeps_timing_by_default():
@@ -254,7 +265,7 @@ def test_csv_keeps_timing_by_default():
     assert "wall_time_ms" in text.splitlines()[0]
 
 
-@pytest.mark.parametrize("experiment", ["spacing", "truncation"])
+@pytest.mark.parametrize("experiment", ["conditioning", "profile", "spacing", "truncation"])
 def test_wall_time_charges_point_setup_to_its_first_row(monkeypatch, experiment):
     delay_s = 0.2
     build = experiments.impedance
@@ -400,6 +411,23 @@ def test_default_double_truncation_table_is_unchanged(tmp_path):
     assert _cli_table(tmp_path, "truncation") == frozen.read_text()
 
 
+def test_default_double_conditioning_table_is_unchanged(tmp_path):
+    # the 20-element line over the 0.1-1.0 wavelength grid, both kinds
+    frozen = Path(__file__).parent / "data" / "conditioning_default_double.csv"
+    assert _cli_table(tmp_path, "conditioning") == frozen.read_text()
+
+
+@pytest.mark.parametrize("precision,name", [(None, "profile_default_double.csv"),
+                                            ("ext:128", "profile_default_ext128.csv")])
+def test_default_profile_table_is_unchanged(tmp_path, precision, name):
+    # the merged sector spectra of the 20-element line at 0.3 wavelength:
+    # LAPACK eigh in double, the cyclic Jacobi at 128 bits
+    frozen = Path(__file__).parent / "data" / name
+    settings = None if precision is None else {"spacings": ["0.3 lambda"],
+                                                "precision": precision}
+    assert _cli_table(tmp_path, "profile", settings) == frozen.read_text()
+
+
 def test_apply_overrides():
     cfg = make_config()
     out = apply_overrides(cfg, precision="ext:128", threshold=1e-6,
@@ -487,6 +515,18 @@ def test_cli_malformed_number_exit_code(tmp_path, capsys):
         assert f"config error: {key} must be a finite number" in capsys.readouterr().err
     assert cli_main(["spacing", "--threshold", "inf", "--quiet"]) == 2
     assert "config error: threshold must be a finite number" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("experiment,terminal", [("spacing", [-10, 0, 0]),
+                                                 ("truncation", [0, 0, 0])])
+def test_cli_terminal_off_the_radiating_side_is_a_config_error(tmp_path, capsys, experiment,
+                                                             terminal):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"spacings": ["0.5 lambda"], "ue_position": terminal}))
+    out = tmp_path / "never.csv"
+    assert cli_main([experiment, "--config", str(cfg), "--out", str(out), "--quiet"]) == 2
+    assert "config error: ue_position x must be positive" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_cli_numerical_failure_exit_code(tmp_path):
