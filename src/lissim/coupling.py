@@ -169,8 +169,6 @@ class ImpedanceMatrix:
     entries : ndarray, shape (N, N), read-only
         The matrix itself: float64 under machine double, an object array
         of the precision's mpmath numbers under extended precision.
-    kind : ElementKind
-        Element model the kernel belongs to.
     precision : Precision
         Arithmetic the entries were built in.
     arithmetic, context
@@ -189,12 +187,11 @@ class ImpedanceMatrix:
         is Z itself.
     """
 
-    def __init__(self, entries, kind: ElementKind, precision: Precision, orbits=None):
+    def __init__(self, entries, precision: Precision, orbits=None):
         if not (isinstance(entries, np.ndarray) and entries.ndim == 2
                 and entries.shape[0] == entries.shape[1]):
             raise InvalidArgumentError(
                 "entries must be a square numpy array, of mpmath numbers under extended precision")
-        self.kind = kind
         self.precision = precision
         self.arithmetic = precision.arithmetic()
         self.context = precision.context()
@@ -416,7 +413,7 @@ def impedance(geom: ArrayGeometry, precision: Precision = Precision()) -> Impeda
             # one kernel value per distinct offset triple, then one gather
             pairs, r = _pair_distances(geom, ar)
             entries = _kernel(geom.kind, r * k, precision)[pairs]
-    return ImpedanceMatrix(entries, geom.kind, precision, orbits=geom.mirror_orbits())
+    return ImpedanceMatrix(entries, precision, orbits=geom.mirror_orbits())
 
 
 def _off_norm(ctx, a):
@@ -606,12 +603,6 @@ def sym_eig(Z: ImpedanceMatrix):
     return Z.eigendecomposition()
 
 
-def _clamped_spectrum(Z: ImpedanceMatrix):
-    """Eigenvalues with negative roundoff clamped to zero."""
-    s, U = Z.eigendecomposition()
-    return np.maximum(s, 0.0), U
-
-
 def condition_number(Z: ImpedanceMatrix) -> float:
     """Ratio of the largest to the smallest eigenvalue magnitude.
 
@@ -619,9 +610,9 @@ def condition_number(Z: ImpedanceMatrix) -> float:
     singular values; negative roundoff eigenvalues count as zero.  An
     exactly zero smallest eigenvalue reports ``inf`` rather than raising.
     """
-    s, _ = _clamped_spectrum(Z)
+    s, _ = Z.eigendecomposition()
     s_max = s[0]
-    s_min = s[-1]
+    s_min = max(s[-1], 0.0)
     if s_max <= 0:
         raise InvalidArgumentError("condition number needs at least one nonzero eigenvalue")
     if s_min == 0:
@@ -629,75 +620,80 @@ def condition_number(Z: ImpedanceMatrix) -> float:
     return float(s_max / s_min)
 
 
-def _kept_modes(Z: ImpedanceMatrix, s_min_threshold: float):
-    """The clamped spectrum and the indices of its eigenvalues strictly above a threshold.
+def _modes_above(Z: ImpedanceMatrix, s_min_threshold: float) -> int:
+    """The threshold rule of the truncated matched filter: how many eigenvalues exceed it.
 
-    This is the retention rule of the truncated matched filter; the list
-    of kept indices may be empty.
+    The spectrum is sorted descending, so the modes kept are always its
+    leading run ``0..k-1``, and the count k (possibly 0) says which.
+    The threshold is at least 0, so negative roundoff never counts.
     """
-    if s_min_threshold < 0:
+    if not s_min_threshold >= 0:
         raise InvalidArgumentError(f"threshold must be >= 0, got {s_min_threshold!r}")
-    s, U = _clamped_spectrum(Z)
-    return s, U, [i for i, v in enumerate(s) if v > s_min_threshold]
+    s, _ = Z.eigendecomposition()
+    return int(np.count_nonzero(s > s_min_threshold))
 
 
-def _modes_above(Z: ImpedanceMatrix, s_min_threshold: float):
-    """:func:`_kept_modes`, refusing a threshold that keeps no mode."""
-    s, U, keep = _kept_modes(Z, s_min_threshold)
-    if not keep:
-        raise EmptySpectrumError(f"no eigenvalue above threshold {s_min_threshold!r}")
-    return s, U, keep
+def _leading_modes(Z: ImpedanceMatrix, modes: int) -> int:
+    """The rank rule: how many of the ``modes`` largest eigenvalues are positive."""
+    if not (isinstance(modes, (int, np.integer)) and 1 <= modes <= Z.n):
+        raise InvalidArgumentError(f"modes must be an integer in 1..{Z.n}, got {modes!r}")
+    return min(modes, _modes_above(Z, 0.0))
 
 
-def _leading_modes(Z: ImpedanceMatrix, modes: int):
-    """The clamped spectrum and the indices of its ``modes`` largest nonzero eigenvalues."""
-    if not 1 <= modes <= Z.n:
-        raise InvalidArgumentError(f"modes must be in 1..{Z.n}, got {modes!r}")
-    s, U = _clamped_spectrum(Z)
-    keep = [i for i in range(modes) if s[i] > 0]
-    if not keep:
-        raise EmptySpectrumError("all requested modes have zero eigenvalue")
-    return s, U, keep
+def _leading_run(Z: ImpedanceMatrix, k: int):
+    """The k largest eigenvalues ``s[:k]`` and their eigenvectors ``U[:, :k]``.
+
+    Raises
+    ------
+    EmptySpectrumError
+        If k is 0: the retention rule keeps no mode.
+    """
+    if k == 0:
+        raise EmptySpectrumError(
+            "the truncation keeps no mode: no eigenvalue is above the threshold, or every"
+            " requested one is at most zero")
+    s, U = Z.eigendecomposition()
+    return s[:k], U[:, :k]
 
 
-def _modal_inverse(Z: ImpedanceMatrix, s, U, keep):
-    """``sum over kept n of u_n u_n^T / s_n``."""
+def _modal_inverse(Z: ImpedanceMatrix, k: int):
+    """``sum over the leading k modes of u_n u_n^T / s_n``."""
+    s, U = _leading_run(Z, k)
     with Z.arithmetic.lock:
-        uk = U[:, keep]
-        return (uk / s[keep]) @ uk.T
+        return (U / s) @ U.T
 
 
-def _modal_coefficients(Z: ImpedanceMatrix, s, U, keep, h):
-    """The kept modes ``U_k`` and the coefficients ``U_k^T h / s_k``; call under the lock."""
-    uk = U[:, keep]
-    return uk, Z.arithmetic.matvec(uk.T, h) / s[keep]
+def _modal_coefficients(Z: ImpedanceMatrix, k: int, h):
+    """The leading k modes ``U_k`` and the coefficients ``U_k^T h / s_k``; call under the lock."""
+    s, U = _leading_run(Z, k)
+    return U, Z.arithmetic.matvec(U.T, h) / s
 
 
-def _modal_solve(Z: ImpedanceMatrix, s, U, keep, h):
-    """``U_k (U_k^T h / s_k)`` over the kept modes: O(N k), no N x N pseudo-inverse."""
+def _modal_solve(Z: ImpedanceMatrix, k: int, h):
+    """``U_k (U_k^T h / s_k)`` over the leading k modes: O(N k), no N x N pseudo-inverse."""
     with Z.arithmetic.lock:
-        uk, coefficients = _modal_coefficients(Z, s, U, keep, np.asarray(h))
-        return uk @ coefficients
+        U, coefficients = _modal_coefficients(Z, k, np.asarray(h))
+        return U @ coefficients
 
 
 def _rank_solves(Z: ImpedanceMatrix, h):
-    """``rank_truncated_solve(Z, h, m)`` for m = 1..N, bit for bit, in one pass.
+    """``precoding.ca_pmf_rank(Z, h, m)`` for m = 1..N, bit for bit, in one pass.
 
-    The spectrum is descending, so the modes rank m keeps are the
-    nonzero ones among the first m.  Under extended precision rank m's
-    current is the running sum of ``coefficient * mode`` over those
-    modes, which numpy's object product in :func:`_modal_solve` sums in
-    the same order, so the N currents cost one rank-N solve.
+    Rank m keeps the leading ``min(m, k)`` modes, k the count of positive
+    eigenvalues.  Under extended precision rank m's current is the
+    running sum of ``coefficient * mode`` over those modes, which numpy's
+    object product in :func:`_modal_solve` sums in the same order, so the
+    N currents cost one rank-N solve.
     """
-    s, U, keep = _leading_modes(Z, Z.n)
+    k = _leading_modes(Z, Z.n)
     if Z.context is None:
         # one BLAS product per rank defines the double bits; a running sum would round otherwise
-        return [_modal_solve(Z, s, U, keep[:m], h) for m in range(1, Z.n + 1)]
+        return [_modal_solve(Z, min(m, k), h) for m in range(1, Z.n + 1)]
     with Z.arithmetic.lock:
-        uk, coefficients = _modal_coefficients(Z, s, U, keep, np.asarray(h))
-        currents = list(itertools.accumulate(coefficients[:, None] * uk.T))
-        # ranks past the last nonzero eigenvalue keep the same modes
-        return currents + [currents[-1].copy() for _ in range(Z.n - len(keep))]
+        U, coefficients = _modal_coefficients(Z, k, np.asarray(h))
+        currents = list(itertools.accumulate(coefficients[:, None] * U.T))
+        # ranks past the last positive eigenvalue keep the same modes
+        return currents + [currents[-1].copy() for _ in range(Z.n - k)]
 
 
 def truncated_inverse(Z: ImpedanceMatrix, s_min_threshold: float):
@@ -712,26 +708,17 @@ def truncated_inverse(Z: ImpedanceMatrix, s_min_threshold: float):
     EmptySpectrumError
         If no eigenvalue clears the threshold.
     """
-    return _modal_inverse(Z, *_modes_above(Z, s_min_threshold))
+    return _modal_inverse(Z, _modes_above(Z, s_min_threshold))
 
 
 def rank_truncated_inverse(Z: ImpedanceMatrix, modes: int):
     """Pseudo-inverse keeping the ``modes`` largest eigenvalues.
 
-    Count-based companion to :func:`truncated_inverse`; modes with
-    (clamped) zero eigenvalues are never inverted even if requested.
+    Count-based companion to :func:`truncated_inverse`; modes whose
+    eigenvalue is zero or negative roundoff are never inverted even if
+    requested.
     """
-    return _modal_inverse(Z, *_leading_modes(Z, modes))
-
-
-def truncated_solve(Z: ImpedanceMatrix, h, s_min_threshold: float):
-    """``truncated_inverse(Z, s_min_threshold)`` applied to h, without forming it."""
-    return _modal_solve(Z, *_modes_above(Z, s_min_threshold), h)
-
-
-def rank_truncated_solve(Z: ImpedanceMatrix, h, modes: int):
-    """``rank_truncated_inverse(Z, modes)`` applied to h, without forming it."""
-    return _modal_solve(Z, *_leading_modes(Z, modes), h)
+    return _modal_inverse(Z, _leading_modes(Z, modes))
 
 
 def solve(Z: ImpedanceMatrix, h):
@@ -756,7 +743,8 @@ def solve(Z: ImpedanceMatrix, h):
     (:func:`_crout_factor`), and check the residual against the full Z;
     the refinement step projects the residual into the same sectors.
     An exactly singular block (a zero pivot) or an iterate that is not
-    finite is refused with residual ``inf``.
+    finite is refused with residual ``inf``.  A right-hand side with a
+    NaN or infinite entry is refused before anything is factored.
 
     Parameters
     ----------
@@ -778,6 +766,8 @@ def solve(Z: ImpedanceMatrix, h):
             f" arithmetic, got dtype {h.dtype} and shape {h.shape}")
     ar = Z.arithmetic
     with ar.lock:
+        if not np.all(ar.isfinite(h)):
+            raise InvalidArgumentError("right-hand side has a NaN or infinite entry")
         norm_h = ar.norm(h)
         if norm_h == 0:
             return np.full_like(h, ar.zero)

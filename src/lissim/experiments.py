@@ -467,7 +467,7 @@ def run_spacing_sweep(cfg: ExperimentConfig) -> SweepResult:
             elif scheme == SCHEME_CA_MF:
                 yield solved(scheme, geom.n, lambda: precoding.ca_mf(Z, h))
             elif scheme == SCHEME_CA_PMF:
-                retained = len(coupling._kept_modes(Z, cfg.svd_threshold)[2])
+                retained = coupling._modes_above(Z, cfg.svd_threshold)
                 yield solved(scheme, retained, lambda: precoding.ca_pmf(Z, h, cfg.svd_threshold))
             elif scheme == SCHEME_HP_CA_MF:
                 if not cfg.precision.is_extended:

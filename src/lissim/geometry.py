@@ -111,10 +111,21 @@ class ArrayGeometry:
         return images[images.min(axis=1) == own]
 
 
-def _centered_axis(count: int) -> np.ndarray:
-    # integer-minus-half-integer steps are exact in binary floating point,
-    # so the axis mean is exactly zero
-    return np.arange(count, dtype=float) - (count - 1) / 2.0
+def _lattice(n_y: int, n_z: int, dy: float, dz: float, kind: ElementKind,
+             wavelength: float) -> ArrayGeometry:
+    """Centered n_y x n_z lattice on the plane x = 0, y index fastest."""
+    def centered(count, pitch):
+        # integer-minus-half-integer steps are exact in binary floating
+        # point, so the axis mean is exactly zero
+        return (np.arange(count, dtype=float) - (count - 1) / 2.0) * pitch
+
+    iy, iz = np.meshgrid(np.arange(n_y), np.arange(n_z), indexing="xy")
+    iy = iy.ravel()
+    iz = iz.ravel()
+    positions = np.column_stack([np.zeros(n_y * n_z), centered(n_y, dy)[iy],
+                                 centered(n_z, dz)[iz]])
+    return ArrayGeometry(positions=positions, kind=kind, dy=dy, dz=dz, wavelength=wavelength,
+                         lattice_indices=np.column_stack([iy, iz]))
 
 
 def planar_grid(
@@ -174,20 +185,7 @@ def planar_grid(
             f"grid would hold {n_y * n_z} elements, exceeding the cap of {max_elements}"
         )
 
-    iy, iz = np.meshgrid(np.arange(n_y), np.arange(n_z), indexing="xy")
-    iy = iy.ravel()
-    iz = iz.ravel()
-    y = (_centered_axis(n_y))[iy] * dy
-    z = (_centered_axis(n_z))[iz] * dz
-    positions = np.column_stack([np.zeros(n_y * n_z), y, z])
-    return ArrayGeometry(
-        positions=positions,
-        kind=kind,
-        dy=dy,
-        dz=dz,
-        wavelength=wavelength,
-        lattice_indices=np.column_stack([iy, iz]),
-    )
+    return _lattice(n_y, n_z, dy, dz, kind, wavelength)
 
 
 def linear_array(
@@ -208,16 +206,7 @@ def linear_array(
     if not (math.isfinite(wavelength) and wavelength > 0):
         raise InvalidArgumentError(f"wavelength must be positive, got {wavelength!r}")
 
-    z = _centered_axis(n) * dz
-    positions = np.column_stack([np.zeros(n), np.zeros(n), z])
-    return ArrayGeometry(
-        positions=positions,
-        kind=kind,
-        dy=dz,
-        dz=dz,
-        wavelength=wavelength,
-        lattice_indices=np.column_stack([np.zeros(n, dtype=int), np.arange(n)]),
-    )
+    return _lattice(1, n, dz, dz, kind, wavelength)
 
 
 def custom_geometry(

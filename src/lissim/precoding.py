@@ -13,10 +13,11 @@ import numpy as np
 
 from .coupling import (
     ImpedanceMatrix,
+    _leading_modes,
+    _modal_solve,
+    _modes_above,
     quadratic_form,
-    rank_truncated_solve,
     solve,
-    truncated_solve,
 )
 from .errors import DegenerateInputError, InvalidArgumentError, NonRadiatingCurrentError
 
@@ -48,17 +49,22 @@ def ca_mf(Z: ImpedanceMatrix, h):
 def ca_pmf(Z: ImpedanceMatrix, h, s_min_threshold: float):
     """Truncated-spectrum matched filter.
 
-    Applies the pseudo-inverse that keeps eigenvalues strictly above
-    ``s_min_threshold`` as ``U_k (U_k^T h / s_k)``, without forming it;
-    an empty-spectrum error propagates when the threshold removes
-    everything.
+    Applies the pseudo-inverse that keeps the k eigenvalues strictly
+    above ``s_min_threshold`` (the leading k of the descending spectrum)
+    as ``U_k (U_k^T h / s_k)``, without forming it; an empty-spectrum
+    error propagates when the threshold removes everything.
     """
-    return truncated_solve(Z, h, s_min_threshold)
+    return _modal_solve(Z, _modes_above(Z, s_min_threshold), h)
 
 
 def ca_pmf_rank(Z: ImpedanceMatrix, h, modes: int):
-    """Count-based companion to :func:`ca_pmf`: keep the top ``modes``."""
-    return rank_truncated_solve(Z, h, modes)
+    """Count-based companion to :func:`ca_pmf`: keep the top ``modes``.
+
+    Modes whose eigenvalue is zero or negative roundoff are never
+    inverted even if requested; an empty-spectrum error propagates when
+    that leaves none.
+    """
+    return _modal_solve(Z, _leading_modes(Z, modes), h)
 
 
 def power_normalize(i, Z: ImpedanceMatrix):

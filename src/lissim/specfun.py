@@ -66,6 +66,7 @@ class _DoubleArithmetic:
     sqrt = staticmethod(np.sqrt)
     exp = staticmethod(np.exp)
     real = staticmethod(np.real)
+    isfinite = staticmethod(np.isfinite)
     norm = staticmethod(np.linalg.norm)
     vdot = staticmethod(np.vdot)
 
@@ -97,6 +98,7 @@ class _ExtendedArithmetic:
         self.sqrt = np.frompyfunc(ctx.sqrt, 1, 1)
         self.exp = np.frompyfunc(ctx.exp, 1, 1)
         self.real = np.frompyfunc(ctx.re, 1, 1)
+        self.isfinite = np.frompyfunc(ctx.isfinite, 1, 1)
         self.norm = ctx.norm
 
     def matvec(self, a, x):
@@ -176,8 +178,8 @@ class Precision:
 
         ``lock`` (a null context in double, :data:`MP_LOCK` in extended
         precision), ``dtype``, ``zero``, ``pi``, ``number`` (real values
-        into this arithmetic), the elementwise ``sqrt``, ``exp`` and
-        ``real``, ``matvec``, ``vdot`` (``a^H b``) and ``norm`` (with an
+        into this arithmetic), the elementwise ``sqrt``, ``exp``, ``real``
+        and ``isfinite``, ``matvec``, ``vdot`` (``a^H b``) and ``norm`` (with an
         optional order, as numpy's and mpmath's take).
         """
         return _arithmetic(self.mantissa_bits)
@@ -186,31 +188,12 @@ class Precision:
         return "double" if not self.is_extended else f"ext:{self.mantissa_bits}"
 
 
-# --- frozen double-precision tables (generated with mpmath at 60 digits) ---
+# J1(x) = x * sum_m _MACLAURIN_C[m] * x^(2m), each term (-1)^m / (m! (m+1)! 2^(2m+1))
+# rounded once: Python's int / int division is correctly rounded
+_MACLAURIN_C = tuple((-1) ** m / (math.factorial(m) * math.factorial(m + 1) * 2 ** (2 * m + 1))
+                     for m in range(20))
 
-# J1(x) = x * sum_m _MACLAURIN_C[m] * x^(2m)
-_MACLAURIN_C = (
-    0.5,
-    -0.0625,
-    0.0026041666666666665,
-    -5.425347222222222e-05,
-    6.781684027777778e-07,
-    -5.651403356481481e-09,
-    3.363930569334215e-11,
-    -1.5017547184527747e-13,
-    5.214426105738801e-16,
-    -1.4484516960385557e-18,
-    3.2919356728148996e-21,
-    -6.234726653058522e-24,
-    9.991549123491221e-27,
-    -1.3724655389411017e-29,
-    1.6338875463584545e-32,
-    -1.7019661941233902e-35,
-    1.564307163716351e-38,
-    -1.2780287285264307e-41,
-    9.342315267006072e-45,
-    -6.146260044082942e-48,
-)
+# --- frozen double-precision tables (generated with mpmath at 60 digits) ---
 
 _THREE_PI_4_HI = 2.356194490192345
 _THREE_PI_4_LO = 9.184850993605148e-17
@@ -247,7 +230,7 @@ _QP1 = (
     2.52070205858023719784e1,
 )
 _QQ1 = (
-    # leading coefficient 1.0 implied
+    1.0,
     7.42373277035675149943e1,
     1.05644886038262816351e3,
     4.98641058337653607651e3,
@@ -288,14 +271,8 @@ _ZERO_PATCHES = (
 
 
 def _polevl(z, coef):
+    """Horner's rule for the polynomial with coefficients ``coef``, highest degree first."""
     acc = np.full_like(z, coef[0])
-    for c in coef[1:]:
-        acc = acc * z + c
-    return acc
-
-
-def _p1evl(z, coef):
-    acc = z + coef[0]
     for c in coef[1:]:
         acc = acc * z + c
     return acc
@@ -303,11 +280,7 @@ def _p1evl(z, coef):
 
 def _j1_small(x):
     """Maclaurin-series branch, intended for |x| <= 5."""
-    z = x * x
-    acc = np.full_like(z, _MACLAURIN_C[-1])
-    for c in _MACLAURIN_C[-2::-1]:
-        acc = acc * z + c
-    return x * acc
+    return x * _polevl(x * x, _MACLAURIN_C[::-1])
 
 
 def _j1_asymptotic(x):
@@ -315,7 +288,7 @@ def _j1_asymptotic(x):
     w = 5.0 / x
     z = w * w
     p = _polevl(z, _PP1) / _polevl(z, _PQ1)
-    q = _polevl(z, _QP1) / _p1evl(z, _QQ1)
+    q = _polevl(z, _QP1) / _polevl(z, _QQ1)
     # split-constant phase reduction keeps the phase error at one rounding
     xn = (x - _THREE_PI_4_HI) - _THREE_PI_4_LO
     return _SQRT_2_OVER_PI * (p * np.cos(xn) - w * q * np.sin(xn)) / np.sqrt(x)
@@ -328,10 +301,7 @@ def _j1_zero_patch(x, out):
         if not np.any(mask):
             continue
         t = (x[mask] - z_hi) - z_lo
-        acc = np.full_like(t, coeffs[-1])
-        for c in coeffs[-2::-1]:
-            acc = acc * t + c
-        out[mask] = t * acc
+        out[mask] = t * _polevl(t, coeffs[::-1])
     return out
 
 

@@ -34,7 +34,7 @@ from lissim import (
     truncated_inverse,
     write_matrix_text,
 )
-from lissim import coupling
+from lissim import coupling, precoding
 from lissim.errors import IllConditionedSolveError, LisSimError
 
 LAM = SPEED_OF_LIGHT / 2.6e9
@@ -68,8 +68,8 @@ KAPPA_03LAM_ISO_EXT = 17988292210.84088
 RETAINED_ABOVE_1E9 = 19
 
 
-def _direct(entries, kind=ElementKind.ISOTROPIC):
-    return ImpedanceMatrix(np.asarray(entries, dtype=float), kind, Precision())
+def _direct(entries):
+    return ImpedanceMatrix(np.asarray(entries, dtype=float), Precision())
 
 
 def _ext_array(ctx, values):
@@ -225,8 +225,9 @@ def test_truncated_inverse_empty_spectrum():
     Z = impedance(geom_linear(6, 0.5))
     with pytest.raises(EmptySpectrumError):
         truncated_inverse(Z, 10.0)
-    with pytest.raises(InvalidArgumentError):
-        truncated_inverse(Z, -1.0)
+    for threshold in (-1.0, math.nan):
+        with pytest.raises(InvalidArgumentError):
+            truncated_inverse(Z, threshold)
 
 
 def test_rank_truncated_inverse_matches_threshold_form():
@@ -235,17 +236,16 @@ def test_rank_truncated_inverse_matches_threshold_form():
     by_rank = rank_truncated_inverse(Z, RETAINED_ABOVE_1E9)
     by_threshold = truncated_inverse(Z, 1e-9)
     np.testing.assert_allclose(by_rank, by_threshold, atol=1e-12 * np.max(np.abs(by_rank)))
-    with pytest.raises(InvalidArgumentError):
-        rank_truncated_inverse(Z, 0)
-    with pytest.raises(InvalidArgumentError):
-        rank_truncated_inverse(Z, 21)
+    for modes in (0, 21, 2.5):
+        with pytest.raises(InvalidArgumentError):
+            rank_truncated_inverse(Z, modes)
 
 
 def _assert_rank_solves_are_the_rank_truncated_solves(Z, h):
     currents = coupling._rank_solves(Z, h)
     assert len(currents) == Z.n
     for m, current in enumerate(currents, start=1):
-        expected = coupling.rank_truncated_solve(Z, h, m)
+        expected = precoding.ca_pmf_rank(Z, h, m)
         assert all(current[r] == expected[r] for r in range(Z.n))
 
 
@@ -259,7 +259,7 @@ def test_rank_solves_are_the_rank_truncated_solves_bit_for_bit(precision):
 def test_rank_solves_past_the_last_nonzero_eigenvalue_repeat_it():
     precision = Precision.extended(128)
     ctx = precision.context()
-    Z = ImpedanceMatrix(_ext_array(ctx, [[1, 1], [1, 1]]), ElementKind.ISOTROPIC, precision)
+    Z = ImpedanceMatrix(_ext_array(ctx, [[1, 1], [1, 1]]), precision)
     assert sym_eig(Z)[0][1] == 0
     _assert_rank_solves_are_the_rank_truncated_solves(
         Z, np.array([ctx.mpf(1), ctx.mpf(1) / 3], dtype=object))
@@ -466,7 +466,7 @@ def test_exactly_singular_z_is_refused_in_double():
 def test_exactly_singular_z_is_refused_at_a_zero_pivot_in_extended_precision():
     precision = Precision.extended(128)
     ctx = precision.context()
-    Z = ImpedanceMatrix(_ext_array(ctx, [[1, 1], [1, 1]]), ElementKind.ISOTROPIC, precision)
+    Z = ImpedanceMatrix(_ext_array(ctx, [[1, 1], [1, 1]]), precision)
     with pytest.raises(IllConditionedSolveError) as info:
         solve(Z, ctx.matrix([1, 0]))  # an mpmath column is read as the object vector
     assert info.value.residual == math.inf
@@ -478,7 +478,7 @@ def test_impedance_matrix_refuses_entries_that_are_not_a_square_array():
     for entries in (ctx.matrix([[1, 0], [0, 1]]), [[1.0, 0.0], [0.0, 1.0]], np.ones((2, 3)),
                     np.ones(4)):
         with pytest.raises(InvalidArgumentError, match="square numpy array"):
-            ImpedanceMatrix(entries, ElementKind.ISOTROPIC, EXT)
+            ImpedanceMatrix(entries, EXT)
 
 
 @pytest.mark.parametrize("precision", [Precision(), EXT], ids=["double", "ext"])
@@ -490,6 +490,25 @@ def test_solve_refuses_a_right_hand_side_not_of_its_arithmetic_or_length(precisi
     for rhs in (other_arithmetic, h[:2], h[:, None]):
         with pytest.raises(InvalidArgumentError, match="right-hand side"):
             solve(Z, rhs)
+
+
+@pytest.mark.parametrize("precision", [Precision(), Precision.extended(128)],
+                         ids=["double", "ext128"])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, complex(0.0, math.inf)],
+                         ids=["nan", "inf", "-inf", "inf_imag"])
+def test_solve_refuses_a_nan_or_infinite_right_hand_side_before_factoring(
+        monkeypatch, precision, bad):
+    geom = geom_linear(6, 0.3)
+    Z = impedance(geom, precision)
+    h = channel_isotropic(geom, [10.0, 0.0, 0.0], precision).copy()
+    h[2] = precision.context().mpc(bad) if precision.is_extended else bad
+
+    def no_factoring(*args, **kwargs):
+        raise AssertionError("a right-hand side that is not finite must be refused first")
+
+    monkeypatch.setattr(coupling, "_sector_inverse", no_factoring)
+    with pytest.raises(InvalidArgumentError, match="NaN or infinite"):
+        solve(Z, h)
 
 
 def _lattice(n_y, n_z, frac, kind):
@@ -814,7 +833,7 @@ def _double_products_differing_from_the_whole_product():
     matrices = []
     for n in _PRODUCT_SIZES:
         a = rng.normal(size=(n, n))
-        matrices.append(ImpedanceMatrix(a + a.T, ElementKind.ISOTROPIC, Precision()))
+        matrices.append(ImpedanceMatrix(a + a.T, Precision()))
     matrices += [impedance(_lattice(side, side, 0.2, ElementKind.PLANAR)) for side in (22, 29, 44)]
     assert [Z.n for Z in matrices[-3:]] == [484, 841, 1936]
     differing = []

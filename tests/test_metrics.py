@@ -31,7 +31,7 @@ LAM = SPEED_OF_LIGHT / 2.6e9
 
 
 def _direct(entries):
-    return ImpedanceMatrix(np.asarray(entries, dtype=float), ElementKind.ISOTROPIC, Precision())
+    return ImpedanceMatrix(np.asarray(entries, dtype=float), Precision())
 
 
 def closed_form_d_nc(o_x: float, y_lis: float, z_lis: float, wavelength: float,

@@ -31,7 +31,7 @@ UE = np.array([10.0, 0.0, 0.0])
 
 
 def _direct(entries):
-    return ImpedanceMatrix(np.asarray(entries, dtype=float), ElementKind.ISOTROPIC, Precision())
+    return ImpedanceMatrix(np.asarray(entries, dtype=float), Precision())
 
 
 def test_nca_mf_copies_channel():
@@ -103,6 +103,29 @@ def test_ca_pmf_directivity_monotone_in_retained_modes():
         # deepest eigenmodes near the double-precision floor
         assert d >= prev * (1.0 - 1e-9)
         prev = d
+
+
+@pytest.mark.parametrize("precision", [Precision(), Precision.extended(256)], ids=["double", "ext"])
+@pytest.mark.parametrize("frac", [0.3, 0.1])
+def test_ca_pmf_threshold_and_rank_rules_give_the_same_current_bit_for_bit(precision, frac):
+    # the threshold rule keeps the k eigenvalues above t, which are the leading k of
+    # the descending spectrum: the rank rule at k keeps the same modes
+    geom = linear_array(20, frac * LAM, ElementKind.ISOTROPIC, LAM)
+    Z = impedance(geom, precision)
+    h = channel_isotropic(geom, [10.0, 0.0, 1.3], precision)
+    s, _ = coupling.sym_eig(Z)
+    at_eigenvalues = list(s[1:])
+    between_eigenvalues = [(a + b) / 2 for a, b in zip(s, s[1:]) if a != b]
+    compared = 0
+    for t in at_eigenvalues + between_eigenvalues:
+        k = sum(1 for v in s if v > t)
+        if t < 0 or k == 0:
+            continue
+        by_threshold = ca_pmf(Z, h, t)
+        by_rank = ca_pmf_rank(Z, h, k)
+        assert all(a == b for a, b in zip(by_threshold, by_rank)), (t, k)
+        compared += 1
+    assert compared >= 20
 
 
 @pytest.mark.parametrize("precision", [Precision(), Precision.extended(256)], ids=["double", "ext"])
