@@ -7,14 +7,7 @@ filters with exact, truncated-spectrum, and extended-precision solves,
 and reports SNR/directivity metrics plus reproducible CSV sweeps.
 """
 
-from .channel import (
-    FieldModel,
-    channel_for,
-    channel_isotropic,
-    channel_planar,
-    field_at,
-    radiated_power_quadrature,
-)
+from .channel import channel_for, channel_isotropic, channel_planar
 from .coupling import (
     ImpedanceMatrix,
     condition_number,
@@ -27,7 +20,6 @@ from .coupling import (
     write_matrix_text,
 )
 from .errors import (
-    AccuracyWarning,
     CapacityError,
     ConfigError,
     DegenerateInputError,
@@ -56,8 +48,6 @@ from .geometry import (
     ArrayGeometry,
     ElementKind,
     custom_geometry,
-    departure_angle,
-    distance,
     linear_array,
     planar_grid,
 )
@@ -68,7 +58,6 @@ from .specfun import Precision, j1_over_x, sinc_unnormalized
 __version__ = "0.1.0"
 
 __all__ = [
-    "AccuracyWarning",
     "ArrayGeometry",
     "CapacityError",
     "ConfigError",
@@ -77,7 +66,6 @@ __all__ = [
     "ElementKind",
     "EmptySpectrumError",
     "ExperimentConfig",
-    "FieldModel",
     "IllConditionedSolveError",
     "ImpedanceMatrix",
     "InvalidArgumentError",
@@ -98,11 +86,8 @@ __all__ = [
     "custom_geometry",
     "d_nc",
     "default_config",
-    "departure_angle",
     "directivity",
-    "distance",
     "excitation_power",
-    "field_at",
     "impedance",
     "j1_over_x",
     "linear_array",
@@ -111,7 +96,6 @@ __all__ = [
     "planar_grid",
     "power_normalize",
     "quadratic_form",
-    "radiated_power_quadrature",
     "rank_truncated_inverse",
     "run_conditioning_sweep",
     "run_experiment",

@@ -57,6 +57,7 @@ import math
 import os
 import threading
 
+import mpmath
 import numpy as np
 from scipy.linalg import get_lapack_funcs, lu_solve as _lapack_lu_solve
 
@@ -665,6 +666,7 @@ def _modal_inverse(Z: ImpedanceMatrix, k: int):
 
 def _modal_coefficients(Z: ImpedanceMatrix, k: int, h):
     """The leading k modes ``U_k`` and the coefficients ``U_k^T h / s_k``; call under the lock."""
+    _require_finite(h)
     s, U = _leading_run(Z, k)
     return U, Z.arithmetic.matvec(U.T, h) / s
 
@@ -721,6 +723,16 @@ def rank_truncated_inverse(Z: ImpedanceMatrix, modes: int):
     return _modal_inverse(Z, _leading_modes(Z, modes))
 
 
+# judges an mpmath number by its stored parts, so it needs no context and no lock
+_mp_isfinite = np.frompyfunc(mpmath.isfinite, 1, 1)
+
+
+def _require_finite(h: np.ndarray):
+    """Refuse a vector with a NaN or infinite entry, in either precision: one O(N) pass."""
+    if not np.all(_mp_isfinite(h) if h.dtype == object else np.isfinite(h)):
+        raise InvalidArgumentError("h has a NaN or infinite entry")
+
+
 def solve(Z: ImpedanceMatrix, h):
     """Solve ``Z x = h`` with one pass of iterative refinement.
 
@@ -764,10 +776,9 @@ def solve(Z: ImpedanceMatrix, h):
         raise InvalidArgumentError(
             f"right-hand side must be a vector of shape ({Z.n},) in {Z.precision.spec()}"
             f" arithmetic, got dtype {h.dtype} and shape {h.shape}")
+    _require_finite(h)
     ar = Z.arithmetic
     with ar.lock:
-        if not np.all(ar.isfinite(h)):
-            raise InvalidArgumentError("right-hand side has a NaN or infinite entry")
         norm_h = ar.norm(h)
         if norm_h == 0:
             return np.full_like(h, ar.zero)

@@ -1,4 +1,4 @@
-"""Exception types raised across the toolkit."""
+"""Exception types raised across the toolkit, all derived from :class:`LisSimError`."""
 
 
 class LisSimError(Exception):
@@ -70,7 +70,3 @@ class NonRadiatingCurrentError(LisSimError):
 
 class ConfigError(LisSimError, ValueError):
     """Experiment configuration file is malformed or inconsistent."""
-
-
-class AccuracyWarning(UserWarning):
-    """A self-check suggests the requested accuracy was not reached."""

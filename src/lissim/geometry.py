@@ -1,25 +1,24 @@
-"""Element layouts on the y-z plane plus distance/angle helpers.
+"""Element layouts on the y-z plane.
 
 The surface lies in the plane x = 0 with broadside along +x.  Layout
-factories return immutable :class:`ArrayGeometry` objects; regular grids
-additionally carry integer lattice indices so that higher-precision code
-paths can reconstruct exact inter-element offsets.
+factories return immutable :class:`ArrayGeometry` objects, checked once
+on construction; regular grids additionally carry their pitches and
+integer lattice indices so that higher-precision code paths can
+reconstruct exact inter-element offsets.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
 
-from .errors import CapacityError, DomainError, InvalidArgumentError, InvalidGeometryError
+from .errors import CapacityError, InvalidArgumentError, InvalidGeometryError
 
 SPEED_OF_LIGHT = 299_792_458.0  # m/s, used for wavelength = c / frequency
-
-#: A 3-D point in meters: any array-like of three finite reals.
-Vec3 = np.ndarray
 
 DEFAULT_MAX_ELEMENTS = 100_000
 
@@ -52,10 +51,12 @@ class ArrayGeometry:
         on the origin.
     kind : ElementKind
         Element model shared by all elements.
-    dy, dz : float
-        Center-to-center pitch along y and z in meters.
     wavelength : float
-        Carrier wavelength in meters.
+        Carrier wavelength in meters, positive and finite.
+    dy, dz : float or None
+        Center-to-center pitch along y and z in meters, required with
+        ``lattice_indices``; ``None`` for a custom layout, which has no
+        pitch.
     lattice_indices : ndarray of int, shape (N, 2), optional
         (iy, iz) grid indices per element for layouts built on a regular
         lattice; lets extended-precision code rebuild exact offsets.
@@ -63,12 +64,20 @@ class ArrayGeometry:
 
     positions: np.ndarray
     kind: ElementKind
-    dy: float
-    dz: float
     wavelength: float
+    dy: float | None = None
+    dz: float | None = None
     lattice_indices: np.ndarray | None = field(default=None, repr=False)
 
     def __post_init__(self):
+        if not isinstance(self.kind, ElementKind):
+            raise InvalidArgumentError(f"kind must be an ElementKind, got {self.kind!r}")
+        lam = self.wavelength
+        if not (isinstance(lam, numbers.Real) and math.isfinite(lam) and lam > 0):
+            raise InvalidArgumentError(f"wavelength must be a positive finite number, got {lam!r}")
+        if self.lattice_indices is not None and (self.dy is None or self.dz is None):
+            # lattice code rebuilds offsets from the pitches; without them Z would be all NaN
+            raise InvalidArgumentError("a lattice layout needs its pitches dy and dz")
         self.positions.setflags(write=False)
         if self.lattice_indices is not None:
             self.lattice_indices.setflags(write=False)
@@ -76,11 +85,6 @@ class ArrayGeometry:
     @property
     def n(self) -> int:
         return self.positions.shape[0]
-
-    @property
-    def wavenumber(self) -> float:
-        """k = 2*pi / wavelength, rad/m (always derived, never stored)."""
-        return 2.0 * math.pi / self.wavelength
 
     def mirror_orbits(self) -> np.ndarray:
         """Element orbits under the lattice mirrors y -> -y and z -> -z.
@@ -167,8 +171,7 @@ def planar_grid(
     -------
     ArrayGeometry
     """
-    for name, value in (("y_lis", y_lis), ("z_lis", z_lis), ("dy", dy),
-                        ("dz", dz), ("wavelength", wavelength)):
+    for name, value in (("y_lis", y_lis), ("z_lis", z_lis), ("dy", dy), ("dz", dz)):
         if not (isinstance(value, (int, float)) and math.isfinite(value) and value > 0):
             raise InvalidArgumentError(f"{name} must be a positive finite number, got {value!r}")
     if dy > y_lis:
@@ -203,20 +206,15 @@ def linear_array(
         raise InvalidArgumentError(f"element count must be a positive integer, got {n!r}")
     if not (math.isfinite(dz) and dz > 0):
         raise InvalidArgumentError(f"dz must be positive, got {dz!r}")
-    if not (math.isfinite(wavelength) and wavelength > 0):
-        raise InvalidArgumentError(f"wavelength must be positive, got {wavelength!r}")
 
     return _lattice(1, n, dz, dz, kind, wavelength)
 
 
-def custom_geometry(
-    positions,
-    kind: ElementKind,
-    dy: float,
-    dz: float,
-    wavelength: float,
-) -> ArrayGeometry:
-    """Wrap explicit element positions, validating the layout invariants."""
+def custom_geometry(positions, kind: ElementKind, wavelength: float) -> ArrayGeometry:
+    """Wrap explicit element positions, validating the layout invariants.
+
+    The layout has no lattice, so its ``dy`` and ``dz`` are ``None``.
+    """
     pos = np.asarray(positions, dtype=float)
     if pos.ndim != 2 or pos.shape[1] != 3 or pos.shape[0] < 1:
         raise InvalidArgumentError(f"positions must have shape (N, 3), got {pos.shape}")
@@ -224,29 +222,4 @@ def custom_geometry(
         raise InvalidArgumentError("positions must be finite")
     if np.unique(pos, axis=0).shape[0] != pos.shape[0]:
         raise InvalidGeometryError("element positions must be pairwise distinct")
-    return ArrayGeometry(positions=pos, kind=kind, dy=dy, dz=dz, wavelength=wavelength)
-
-
-def distance(o, p) -> float:
-    """Euclidean distance between two points in meters."""
-    return float(np.linalg.norm(as_vec3(o) - as_vec3(p)))
-
-
-def departure_angle(o, p) -> float:
-    """Angle in [0, pi] between broadside (+x) and the ray from p to o.
-
-    For elements on the surface plane this is ``arccos(x_ue / d)`` with
-    ``d`` the element-to-terminal distance.
-
-    Raises
-    ------
-    DomainError
-        If the two points coincide (zero distance).
-    """
-    ov = as_vec3(o)
-    pv = as_vec3(p)
-    d = float(np.linalg.norm(ov - pv))
-    if d == 0.0:
-        raise DomainError("departure angle undefined for coincident points")
-    cosine = (ov[0] - pv[0]) / d
-    return float(math.acos(min(1.0, max(-1.0, cosine))))
+    return ArrayGeometry(positions=pos, kind=kind, wavelength=wavelength)

@@ -5,6 +5,7 @@ coupling-aware matched filter ``Z^{-1} h`` that maximizes the SNR
 quotient ``|i^H h|^2 / (i^H Z i)``, and its truncated-spectrum variant
 for when Z is too ill-conditioned to invert outright.  No phase
 convention is imposed; only ratios of quadratic forms are meaningful.
+Every filter refuses a channel with a NaN or infinite entry.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ from .coupling import (
     _leading_modes,
     _modal_solve,
     _modes_above,
+    _require_finite,
     quadratic_form,
     solve,
 )
@@ -27,10 +29,13 @@ def nca_mf(h):
 
     Raises
     ------
+    InvalidArgumentError
+        For a channel with a NaN or infinite entry.
     DegenerateInputError
         For an identically zero channel.
     """
     hv = np.asarray(h)
+    _require_finite(hv)
     if not np.any(hv):
         raise DegenerateInputError("matched filter undefined for a zero channel")
     return hv.copy()

@@ -66,7 +66,6 @@ class _DoubleArithmetic:
     sqrt = staticmethod(np.sqrt)
     exp = staticmethod(np.exp)
     real = staticmethod(np.real)
-    isfinite = staticmethod(np.isfinite)
     norm = staticmethod(np.linalg.norm)
     vdot = staticmethod(np.vdot)
 
@@ -98,7 +97,6 @@ class _ExtendedArithmetic:
         self.sqrt = np.frompyfunc(ctx.sqrt, 1, 1)
         self.exp = np.frompyfunc(ctx.exp, 1, 1)
         self.real = np.frompyfunc(ctx.re, 1, 1)
-        self.isfinite = np.frompyfunc(ctx.isfinite, 1, 1)
         self.norm = ctx.norm
 
     def matvec(self, a, x):
@@ -178,8 +176,8 @@ class Precision:
 
         ``lock`` (a null context in double, :data:`MP_LOCK` in extended
         precision), ``dtype``, ``zero``, ``pi``, ``number`` (real values
-        into this arithmetic), the elementwise ``sqrt``, ``exp``, ``real``
-        and ``isfinite``, ``matvec``, ``vdot`` (``a^H b``) and ``norm`` (with an
+        into this arithmetic), the elementwise ``sqrt``, ``exp`` and
+        ``real``, ``matvec``, ``vdot`` (``a^H b``) and ``norm`` (with an
         optional order, as numpy's and mpmath's take).
         """
         return _arithmetic(self.mantissa_bits)

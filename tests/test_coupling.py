@@ -13,7 +13,6 @@ from lissim import (
     CapacityError,
     ElementKind,
     EmptySpectrumError,
-    FieldModel,
     ImpedanceMatrix,
     InvalidArgumentError,
     InvalidGeometryError,
@@ -26,7 +25,6 @@ from lissim import (
     linear_array,
     planar_grid,
     quadratic_form,
-    radiated_power_quadrature,
     rank_truncated_inverse,
     snr,
     solve,
@@ -36,6 +34,7 @@ from lissim import (
 )
 from lissim import coupling, precoding
 from lissim.errors import IllConditionedSolveError, LisSimError
+from oracles import radiated_power_quadrature
 
 LAM = SPEED_OF_LIGHT / 2.6e9
 EXT = Precision.extended(256)
@@ -311,7 +310,7 @@ def _refined_lu_solve(ctx, A, h):
 def test_solve_extended_factors_once_and_matches_lu_solve(monkeypatch):
     # a custom layout has one orbit per element: the solve factors the whole Z
     line = geom_linear(frac=0.3)
-    geom = custom_geometry(line.positions, line.kind, line.dy, line.dz, LAM)
+    geom = custom_geometry(line.positions, line.kind, LAM)
     Z = impedance(geom, EXT)
     h = channel_isotropic(geom, [10.0, 0.0, 0.0], EXT)
     ctx = EXT.context()
@@ -631,7 +630,7 @@ def test_offset_table_build_is_mirror_invariant_and_matches_cdist_build(geom):
         assert np.array_equal(Z[np.ix_(perm, perm)], Z)
     assert np.array_equal(Z, Z.T)
     by_distance = coupling._kernel(
-        geom.kind, geom.wavenumber * cdist(geom.positions, geom.positions), Precision())
+        geom.kind, 2.0 * math.pi / geom.wavelength * cdist(geom.positions, geom.positions), Precision())
     assert np.max(np.abs(Z - by_distance)) <= 4 * np.spacing(1.0)
 
 
@@ -698,7 +697,7 @@ def test_double_sector_solve_factors_each_excited_sector_and_matches_dense(
 
 def test_custom_layout_spectrum_and_solve_are_bit_identical_to_dense_path():
     grid = planar_grid(0.3, 0.2, 0.3 * LAM, 0.3 * LAM, ElementKind.PLANAR, LAM)
-    geom = custom_geometry(grid.positions, grid.kind, grid.dy, grid.dz, LAM)
+    geom = custom_geometry(grid.positions, grid.kind, LAM)
     Z = impedance(geom)
     h = channel_for(geom, [10.0, 1.3, -0.7])
 
@@ -716,7 +715,7 @@ def test_custom_layout_spectrum_and_solve_are_bit_identical_to_dense_path():
 
 def test_custom_layout_extended_spectrum_is_bit_identical_to_full_jacobi():
     line = geom_linear(6, 0.3)
-    geom = custom_geometry(line.positions, line.kind, line.dy, line.dz, LAM)
+    geom = custom_geometry(line.positions, line.kind, LAM)
     Z = impedance(geom, EXT)
     s, U = sym_eig(Z)
     with EXT.arithmetic().lock:
@@ -731,17 +730,17 @@ def _bits(x):
 
 
 def _custom_copy(geom):
-    return custom_geometry(geom.positions, geom.kind, geom.dy, geom.dz, LAM)
+    return custom_geometry(geom.positions, geom.kind, LAM)
 
 
 @pytest.mark.parametrize("precision", [Precision(), EXT], ids=["double", "ext"])
 @pytest.mark.parametrize("geom,key_limit", [
     (_custom_copy(_lattice(11, 11, 0.2, ElementKind.PLANAR)), coupling._PAIR_KEY_LIMIT),
     (custom_geometry(np.random.default_rng(5).normal(scale=0.1, size=(30, 3)),
-                     ElementKind.ISOTROPIC, 0.05, 0.05, LAM), coupling._PAIR_KEY_LIMIT),
+                     ElementKind.ISOTROPIC, LAM), coupling._PAIR_KEY_LIMIT),
     # a limit of 0 ranks the keys before every axis, as a large 3-D layout would
     (custom_geometry(np.indices((3, 3, 3)).reshape(3, -1).T * [0.03, 0.04, 0.05],
-                     ElementKind.PLANAR, 0.05, 0.05, LAM), 0),
+                     ElementKind.PLANAR, LAM), 0),
 ], ids=["grid", "cloud", "3d-grid-ranked"])
 def test_custom_layout_build_matches_the_per_pair_distance_formula_bit_for_bit(
         monkeypatch, geom, key_limit, precision):
@@ -976,7 +975,7 @@ def test_quadrature_oracle_validates_kernels():
             geom = linear_array(n, frac * LAM, kind, LAM)
             i = rng.normal(size=n) + 1j * rng.normal(size=n)
             closed = quadratic_form(impedance(geom), i)
-            quad = radiated_power_quadrature(geom, i, FieldModel(beta=1.0), quad_order=128)
+            quad = radiated_power_quadrature(geom, i, 1.0, quad_order=128)
             assert quad == pytest.approx(closed, rel=1e-6)
 
 

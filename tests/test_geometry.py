@@ -5,13 +5,10 @@ from lissim import (
     SPEED_OF_LIGHT,
     ArrayGeometry,
     CapacityError,
-    DomainError,
     ElementKind,
     InvalidArgumentError,
     InvalidGeometryError,
     custom_geometry,
-    departure_angle,
-    distance,
     linear_array,
     planar_grid,
 )
@@ -90,41 +87,27 @@ def test_linear_array_rejects_zero_count():
         linear_array(0, 0.1, ElementKind.ISOTROPIC, 0.1)
 
 
-def test_wavenumber_is_derived():
-    g = linear_array(3, 0.1, ElementKind.ISOTROPIC, 0.25)
-    assert g.wavenumber * g.wavelength == pytest.approx(2.0 * np.pi, rel=0, abs=0)
-
-
-def test_distance_basics():
-    assert distance([10, 0, 0], [0, 0, 0]) == 10.0
-    assert distance([3, 4, 0], [0, 0, 0]) == 5.0
-    assert distance([1.5, -2.0, 7.0], [1.5, -2.0, 7.0]) == 0.0
-
-
-def test_distance_is_a_metric_on_sampled_triples():
-    rng = np.random.default_rng(7)
-    for _ in range(200):
-        a, b, c = rng.normal(scale=5.0, size=(3, 3))
-        dab, dbc, dac = distance(a, b), distance(b, c), distance(a, c)
-        assert dab >= 0.0
-        assert dab == distance(b, a)
-        assert dac <= dab + dbc + 1e-12 * max(dab + dbc, 1.0)
-
-
-def test_departure_angle_reference_directions():
-    assert departure_angle([10, 0, 0], [0, 0, 0]) == 0.0
-    assert departure_angle([0, 5, 0], [0, 0, 0]) == pytest.approx(np.pi / 2, rel=1e-15)
-    assert departure_angle([1, 1, 0], [0, 0, 0]) == pytest.approx(np.pi / 4, rel=1e-15)
-
-
-def test_departure_angle_rejects_coincident_points():
-    with pytest.raises(DomainError):
-        departure_angle([1, 2, 3], [1, 2, 3])
-
-
 def test_custom_geometry_rejects_duplicates():
     with pytest.raises(InvalidGeometryError):
-        custom_geometry([[0, 0, 0], [0, 0, 0]], ElementKind.ISOTROPIC, 0.1, 0.1, 0.1)
+        custom_geometry([[0, 0, 0], [0, 0, 0]], ElementKind.ISOTROPIC, 0.1)
+
+
+@pytest.mark.parametrize("build", [
+    lambda kind: linear_array(2, 0.05, kind, 0.115),
+    lambda kind: planar_grid(0.1, 0.1, 0.05, 0.05, kind, 0.115),
+    lambda kind: custom_geometry([[0, 0, 0], [0, 0, 0.05]], kind, 0.115),
+], ids=["linear", "planar", "custom"])
+@pytest.mark.parametrize("kind", ["isotropic", "planar", None])
+def test_layouts_refuse_a_kind_that_is_not_an_element_kind(build, kind):
+    # a string kind would build Z with the planar kernel and the channel with the isotropic gain
+    with pytest.raises(InvalidArgumentError, match="ElementKind"):
+        build(kind)
+
+
+@pytest.mark.parametrize("wavelength", [0.0, float("nan"), -1.0, float("inf")])
+def test_custom_geometry_refuses_a_wavelength_that_is_not_positive_and_finite(wavelength):
+    with pytest.raises(InvalidArgumentError, match="wavelength"):
+        custom_geometry([[0, 0, 0], [0, 0, 0.05]], ElementKind.ISOTROPIC, wavelength)
 
 
 def test_positions_are_read_only():
@@ -134,10 +117,10 @@ def test_positions_are_read_only():
 
 
 def test_geometry_distinct_positions_via_custom():
-    g = custom_geometry([[0, 0, 0], [0, 0.1, 0], [0, 0, 0.2]],
-                        ElementKind.PLANAR, 0.1, 0.1, 0.1)
+    g = custom_geometry([[0, 0, 0], [0, 0.1, 0], [0, 0, 0.2]], ElementKind.PLANAR, 0.1)
     assert isinstance(g, ArrayGeometry)
     assert g.lattice_indices is None
+    assert g.dy is None and g.dz is None
 
 
 def test_mirror_orbits_of_lattices_and_custom_layouts():
@@ -150,10 +133,18 @@ def test_mirror_orbits_of_lattices_and_custom_layouts():
     line = linear_array(3, 0.1, ElementKind.ISOTROPIC, LAM)
     assert line.mirror_orbits().tolist() == [[0, 0, 2, 2], [1, 1, 1, 1]]
 
-    custom = custom_geometry(g.positions, g.kind, g.dy, g.dz, LAM)
+    custom = custom_geometry(g.positions, g.kind, LAM)
     assert custom.mirror_orbits().tolist() == [[k] * 4 for k in range(6)]
 
     # an L-shaped lattice maps onto itself under neither mirror
     ell = ArrayGeometry(positions=g.positions[:4].copy(), kind=g.kind, dy=g.dy, dz=g.dz,
                         wavelength=LAM, lattice_indices=g.lattice_indices[:4].copy())
     assert ell.mirror_orbits().tolist() == [[k] * 4 for k in range(4)]
+
+
+def test_a_lattice_layout_needs_its_pitches():
+    g = linear_array(3, 0.05, ElementKind.ISOTROPIC, LAM)
+    for pitches in ({}, {"dy": g.dy}, {"dz": g.dz}):
+        with pytest.raises(InvalidArgumentError, match="pitches"):
+            ArrayGeometry(positions=g.positions.copy(), kind=g.kind, wavelength=LAM,
+                          lattice_indices=g.lattice_indices.copy(), **pitches)

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,7 @@ from lissim import (
     ElementKind,
     EmptySpectrumError,
     ImpedanceMatrix,
+    InvalidArgumentError,
     NonRadiatingCurrentError,
     Precision,
     ca_mf,
@@ -181,6 +184,28 @@ def test_every_result_is_a_numpy_array_in_the_arithmetic_of_z(precision):
             assert all(isinstance(v, (ctx.mpf, ctx.mpc)) for v in value.ravel()), name
     # the matrix and its cached spectrum cannot be written through the results
     assert not any(a.flags.writeable for a in (Z.entries, s, U))
+
+
+_FILTERS = {
+    "nca_mf": lambda Z, h: nca_mf(h),
+    "ca_pmf": lambda Z, h: ca_pmf(Z, h, 1e-9),
+    "ca_pmf_rank": lambda Z, h: ca_pmf_rank(Z, h, 4),
+    # the truncation sweep's every-rank pass
+    "rank_solves": lambda Z, h: coupling._rank_solves(Z, h),
+}
+
+
+@pytest.mark.parametrize("precision", [Precision(), Precision.extended(128)],
+                         ids=["double", "ext128"])
+@pytest.mark.parametrize("bad", [math.nan, math.inf], ids=["nan", "inf"])
+@pytest.mark.parametrize("name", list(_FILTERS))
+def test_filters_refuse_a_channel_with_a_nan_or_infinite_entry(name, bad, precision):
+    geom = linear_array(6, 0.3 * LAM, ElementKind.ISOTROPIC, LAM)
+    Z = impedance(geom, precision)
+    h = channel_isotropic(geom, UE, precision).copy()
+    h[2] = precision.context().mpc(bad) if precision.is_extended else bad
+    with pytest.raises(InvalidArgumentError, match="NaN or infinite"):
+        _FILTERS[name](Z, h)
 
 
 def test_power_normalize_identity_case():
