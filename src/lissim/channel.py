@@ -2,8 +2,9 @@
 
 Channel vectors always use exact per-element distances (no far-field
 shortcut); only the impedance matrix rests on the far-field form.  One
-body builds them in either precision's arithmetic, from lattice
-coordinates rebuilt from the layout's integer indices.
+body builds them in either precision's arithmetic, from a lattice's
+coordinates computed in that arithmetic from its shape and pitches
+(:meth:`ArrayGeometry.coordinates`).
 """
 
 from __future__ import annotations
@@ -15,28 +16,12 @@ from .geometry import ArrayGeometry, ElementKind, as_vec3
 from .specfun import Precision
 
 
-def _positions(geom: ArrayGeometry, ar):
-    """Element coordinates in the arithmetic ``ar``, shape (N, 3).
-
-    Lattice layouts are rebuilt from their integer indices and exact
-    pitches, so offsets carry no accumulated rounding (in double this is
-    ``geom.positions`` bit for bit); other layouts promote their double
-    coordinates verbatim.
-    """
-    if geom.lattice_indices is None:
-        return ar.number(geom.positions)
-    index = ar.number(geom.lattice_indices)
-    centre = ar.number(geom.lattice_indices.max(axis=0)) / 2
-    offsets = (index - centre) * ar.number([geom.dy, geom.dz])
-    return np.column_stack([np.full(geom.n, ar.zero, dtype=ar.dtype), offsets])
-
-
 def _channel(geom: ArrayGeometry, o: np.ndarray, precision: Precision, planar: bool):
     """``g_n lambda / (4 pi d_n) exp(-j k d_n)``, ``g_n = sqrt(x_ue / d_n)`` if planar, else 1."""
     ar = precision.arithmetic()
     with ar.lock:
         o = ar.number(o)
-        d = ar.sqrt(((_positions(geom, ar) - o) ** 2).sum(axis=1))
+        d = ar.sqrt(((geom.coordinates(ar.number) - o) ** 2).sum(axis=1))
         if np.any(d == 0):
             raise DomainError("terminal position coincides with an array element")
         lam = ar.number(geom.wavelength)

@@ -43,9 +43,9 @@ block cast to complex on its own, so no complex copy of the whole of Z
 is made.  Every row of a block gets the bits of the whole product.  A
 block of a single row would not, as numpy multiplies it by another
 route, so a one-row tail joins the block before it.  The gather that
-builds a lattice Z works by the same row blocks.  Layouts without
-lattice indices have one orbit per element, a single sector, and the
-sector block is Z itself, bit for bit.
+builds a lattice Z works by the same row blocks.  Custom layouts have
+no lattice, so no mirrors: one orbit per element, a single sector, and
+the sector block is Z itself, bit for bit.
 """
 
 from __future__ import annotations
@@ -80,7 +80,7 @@ _SOLVE_RESIDUAL_RTOL = 1e-8
 # the extra working bits mpmath's own lu_solve uses for factor and substitution
 _LU_GUARD_BITS = 10
 # value of each parity character on (identity, y mirror, z mirror, both),
-# the column order of ImpedanceMatrix.orbits
+# the column order of ImpedanceMatrix.images and .orbits
 _PARITIES = ((1, 1, 1, 1), (1, -1, 1, -1), (1, 1, -1, -1), (1, -1, -1, 1))
 # int64 keys of a custom layout's offset triples stay below this (see _pair_distances)
 _PAIR_KEY_LIMIT = 2 ** 62
@@ -175,20 +175,24 @@ class ImpedanceMatrix:
     arithmetic, context
         ``precision.arithmetic()`` and ``precision.context()`` (the
         latter None in double).
+    images : ndarray of int, shape (N, 4)
+        Each element's images under the layout's mirror symmetries, as
+        returned by :meth:`ArrayGeometry.mirror_images`: row a holds the
+        images of element a under the identity, the y mirror, the z
+        mirror and both, and Z must be exactly invariant under each of
+        these permutations (column k is mirror k's).  :func:`impedance`
+        attaches the layout's images and builds lattice entries from the
+        lattice offsets, so the invariance is exact.  Defaults to no
+        mirrors, every row ``[a, a, a, a]``.
     orbits : ndarray of int, shape (M, 4)
-        Element orbits under the layout's mirror symmetries, as returned
-        by :meth:`ArrayGeometry.mirror_orbits`: row k holds the images of
-        one element under the identity, the y mirror, the z mirror and
-        both, and Z must be exactly invariant under each of these
-        permutations.  They define the parity sectors in which the
-        eigendecomposition and the solve work, in both precisions.
-        :func:`impedance` attaches the layout's orbits and builds lattice
-        entries from the lattice offsets, so the invariance is exact.
-        Defaults to one orbit per element: a single sector whose block
-        is Z itself.
+        The rows of ``images`` whose smallest entry is their own element,
+        one per orbit with its lowest element first.  They define the
+        parity sectors in which the eigendecomposition and the solve
+        work, in both precisions; with no mirrors there is one orbit per
+        element, a single sector whose block is Z itself.
     """
 
-    def __init__(self, entries, precision: Precision, orbits=None):
+    def __init__(self, entries, precision: Precision, images=None):
         if not (isinstance(entries, np.ndarray) and entries.ndim == 2
                 and entries.shape[0] == entries.shape[1]):
             raise InvalidArgumentError(
@@ -198,15 +202,20 @@ class ImpedanceMatrix:
         self.context = precision.context()
         entries.setflags(write=False)
         self.entries = entries
-        if orbits is None:
-            orbits = np.column_stack([np.arange(self.n)] * 4)
-        self.orbits = orbits
+        own = np.arange(self.n)
+        if images is None:
+            images = np.column_stack([own] * 4)
+        images.setflags(write=False)
+        self.images = images
+        self.orbits = images[images.min(axis=1) == own]
         self.orbits.setflags(write=False)
         with self.arithmetic.lock:
-            self._sectors = _sectors(orbits, self.arithmetic)
+            self._sectors = _sectors(self.orbits, self.arithmetic)
         if self.context is not None:  # what _product reads: see there
-            self._orbit_rows = entries[orbits[:, 0]].tolist()
-            self._mirrors = _mirror_permutations(orbits)
+            self._orbit_rows = entries[self.orbits[:, 0]].tolist()
+            # (k, each element's image under k) for the identity and the mirrors that move one
+            self._mirrors = [(k, images[:, k]) for k in range(4)
+                             if k == 0 or np.any(images[:, k] != own)]
         self._eig = None
         self._eig_lock = threading.Lock()
 
@@ -227,32 +236,17 @@ class ImpedanceMatrix:
         return self.entries.astype(float)
 
 
-def _mirror_permutations(orbits):
-    """``(k, perm_k)`` for the identity (k = 0) and each mirror k that moves an element.
-
-    k is a column of ``_PARITIES`` (identity, y mirror, z mirror, both),
-    and ``perm_k`` maps member j of every orbit to member ``j ^ k``.
-    """
-    n = orbits.max() + 1
-    mirrors = []
-    for k in range(4):
-        perm = np.empty(n, dtype=int)
-        for j in range(4):
-            perm[orbits[:, j]] = orbits[:, j ^ k]
-        if k == 0 or np.any(perm != np.arange(n)):
-            mirrors.append((k, perm))
-    return mirrors
-
-
 def _product(Z: ImpedanceMatrix, v):
     """``Z v`` in Z's arithmetic; call under its lock.
 
     Under extended precision only the rows of the orbit representatives
     ``a = Z.orbits[:, 0]`` are read.  Z is exactly invariant under the
-    mirrors, so ``(Z v)[image_k(a)] = fdot(Z[a], v[perm_k])``: one
-    ``fdot`` per representative row and per distinct image ``v[perm_k]``,
-    and an image equal to plus or minus one already formed reuses its
-    products, negated where needed.  ``fdot`` sums its products exactly
+    mirrors, so ``(Z v)[image_k(a)] = fdot(Z[a], v[perm_k])``, with
+    ``perm_k = Z.images[:, k]``: one ``fdot`` per representative row and
+    per distinct image ``v[perm_k]``, and an image equal to plus or minus
+    one already formed reuses its products, negated where needed.  Only
+    the identity and the mirrors that move an element are tried.
+    ``fdot`` sums its products exactly
     and rounds once to nearest, so every entry is bit for bit the
     ``fdot`` of its own row of Z with v.  A vector in one parity sector
     costs about N^2/4 terms, a vector spanning all four sectors N^2, and
@@ -314,17 +308,14 @@ def _kernel(kind: ElementKind, x, precision: Precision):
 
 
 def _offset_distances(geom: ArrayGeometry, ar):
-    """A lattice's indices shifted to start at 0, and the distance of each offset (|di|, |dj|)."""
-    rel = geom.lattice_indices - geom.lattice_indices.min(axis=0)
-    n_y, n_z = (int(v) for v in rel.max(axis=0) + 1)
-    if np.bincount(rel[:, 0] * n_z + rel[:, 1]).max() > 1:
-        raise InvalidGeometryError("duplicate element positions make Z exactly singular")
+    """The distance of each lattice offset, indexed ``[|di|, |dj|]``."""
+    n_y, n_z = geom.shape
     dy, dz = ar.number([geom.dy, geom.dz])
-    return rel, ar.sqrt((ar.number(np.arange(n_y))[:, None] * dy) ** 2
-                        + (ar.number(np.arange(n_z))[None, :] * dz) ** 2)
+    return ar.sqrt((ar.number(np.arange(n_y))[:, None] * dy) ** 2
+                   + (ar.number(np.arange(n_z))[None, :] * dz) ** 2)
 
 
-def _gather_offsets(rel, table):
+def _gather_offsets(indices, table):
     """``Z[a, b] = table[|di|, |dj|]`` for the lattice offset of every element pair.
 
     One block of rows at a time, each block's flat table index formed in
@@ -335,11 +326,11 @@ def _gather_offsets(rel, table):
         return np.abs(d, out=d)
 
     values = table.ravel()
-    out = np.empty((len(rel), len(rel)), dtype=table.dtype)
-    for k, e in _row_blocks(len(rel)):
-        flat = axis_offsets(rel[k:e, 0], rel[:, 0])
+    out = np.empty((len(indices), len(indices)), dtype=table.dtype)
+    for k, e in _row_blocks(len(indices)):
+        flat = axis_offsets(indices[k:e, 0], indices[:, 0])
         flat *= table.shape[1]
-        flat += axis_offsets(rel[k:e, 1], rel[:, 1])
+        flat += axis_offsets(indices[k:e, 1], indices[:, 1])
         np.take(values, flat, out=out[k:e])
     return out
 
@@ -386,8 +377,8 @@ def impedance(geom: ArrayGeometry, precision: Precision = Precision()) -> Impeda
     is therefore 1 or 1/2.  The matrix is symmetric by construction.
     Lattice layouts are built from the kernel's values at their distinct
     lattice offsets, so Z is exactly invariant under the layout's
-    mirrors, whose orbits the matrix carries (see
-    :attr:`ImpedanceMatrix.orbits`).
+    mirrors, whose images the matrix carries (see
+    :attr:`ImpedanceMatrix.images`).
 
     Raises
     ------
@@ -406,15 +397,16 @@ def impedance(geom: ArrayGeometry, precision: Precision = Precision()) -> Impeda
     ar = precision.arithmetic()
     with ar.lock:
         k = 2 * ar.pi / ar.number(geom.wavelength)
-        if geom.lattice_indices is not None:
+        if geom.shape is not None:
             # one kernel value per distinct lattice offset, then one gather
-            rel, r = _offset_distances(geom, ar)
-            entries = _gather_offsets(rel, _kernel(geom.kind, r * k, precision))
+            r = _offset_distances(geom, ar)
+            entries = _gather_offsets(geom.lattice_indices(),
+                                      _kernel(geom.kind, r * k, precision))
         else:
             # one kernel value per distinct offset triple, then one gather
             pairs, r = _pair_distances(geom, ar)
             entries = _kernel(geom.kind, r * k, precision)[pairs]
-    return ImpedanceMatrix(entries, precision, orbits=geom.mirror_orbits())
+    return ImpedanceMatrix(entries, precision, images=geom.mirror_images())
 
 
 def _off_norm(ctx, a):

@@ -253,7 +253,6 @@ def default_config(experiment: str) -> ExperimentConfig:
     elif experiment == "truncation":
         base["spacings"] = ["0.3 lambda"]
         base["element_kinds"] = ["isotropic"]
-        base["schemes"] = ["CA-pMF"]
     return config_from_dict(base)
 
 

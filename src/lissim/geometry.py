@@ -2,16 +2,16 @@
 
 The surface lies in the plane x = 0 with broadside along +x.  Layout
 factories return immutable :class:`ArrayGeometry` objects, checked once
-on construction; regular grids additionally carry their pitches and
-integer lattice indices so that higher-precision code paths can
-reconstruct exact inter-element offsets.
+on construction.  A regular grid is described by its shape and pitches
+alone, from which its positions, its exact coordinates in any precision
+and its mirror images are derived.
 """
 
 from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -40,96 +40,112 @@ class ElementKind(Enum):
     PLANAR = "planar"
 
 
+def _require_element_model(kind, wavelength) -> None:
+    """Refuse a kind that is not an :class:`ElementKind`, or a wavelength not finite and > 0."""
+    if not isinstance(kind, ElementKind):
+        raise InvalidArgumentError(f"kind must be an ElementKind, got {kind!r}")
+    if not (isinstance(wavelength, numbers.Real) and math.isfinite(wavelength) and wavelength > 0):
+        raise InvalidArgumentError(
+            f"wavelength must be a positive finite number, got {wavelength!r}")
+
+
+def _centered(index, count: int, pitch):
+    """``(i - (n - 1) / 2) * pitch``: the coordinate of index i on a centered n-point axis.
+
+    Works in the arithmetic of ``index``, floats or mpmath numbers.  The
+    integer-minus-half-integer step is exact in binary floating point, so
+    the product is the only rounding and an axis's mean is exactly zero.
+    """
+    return (index - (count - 1) / 2) * pitch
+
+
 @dataclass(frozen=True)
 class ArrayGeometry:
-    """Immutable element layout.
+    """Immutable element layout: a centered lattice, or explicit positions.
+
+    Give either ``shape`` with the pitches ``dy`` and ``dz`` (a lattice)
+    or ``positions`` (a custom layout), not both.  A lattice is described
+    by its shape and pitches alone: its positions, its (iy, iz) indices
+    and its elements' mirror images are all derived from them here.
 
     Attributes
     ----------
-    positions : ndarray, shape (N, 3)
-        Element centers in meters; all on the plane x = 0, grid centered
-        on the origin.
     kind : ElementKind
         Element model shared by all elements.
     wavelength : float
         Carrier wavelength in meters, positive and finite.
+    positions : ndarray, shape (N, 3)
+        Element centers in meters, all on the plane x = 0.  A lattice's
+        are computed from its shape and pitches (:meth:`coordinates`).
     dy, dz : float or None
         Center-to-center pitch along y and z in meters, required with
-        ``lattice_indices``; ``None`` for a custom layout, which has no
-        pitch.
-    lattice_indices : ndarray of int, shape (N, 2), optional
-        (iy, iz) grid indices per element for layouts built on a regular
-        lattice; lets extended-precision code rebuild exact offsets.
+        ``shape``; ``None`` for a custom layout, which has no pitch.
+    shape : (int, int) or None
+        ``(n_y, n_z)`` of a lattice centered on the origin, element
+        ``iz * n_y + iy`` at index (iy, iz); ``None`` for a custom layout.
     """
 
-    positions: np.ndarray
     kind: ElementKind
     wavelength: float
+    positions: np.ndarray | None = None
     dy: float | None = None
     dz: float | None = None
-    lattice_indices: np.ndarray | None = field(default=None, repr=False)
+    shape: tuple[int, int] | None = None
 
     def __post_init__(self):
-        if not isinstance(self.kind, ElementKind):
-            raise InvalidArgumentError(f"kind must be an ElementKind, got {self.kind!r}")
-        lam = self.wavelength
-        if not (isinstance(lam, numbers.Real) and math.isfinite(lam) and lam > 0):
-            raise InvalidArgumentError(f"wavelength must be a positive finite number, got {lam!r}")
-        if self.lattice_indices is not None and (self.dy is None or self.dz is None):
-            # lattice code rebuilds offsets from the pitches; without them Z would be all NaN
-            raise InvalidArgumentError("a lattice layout needs its pitches dy and dz")
+        _require_element_model(self.kind, self.wavelength)
+        if (self.shape is None) == (self.positions is None):
+            raise InvalidArgumentError(
+                "a layout is either a lattice shape or explicit positions: give exactly one")
+        if self.shape is not None:
+            if not (len(self.shape) == 2
+                    and all(isinstance(c, numbers.Integral) and c >= 1 for c in self.shape)):
+                raise InvalidArgumentError(
+                    f"a lattice shape is two positive integers, got {self.shape!r}")
+            if self.dy is None or self.dz is None:
+                raise InvalidArgumentError("a lattice layout needs its pitches dy and dz")
+            positions = self.coordinates(lambda x: np.asarray(x, dtype=float))
+            object.__setattr__(self, "positions", positions)
         self.positions.setflags(write=False)
-        if self.lattice_indices is not None:
-            self.lattice_indices.setflags(write=False)
 
     @property
     def n(self) -> int:
         return self.positions.shape[0]
 
-    def mirror_orbits(self) -> np.ndarray:
-        """Element orbits under the lattice mirrors y -> -y and z -> -z.
+    def lattice_indices(self) -> np.ndarray:
+        """(iy, iz) of each element of a lattice, shape (N, 2), y index fastest."""
+        iz, iy = np.divmod(np.arange(self.shape[0] * self.shape[1]), self.shape[0])
+        return np.column_stack([iy, iz])
 
-        Returns an int array of shape (M, 4), one row per orbit: the
-        indices of an element's images under the identity, the y
-        mirror, the z mirror and both, with the orbit's lowest index
-        first.  A mirror that does not map the set of lattice indices
-        onto itself acts as the identity, and a layout without lattice
-        indices has one orbit per element, ``[a, a, a, a]``.
+    def coordinates(self, number) -> np.ndarray:
+        """Element centers, shape (N, 3), as the numbers that ``number`` makes.
+
+        ``number`` converts real values to an arithmetic (such as
+        :meth:`Precision.arithmetic`'s ``number``).  A lattice's are
+        :func:`_centered` on each axis in that arithmetic, so in any
+        precision they carry one rounding each and no accumulated offset;
+        a custom layout's double positions are converted verbatim.
         """
-        own = np.arange(self.n)
-        if self.lattice_indices is None:
-            return np.column_stack([own] * 4)
-        rel = self.lattice_indices - self.lattice_indices.min(axis=0)
-        extent = rel.max(axis=0) + 1
-        grid = np.full(extent, -1)
-        grid[rel[:, 0], rel[:, 1]] = own
+        if self.shape is None:
+            return number(self.positions)
+        (n_y, n_z), (iy, iz) = self.shape, self.lattice_indices().T
+        return np.column_stack([number(np.zeros(len(iy))),
+                                _centered(number(np.arange(n_y)), n_y, self.dy)[iy],
+                                _centered(number(np.arange(n_z)), n_z, self.dz)[iz]])
 
-        def mirror(axis):
-            at = rel.copy()
-            at[:, axis] = extent[axis] - 1 - rel[:, axis]
-            image = grid[at[:, 0], at[:, 1]]
-            return image if np.all(image >= 0) else own
+    def mirror_images(self) -> np.ndarray:
+        """Each element's images under the lattice mirrors y -> -y and z -> -z.
 
-        flip_y, flip_z = mirror(0), mirror(1)
-        images = np.column_stack([own, flip_y, flip_z, flip_y[flip_z]])
-        return images[images.min(axis=1) == own]
-
-
-def _lattice(n_y: int, n_z: int, dy: float, dz: float, kind: ElementKind,
-             wavelength: float) -> ArrayGeometry:
-    """Centered n_y x n_z lattice on the plane x = 0, y index fastest."""
-    def centered(count, pitch):
-        # integer-minus-half-integer steps are exact in binary floating
-        # point, so the axis mean is exactly zero
-        return (np.arange(count, dtype=float) - (count - 1) / 2.0) * pitch
-
-    iy, iz = np.meshgrid(np.arange(n_y), np.arange(n_z), indexing="xy")
-    iy = iy.ravel()
-    iz = iz.ravel()
-    positions = np.column_stack([np.zeros(n_y * n_z), centered(n_y, dy)[iy],
-                                 centered(n_z, dz)[iz]])
-    return ArrayGeometry(positions=positions, kind=kind, dy=dy, dz=dz, wavelength=wavelength,
-                         lattice_indices=np.column_stack([iy, iz]))
+        Returns an int array of shape (N, 4): row a holds the images of
+        element a under the identity, the y mirror, the z mirror and
+        both.  A custom layout has no mirrors: every row is
+        ``[a, a, a, a]``.
+        """
+        if self.shape is None:
+            return np.column_stack([np.arange(self.n)] * 4)
+        grid = np.arange(self.n).reshape(self.shape[1], self.shape[0])  # [iz, iy]
+        return np.column_stack([g.ravel() for g in (grid, grid[:, ::-1], grid[::-1],
+                                                    grid[::-1, ::-1])])
 
 
 def planar_grid(
@@ -171,6 +187,7 @@ def planar_grid(
     -------
     ArrayGeometry
     """
+    _require_element_model(kind, wavelength)  # before the element count is refused
     for name, value in (("y_lis", y_lis), ("z_lis", z_lis), ("dy", dy), ("dz", dz)):
         if not (isinstance(value, (int, float)) and math.isfinite(value) and value > 0):
             raise InvalidArgumentError(f"{name} must be a positive finite number, got {value!r}")
@@ -188,7 +205,7 @@ def planar_grid(
             f"grid would hold {n_y * n_z} elements, exceeding the cap of {max_elements}"
         )
 
-    return _lattice(n_y, n_z, dy, dz, kind, wavelength)
+    return ArrayGeometry(kind=kind, wavelength=wavelength, dy=dy, dz=dz, shape=(n_y, n_z))
 
 
 def linear_array(
@@ -207,7 +224,7 @@ def linear_array(
     if not (math.isfinite(dz) and dz > 0):
         raise InvalidArgumentError(f"dz must be positive, got {dz!r}")
 
-    return _lattice(1, n, dz, dz, kind, wavelength)
+    return ArrayGeometry(kind=kind, wavelength=wavelength, dy=dz, dz=dz, shape=(1, n))
 
 
 def custom_geometry(positions, kind: ElementKind, wavelength: float) -> ArrayGeometry:
@@ -222,4 +239,4 @@ def custom_geometry(positions, kind: ElementKind, wavelength: float) -> ArrayGeo
         raise InvalidArgumentError("positions must be finite")
     if np.unique(pos, axis=0).shape[0] != pos.shape[0]:
         raise InvalidGeometryError("element positions must be pairwise distinct")
-    return ArrayGeometry(positions=pos, kind=kind, wavelength=wavelength)
+    return ArrayGeometry(kind=kind, wavelength=wavelength, positions=pos)

@@ -269,7 +269,7 @@ def test_criterion_6b_nca_mf_plateau():
     populated = {}
     for frac in (0.125, 0.1):
         geom = planar_grid(side, side, frac * LAM, frac * LAM, ElementKind.ISOTROPIC, LAM)
-        n_y, n_z = (int(np.max(geom.lattice_indices[:, a])) + 1 for a in (0, 1))
+        n_y, n_z = geom.shape
         populated[frac] = (n_y * geom.dy, n_z * geom.dz)
         Z = impedance(geom)
         h = channel_isotropic(geom, UE)

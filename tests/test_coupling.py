@@ -122,8 +122,7 @@ def test_positive_semidefinite_up_to_roundoff():
 
 def test_duplicate_positions_rejected():
     pos = np.array([[0.0, 0.0, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, 0.1]])
-    geom = ArrayGeometry(positions=pos, kind=ElementKind.ISOTROPIC, dy=0.1, dz=0.1,
-                         wavelength=0.1)
+    geom = ArrayGeometry(positions=pos, kind=ElementKind.ISOTROPIC, wavelength=0.1)
     with pytest.raises(InvalidGeometryError):
         impedance(geom)
     with pytest.raises(InvalidGeometryError):
@@ -619,15 +618,16 @@ def test_extended_half_wavelength_isotropic_line_keeps_the_unit_start(monkeypatc
     linear_array(15, 0.2 * LAM, ElementKind.PLANAR, LAM),
 ], ids=["iso-0.3", "planar-0.15", "iso-rect", "planar-aniso", "line"])
 def test_offset_table_build_is_mirror_invariant_and_matches_cdist_build(geom):
-    Z = impedance(geom).entries
-    orbits = geom.mirror_orbits()
-    assert len(orbits) < geom.n  # some mirror moves elements
-    # the mirrors (identity, y, z, both) compose like the bits of their column index
+    matrix = impedance(geom)
+    Z, images = matrix.entries, geom.mirror_images()
+    assert len(matrix.orbits) < geom.n  # some mirror moves elements
+    # column k of the images is mirror k's permutation of the elements, and
+    # the mirrors (identity, y, z, both) compose like the bits of k
     for mirror in range(1, 4):
-        perm = np.empty(geom.n, dtype=int)
-        for image in range(4):
-            perm[orbits[:, image]] = orbits[:, image ^ mirror]
+        perm = images[:, mirror]
         assert np.array_equal(Z[np.ix_(perm, perm)], Z)
+        for image in range(4):
+            assert np.array_equal(perm[images[:, image]], images[:, image ^ mirror])
     assert np.array_equal(Z, Z.T)
     by_distance = coupling._kernel(
         geom.kind, 2.0 * math.pi / geom.wavelength * cdist(geom.positions, geom.positions), Precision())
@@ -863,10 +863,10 @@ def test_abs_matvec_in_row_blocks_matches_the_whole_product_bit_for_bit():
         assert np.array_equal(coupling._abs_matvec(a, v), np.abs(a) @ np.abs(v))
 
 
-def _flat_gather(rel, table):
+def _flat_gather(indices, table):
     """The lattice gather with two N x N index arrays at once."""
-    di = np.abs(np.subtract.outer(rel[:, 0], rel[:, 0]))
-    dj = np.abs(np.subtract.outer(rel[:, 1], rel[:, 1]))
+    di = np.abs(np.subtract.outer(indices[:, 0], indices[:, 0]))
+    dj = np.abs(np.subtract.outer(indices[:, 1], indices[:, 1]))
     return table.ravel()[di * table.shape[1] + dj]
 
 
@@ -878,9 +878,10 @@ def test_gather_in_row_blocks_matches_the_flat_index_gather(n_y, n_z, precision)
     geom = _lattice(n_y, n_z, 0.3, ElementKind.ISOTROPIC)
     ar = precision.arithmetic()
     with ar.lock:
-        rel, r = coupling._offset_distances(geom, ar)
+        r = coupling._offset_distances(geom, ar)
         table = coupling._kernel(geom.kind, r * (2 * ar.pi / ar.number(LAM)), precision)
-    got, want = coupling._gather_offsets(rel, table), _flat_gather(rel, table)
+    indices = geom.lattice_indices()
+    got, want = coupling._gather_offsets(indices, table), _flat_gather(indices, table)
     assert got.dtype == want.dtype and got.shape == (geom.n, geom.n)
     if precision.is_extended:
         assert [_bits(x) for x in got.ravel()] == [_bits(x) for x in want.ravel()]

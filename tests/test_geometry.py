@@ -1,3 +1,6 @@
+import hashlib
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -6,8 +9,10 @@ from lissim import (
     ArrayGeometry,
     CapacityError,
     ElementKind,
+    ImpedanceMatrix,
     InvalidArgumentError,
     InvalidGeometryError,
+    Precision,
     custom_geometry,
     linear_array,
     planar_grid,
@@ -38,6 +43,14 @@ def test_planar_grid_element_count_at_half_wavelength():
 def test_planar_grid_capacity_cap():
     with pytest.raises(CapacityError):
         planar_grid(0.5, 0.5, 0.001, 0.001, ElementKind.ISOTROPIC, 0.1, max_elements=1000)
+
+
+def test_planar_grid_names_a_bad_wavelength_before_refusing_the_element_count():
+    # the 501 x 501 grid exceeds the cap, but the wavelength is the first bad argument
+    for kind, wavelength, match in ((ElementKind.ISOTROPIC, float("nan"), "wavelength"),
+                                    ("isotropic", 0.1, "ElementKind")):
+        with pytest.raises(InvalidArgumentError, match=match):
+            planar_grid(0.5, 0.5, 0.001, 0.001, kind, wavelength, max_elements=1000)
 
 
 def test_planar_grid_nonpositive_inputs():
@@ -119,32 +132,96 @@ def test_positions_are_read_only():
 def test_geometry_distinct_positions_via_custom():
     g = custom_geometry([[0, 0, 0], [0, 0.1, 0], [0, 0, 0.2]], ElementKind.PLANAR, 0.1)
     assert isinstance(g, ArrayGeometry)
-    assert g.lattice_indices is None
+    assert g.shape is None
     assert g.dy is None and g.dz is None
 
 
-def test_mirror_orbits_of_lattices_and_custom_layouts():
+def _orbits(images):
+    return ImpedanceMatrix(np.eye(len(images)), Precision(), images=images).orbits.tolist()
+
+
+def test_mirror_images_of_lattices_and_custom_layouts():
     # 3 x 2 grid, element index = iz * 3 + iy: the y mirror swaps iy 0 and 2,
     # the z mirror swaps the two rows
     g = planar_grid(0.2, 0.1, 0.1, 0.1, ElementKind.PLANAR, LAM)
-    assert g.lattice_indices.tolist() == [[0, 0], [1, 0], [2, 0], [0, 1], [1, 1], [2, 1]]
-    assert g.mirror_orbits().tolist() == [[0, 2, 3, 5], [1, 1, 4, 4]]
+    assert g.lattice_indices().tolist() == [[0, 0], [1, 0], [2, 0], [0, 1], [1, 1], [2, 1]]
+    assert g.mirror_images().tolist() == [[0, 2, 3, 5], [1, 1, 4, 4], [2, 0, 5, 3],
+                                          [3, 5, 0, 2], [4, 4, 1, 1], [5, 3, 2, 0]]
+    assert _orbits(g.mirror_images()) == [[0, 2, 3, 5], [1, 1, 4, 4]]
 
     line = linear_array(3, 0.1, ElementKind.ISOTROPIC, LAM)
-    assert line.mirror_orbits().tolist() == [[0, 0, 2, 2], [1, 1, 1, 1]]
+    assert _orbits(line.mirror_images()) == [[0, 0, 2, 2], [1, 1, 1, 1]]
 
     custom = custom_geometry(g.positions, g.kind, LAM)
-    assert custom.mirror_orbits().tolist() == [[k] * 4 for k in range(6)]
-
-    # an L-shaped lattice maps onto itself under neither mirror
-    ell = ArrayGeometry(positions=g.positions[:4].copy(), kind=g.kind, dy=g.dy, dz=g.dz,
-                        wavelength=LAM, lattice_indices=g.lattice_indices[:4].copy())
-    assert ell.mirror_orbits().tolist() == [[k] * 4 for k in range(4)]
+    assert custom.mirror_images().tolist() == [[k] * 4 for k in range(6)]
+    assert _orbits(custom.mirror_images()) == [[k] * 4 for k in range(6)]
 
 
 def test_a_lattice_layout_needs_its_pitches():
     g = linear_array(3, 0.05, ElementKind.ISOTROPIC, LAM)
     for pitches in ({}, {"dy": g.dy}, {"dz": g.dz}):
         with pytest.raises(InvalidArgumentError, match="pitches"):
-            ArrayGeometry(positions=g.positions.copy(), kind=g.kind, wavelength=LAM,
-                          lattice_indices=g.lattice_indices.copy(), **pitches)
+            ArrayGeometry(shape=g.shape, kind=g.kind, wavelength=LAM, **pitches)
+
+
+def test_a_layout_is_either_a_lattice_shape_or_explicit_positions():
+    g = linear_array(3, 0.05, ElementKind.ISOTROPIC, LAM)
+    for layout in ({"shape": g.shape, "positions": g.positions.copy()}, {}):
+        with pytest.raises(InvalidArgumentError, match="exactly one"):
+            ArrayGeometry(kind=g.kind, wavelength=LAM, dy=g.dy, dz=g.dz, **layout)
+
+
+@pytest.mark.parametrize("shape", [(0, 3), (3,), (2.0, 3), (2, 3, 1)])
+def test_a_lattice_shape_is_two_positive_integers(shape):
+    with pytest.raises(InvalidArgumentError, match="two positive integers"):
+        ArrayGeometry(shape=shape, kind=ElementKind.ISOTROPIC, wavelength=LAM, dy=0.1, dz=0.1)
+
+
+def _grid(n_y, n_z, frac):
+    pitch = frac * LAM
+    return planar_grid((n_y - 1) * pitch, (n_z - 1) * pitch, pitch, pitch, ElementKind.PLANAR, LAM)
+
+
+# sha256 of the little-endian float64 positions, as first frozen when a
+# lattice still stored its positions next to its integer indices
+@pytest.mark.parametrize("build,shape,digest", [
+    (lambda: linear_array(20, 0.3 * LAM, ElementKind.ISOTROPIC, LAM), (1, 20),
+     "be3557d923ac24e3081873d465af9da4297c057da94ced6f0f4e5ac4844de0bc"),
+    (lambda: _grid(5, 5, 0.2), (5, 5),
+     "ae9029ff430c958173efcaa62925966c27e0352306cdcc8d0e09f1962bf8a6fb"),
+    (lambda: _grid(4, 5, 0.25), (4, 5),
+     "01a2c8f215d23be24ef111781d2b1ce9f2e66c0f99e85ee10aaf5734ed9695ca"),
+    (lambda: _grid(17, 30, 0.3), (17, 30),
+     "4ce5fa28870b5e46bc7199ca801097f74b0dd79a60aef027d7498fe7c58e7531"),
+    (lambda: planar_grid(0.5, 0.5, 0.1 * LAM, 0.1 * LAM, ElementKind.PLANAR, LAM), (44, 44),
+     "3c6d110f48e6620e88c441c00155be266136c5fce85c94d795c09316ae0a60b2"),
+], ids=["line-20", "5x5", "4x5", "17x30", "44x44"])
+def test_lattice_positions_from_the_shape_keep_their_frozen_bits(build, shape, digest):
+    g = build()
+    assert g.shape == shape
+    data = np.ascontiguousarray(g.positions, dtype="<f8").tobytes()
+    assert hashlib.sha256(data).hexdigest() == digest
+
+
+@pytest.mark.parametrize("build", [
+    lambda: linear_array(20, 0.3 * LAM, ElementKind.ISOTROPIC, LAM),
+    lambda: _grid(4, 5, 0.25),
+    lambda: _grid(17, 30, 0.3),
+], ids=["line-20", "4x5", "17x30"])
+def test_extended_lattice_coordinates_are_the_exact_centered_products(build):
+    g = build()
+    n_y, n_z = g.shape
+    ar = Precision.extended(256).arithmetic()
+    with ar.lock:
+        got = g.coordinates(ar.number)
+
+    def exact(x):
+        sign, mantissa, exponent, _ = x._mpf_
+        return (-1) ** sign * Fraction(mantissa) * Fraction(2) ** exponent
+
+    for (iy, iz), row in zip(g.lattice_indices(), got):
+        assert exact(row[0]) == 0
+        assert exact(row[1]) == Fraction(2 * int(iy) - (n_y - 1), 2) * Fraction(g.dy)
+        assert exact(row[2]) == Fraction(2 * int(iz) - (n_z - 1), 2) * Fraction(g.dz)
+    # in double the same function gives the stored positions bit for bit
+    assert np.array_equal(g.coordinates(Precision().arithmetic().number), g.positions)
