@@ -8,8 +8,8 @@ Usage::
            [--quiet] [--no-timing] [--dump-matrices dir/]
 
 Exit codes: 0 success, 2 configuration error, 3 numerical failure.
-Worker parallelism is capped by the ``LISSIM_MAX_WORKERS`` environment
-variable.
+The sweep runs its points one after another in the calling thread; its
+BLAS calls still use the BLAS library's own thread count.
 
 Once the config is parsed, :func:`main` freezes the garbage collector's
 view of every object alive at that point (``gc.freeze``: the imported

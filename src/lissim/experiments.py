@@ -5,26 +5,22 @@ the eigenvalue profile of the coupling matrix, directivity/current cost
 versus truncation rank, and the fixed-aperture spacing sweep comparing
 all precoding schemes against the continuous no-coupling reference.
 Each study yields its rows' own cells at one array; one driver,
-``_sweep``, does the layout, ``Z``, its dump, the shared leading columns
-and the row timing for all four.
+``_sweep``, visits the points in grid order in the calling thread and
+does the layout, ``Z``, its dump, the shared leading columns and the row
+timing for all four.
 
 Configuration is a strict JSON file (unknown keys rejected); every sweep
 is deterministic for a given config at a fixed BLAS thread count (BLAS
 sums the double products in an order that depends on it), and the
-timing column can be left out to make outputs byte-comparable.  Sweep
-points are independent and run on a small thread pool capped by the
-``LISSIM_MAX_WORKERS`` environment variable; row order always follows
-the configured grid.
+timing column can be left out to make outputs byte-comparable.
 """
 
 from __future__ import annotations
 
 import json
 import math
-import os
 import re
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -50,6 +46,7 @@ SCHEME_CA_PMF = "CA-pMF"
 SCHEME_HP_CA_MF = "HP-CA-MF"
 ALL_SCHEMES = (SCHEME_NCA_MF, SCHEME_CA_MF, SCHEME_CA_PMF, SCHEME_HP_CA_MF)
 
+# read by perfbench/layertrace.py, which refuses to trace unless it is "1"
 MAX_WORKERS_ENV = "LISSIM_MAX_WORKERS"
 
 _SPACING_RE = re.compile(r"^\s*([0-9.eE+\-]+)\s*\*?\s*(?:lambda|λ|wl|wavelengths?)\s*$")
@@ -292,45 +289,6 @@ def _format_cell(v) -> str:
     return str(v)
 
 
-def _max_workers(n_tasks: int) -> int:
-    cap = os.environ.get(MAX_WORKERS_ENV)
-    limit = os.cpu_count() or 1
-    if cap is not None:
-        try:
-            limit = max(1, int(cap))
-        except ValueError:
-            raise ConfigError(f"{MAX_WORKERS_ENV} must be an integer, got {cap!r}") from None
-    return max(1, min(limit, n_tasks))
-
-
-def _run_tasks(tasks, worker):
-    """Evaluate ``worker(task)`` concurrently, preserving task order."""
-    if not tasks:
-        return []
-    workers = _max_workers(len(tasks))
-    if workers == 1:
-        return [worker(t) for t in tasks]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(worker, tasks))
-
-
-class _RowClock:
-    """Splits a sweep point's wall time over its rows.
-
-    Each row is charged the time since the previous row ended, so the
-    point's shared set-up (layout, Z, channel, spectrum) lands on its
-    first row and the rows add up to the point's wall time.
-    """
-
-    def __init__(self):
-        self._mark = time.perf_counter()
-
-    def lap_ms(self) -> float:
-        now = time.perf_counter()
-        elapsed, self._mark = (now - self._mark) * 1e3, now
-        return elapsed
-
-
 def _linear_geometry(cfg: ExperimentConfig, spacing: float, kind: ElementKind) -> ArrayGeometry:
     return linear_array(cfg.linear_elements, spacing, kind, cfg.wavelength)
 
@@ -344,30 +302,33 @@ def _sweep(experiment: str, cfg: ExperimentConfig, columns: tuple[str, ...], lay
            precision: Precision, point) -> SweepResult:
     """Tabulate the generator ``point(geom, Z)`` at every configured spacing and kind.
 
-    ``point`` yields each row's cells for ``columns``; the driver lays out
-    ``layout(cfg, spacing, kind)``, builds ``Z`` in ``precision``, dumps it
-    to ``cfg.dump_dir`` when set, and prefixes every row with the point's
-    spacing, element count and kind.  With ``cfg.include_timing`` each row
-    ends with its ``_RowClock`` lap.
+    ``point`` yields each row's cells for ``columns``.  The driver visits
+    ``(spacing, kind)`` in grid order: it lays out ``layout(cfg, spacing,
+    kind)``, builds ``Z`` in ``precision``, dumps it to ``cfg.dump_dir``
+    when set, and prefixes every row with the point's spacing, element
+    count and kind.  With ``cfg.include_timing`` each row ends with the
+    wall time since the row before it, so a point's layout, ``Z`` and
+    shared set-up land on its first row.
     """
     timed = cfg.include_timing
-
-    def worker(task):
-        spacing, kind = task
-        clock = _RowClock()
-        geom = layout(cfg, spacing, kind)
-        Z = impedance(geom, precision)
-        if cfg.dump_dir is not None:
-            directory = Path(cfg.dump_dir)
-            directory.mkdir(parents=True, exist_ok=True)
-            write_matrix_text(Z, directory / f"Z_{kind.value}_d{spacing:.9g}m.txt")
-        lead = (spacing, spacing / cfg.wavelength, geom.n, kind.value)
-        # the point runs lazily, so each lap holds the work of its own row
-        return [lead + cells + ((clock.lap_ms(),) if timed else ())
-                for cells in point(geom, Z)]
-
-    tasks = [(s, kind) for s in cfg.spacings_m for kind in cfg.element_kinds]
-    rows = [row for block in _run_tasks(tasks, worker) for row in block]
+    rows = []
+    mark = time.perf_counter()
+    for spacing in cfg.spacings_m:
+        for kind in cfg.element_kinds:
+            geom = layout(cfg, spacing, kind)
+            Z = impedance(geom, precision)
+            if cfg.dump_dir is not None:
+                directory = Path(cfg.dump_dir)
+                directory.mkdir(parents=True, exist_ok=True)
+                write_matrix_text(Z, directory / f"Z_{kind.value}_d{spacing:.9g}m.txt")
+            lead = (spacing, spacing / cfg.wavelength, geom.n, kind.value)
+            # the point runs lazily, so each row's time holds the work of that row
+            for cells in point(geom, Z):
+                now = time.perf_counter()
+                rows.append(lead + cells + (((now - mark) * 1e3,) if timed else ()))
+                mark = now
+            # release this point's Z and its cached spectrum before the next Z is built
+            del geom, Z
     columns = ("spacing_m", "spacing_wavelengths", "n_elements", "element_kind", *columns)
     return SweepResult(experiment, columns + (("wall_time_ms",) if timed else ()), rows)
 

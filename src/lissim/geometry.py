@@ -49,6 +49,13 @@ def _require_element_model(kind, wavelength) -> None:
             f"wavelength must be a positive finite number, got {wavelength!r}")
 
 
+def _require_positive(name: str, value) -> None:
+    """Refuse ``value``, named ``name``, unless it is a positive finite int or float, not a bool."""
+    if not (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and math.isfinite(value) and value > 0):
+        raise InvalidArgumentError(f"{name} must be a positive finite number, got {value!r}")
+
+
 def _centered(index, count: int, pitch):
     """``(i - (n - 1) / 2) * pitch``: the coordinate of index i on a centered n-point axis.
 
@@ -59,7 +66,7 @@ def _centered(index, count: int, pitch):
     return (index - (count - 1) / 2) * pitch
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ArrayGeometry:
     """Immutable element layout: a centered lattice, or explicit positions.
 
@@ -67,6 +74,9 @@ class ArrayGeometry:
     or ``positions`` (a custom layout), not both.  A lattice is described
     by its shape and pitches alone: its positions, its (iy, iz) indices
     and its elements' mirror images are all derived from them here.
+    Layouts compare and hash by value: a lattice by its kind, wavelength,
+    shape and pitches, a custom layout by its kind, wavelength and
+    positions.
 
     Attributes
     ----------
@@ -107,6 +117,19 @@ class ArrayGeometry:
             positions = self.coordinates(lambda x: np.asarray(x, dtype=float))
             object.__setattr__(self, "positions", positions)
         self.positions.setflags(write=False)
+
+    def _key(self) -> tuple:
+        if self.shape is None:
+            return self.kind, self.wavelength, tuple(map(tuple, self.positions.tolist()))
+        return self.kind, self.wavelength, tuple(self.shape), self.dy, self.dz
+
+    def __eq__(self, other):
+        if not isinstance(other, ArrayGeometry):
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
 
     @property
     def n(self) -> int:
@@ -189,8 +212,7 @@ def planar_grid(
     """
     _require_element_model(kind, wavelength)  # before the element count is refused
     for name, value in (("y_lis", y_lis), ("z_lis", z_lis), ("dy", dy), ("dz", dz)):
-        if not (isinstance(value, (int, float)) and math.isfinite(value) and value > 0):
-            raise InvalidArgumentError(f"{name} must be a positive finite number, got {value!r}")
+        _require_positive(name, value)
     if dy > y_lis:
         raise InvalidArgumentError(f"pitch dy={dy} exceeds aperture width y_lis={y_lis}")
     if dz > z_lis:
@@ -219,11 +241,10 @@ def linear_array(
     ``dy`` of the result is set equal to ``dz`` as a nominal value; a
     single-column array has no y pitch.
     """
-    if not isinstance(n, int) or n < 1:
+    _require_element_model(kind, wavelength)
+    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
         raise InvalidArgumentError(f"element count must be a positive integer, got {n!r}")
-    if not (math.isfinite(dz) and dz > 0):
-        raise InvalidArgumentError(f"dz must be positive, got {dz!r}")
-
+    _require_positive("dz", dz)
     return ArrayGeometry(kind=kind, wavelength=wavelength, dy=dz, dz=dz, shape=(1, n))
 
 

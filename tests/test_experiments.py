@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import threading
 import time
 from pathlib import Path
 
@@ -294,28 +295,32 @@ def test_csv_17_digit_floats_and_inf():
     assert f"{0.1 * LAM:.17g}" in line
 
 
-def test_worker_env_cap_keeps_results_identical(monkeypatch):
-    cfg = make_config(spacings=["0.5 lambda", "0.4 lambda", "0.3 lambda"])
-    baseline = run_experiment("conditioning", cfg).to_csv()
-    monkeypatch.setenv("LISSIM_MAX_WORKERS", "1")
-    serial = run_experiment("conditioning", cfg).to_csv()
-    assert serial == baseline
-    monkeypatch.setenv("LISSIM_MAX_WORKERS", "not-a-number")
-    with pytest.raises(ConfigError):
-        run_experiment("conditioning", cfg)
-
-
-def test_spacing_csv_is_byte_identical_with_one_and_two_workers(monkeypatch):
-    cfg = make_config(spacings=["0.5 lambda", "0.35 lambda", "0.25 lambda", "0.2 lambda"],
-                      element_kinds=["isotropic", "planar"],
+def test_spacing_csv_is_byte_identical_between_runs_and_in_grid_order():
+    spacings = ["0.5 lambda", "0.35 lambda", "0.25 lambda", "0.2 lambda"]
+    kinds = ["isotropic", "planar"]
+    cfg = make_config(spacings=spacings, element_kinds=kinds,
                       panel={"width_m": 0.2, "height_m": 0.15},
                       schemes=["nCA-MF", "CA-MF", "CA-pMF"])
-    tables = {}
-    for workers in ("1", "2"):
-        monkeypatch.setenv("LISSIM_MAX_WORKERS", workers)
-        tables[workers] = run_experiment("spacing", cfg).to_csv()
-    assert len(tables["1"].splitlines()) == 1 + 4 * 2 * 3
-    assert tables["1"] == tables["2"]
+    first = run_experiment("spacing", cfg)
+    assert first.to_csv() == run_experiment("spacing", cfg).to_csv()
+    assert len(first.to_csv().splitlines()) == 1 + 4 * 2 * 3
+    points = list(zip(first.column("spacing_m"), first.column("element_kind")))
+    assert points == [(s, k) for s in cfg.spacings_m for k in kinds for _ in range(3)]
+
+
+def test_sweep_runs_every_point_in_the_calling_thread(monkeypatch):
+    threads = []
+    build = experiments.impedance
+
+    def recording_impedance(*args, **kwargs):
+        threads.append(threading.get_ident())
+        return build(*args, **kwargs)
+
+    monkeypatch.setattr(experiments, "impedance", recording_impedance)
+    cfg = make_config(spacings=["0.5 lambda", "0.4 lambda", "0.3 lambda"],
+                      element_kinds=["isotropic", "planar"])
+    run_experiment("conditioning", cfg)
+    assert threads == [threading.get_ident()] * 6
 
 
 def test_truncation_row_of_a_zero_filter_reports_zero_directivity(monkeypatch):
@@ -368,7 +373,6 @@ def _cli_table(tmp_path, experiment, settings=None):
         args += ["--config", str(cfg)]
     src = str(Path(lissim.__file__).parents[1])
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1",
-               LISSIM_MAX_WORKERS="1",
                PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     subprocess.run(args, env=env, check=True, timeout=600)
     return out.read_text()

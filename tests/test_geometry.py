@@ -100,6 +100,18 @@ def test_linear_array_rejects_zero_count():
         linear_array(0, 0.1, ElementKind.ISOTROPIC, 0.1)
 
 
+@pytest.mark.parametrize("args,match", [
+    ((3, "0.05", ElementKind.ISOTROPIC, 0.1), "dz"),
+    ((True, 0.05, ElementKind.ISOTROPIC, 0.1), "element count"),
+    ((3, True, ElementKind.ISOTROPIC, 0.1), "dz"),
+    ((3, -1.0, "isotropic", float("nan")), "ElementKind"),
+    ((3, -1.0, ElementKind.ISOTROPIC, float("nan")), "wavelength"),
+], ids=["string-pitch", "bool-count", "bool-pitch", "kind-first", "wavelength-before-pitch"])
+def test_linear_array_refuses_bad_arguments_like_planar_grid(args, match):
+    with pytest.raises(InvalidArgumentError, match=match):
+        linear_array(*args)
+
+
 def test_custom_geometry_rejects_duplicates():
     with pytest.raises(InvalidGeometryError):
         custom_geometry([[0, 0, 0], [0, 0, 0]], ElementKind.ISOTROPIC, 0.1)
@@ -225,3 +237,21 @@ def test_extended_lattice_coordinates_are_the_exact_centered_products(build):
         assert exact(row[2]) == Fraction(2 * int(iz) - (n_z - 1), 2) * Fraction(g.dz)
     # in double the same function gives the stored positions bit for bit
     assert np.array_equal(g.coordinates(Precision().arithmetic().number), g.positions)
+
+
+def test_layouts_compare_and_hash_by_value():
+    line = linear_array(3, 0.05, ElementKind.ISOTROPIC, 0.1)
+    grid = planar_grid(0.2, 0.1, 0.1, 0.1, ElementKind.PLANAR, LAM)
+    custom = custom_geometry([[0, 0, 0], [0, 0, 0.05]], ElementKind.ISOTROPIC, 0.1)
+    same = (linear_array(3, 0.05, ElementKind.ISOTROPIC, 0.1),
+            planar_grid(0.2, 0.1, 0.1, 0.1, ElementKind.PLANAR, LAM),
+            custom_geometry([[0, 0, 0], [0, 0, 0.05]], ElementKind.ISOTROPIC, 0.1))
+    for a, b in zip((line, grid, custom), same):
+        assert a == b and hash(a) == hash(b)
+        assert a in [b] and b in {a}
+    assert line != linear_array(3, 0.06, ElementKind.ISOTROPIC, 0.1)
+    assert line != linear_array(3, 0.05, ElementKind.PLANAR, 0.1)
+    assert grid != planar_grid(0.2, 0.1, 0.1, 0.05, ElementKind.PLANAR, LAM)
+    assert custom != custom_geometry([[0, 0, 0], [0, 0, 0.06]], ElementKind.ISOTROPIC, 0.1)
+    # a custom layout on a lattice's positions is not that lattice
+    assert custom_geometry(line.positions, line.kind, 0.1) != line
