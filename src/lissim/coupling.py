@@ -32,18 +32,35 @@ eigendecomposition and the solve work on the sector blocks
 block and merges the spectra; the solve projects the right-hand side
 onto the sectors, skips those it does not excite (a broadside terminal
 excites only the even-even one), factors each remaining block once, and
-checks the residual against the full Z.  In extended precision every
-product with Z (those residuals, and the radiated power ``i^H Z i``)
-reads only the rows of the orbits' first members: one ``fdot`` per such
-row and per distinct mirror image of the vector, so a vector in one
-sector costs about N^2/4 terms instead of N^2, with the same bits as
-the row-by-row product.  Machine double keeps its BLAS product, but
-multiplies a complex vector one block of rows of Z at a time, each
-block cast to complex on its own, so no complex copy of the whole of Z
-is made.  Every row of a block gets the bits of the whole product.  A
-block of a single row would not, as numpy multiplies it by another
-route, so a one-row tail joins the block before it.  The gather that
-builds a lattice Z works by the same row blocks.  Custom layouts have
+checks the residual against the full Z.
+
+A square lattice (``n_y = n_z`` and ``dy = dz``) is also invariant
+under the swap y <-> z, and Z with it, exactly, so Z has the 8
+symmetries of the square.  Extended precision uses them; machine double
+keeps the four mirror sectors, whose LAPACK bits would otherwise
+change.  The swap splits the even-even and odd-odd sectors each into a
+swap-symmetric and a swap-antisymmetric half, of about m(m+1)/2 and
+m(m-1)/2 for an m x m sector, and the extended solve factors those
+halves: a broadside channel is exactly swap-symmetric, so it excites
+only the first, 45 of 81 at N = 324.  The even-odd and odd-even sectors,
+which the swap exchanges, stay whole, and the eigendecomposition keeps
+the four mirror sectors.
+
+In extended precision every product with Z (the solve's residuals, and
+the radiated power ``i^H Z i``) reads only the rows of the first
+members of the orbits, of the mirrors or of the square's symmetries:
+each entry is one ``fdot`` of such a row with an image of the vector,
+and the images equal to plus or minus one already formed reuse its
+``fdot`` values.  A vector in one mirror sector costs about N^2/4 terms
+instead of N^2, one also even under the swap about N^2/8, and no vector
+more than N^2, with the same bits as the row-by-row product.  Machine
+double keeps its BLAS product, but multiplies a complex vector one block
+of rows of Z at a time, each block cast to complex on its own, so no
+complex copy of the whole of Z is made.  Every row of a block gets the
+bits of the whole product.  A block of a single row would not, as numpy
+multiplies it by another route, so a one-row tail joins the block
+before it.  The gather that builds a lattice Z works by the same row
+blocks.  Custom layouts have
 no lattice, so no mirrors: one orbit per element, a single sector, and
 the sector block is Z itself, bit for bit.
 """
@@ -82,6 +99,8 @@ _LU_GUARD_BITS = 10
 # value of each parity character on (identity, y mirror, z mirror, both),
 # the column order of ImpedanceMatrix.images and .orbits
 _PARITIES = ((1, 1, 1, 1), (1, -1, 1, -1), (1, 1, -1, -1), (1, -1, -1, 1))
+# the mirror columns the swap is composed with, in the order of _square_group's last four
+_SWAP_COLUMNS = [0, 3, 1, 2]
 # int64 keys of a custom layout's offset triples stay below this (see _pair_distances)
 _PAIR_KEY_LIMIT = 2 ** 62
 # rows per block of the double products with Z and of the lattice gather (see _row_blocks)
@@ -89,16 +108,22 @@ _ROW_BLOCK = 128
 
 
 class _Sector:
-    """One parity sector of Z: the orbits it holds and its orthonormal basis E.
+    """One symmetry sector of Z: the orbits it holds and its orthonormal basis E.
 
-    Column p of E holds orbit p's members, each with its sign under the
-    sector's character, scaled by ``1/sqrt(|orbit|)``.  Products with E
-    are signed sums over an orbit's four images (identity, y mirror,
-    z mirror, both) in fixed pairs, ``(v0 +- v1) +- (v2 +- v3)``, in
-    which an image that repeats counts ``4/|orbit|`` times.  So a
-    component that the symmetry makes zero comes out exactly zero, the
-    block of an exactly invariant Z is exactly symmetric, and with one
-    orbit per element every product is exact and the block is Z itself.
+    A sector is a sign character of a group of element permutations
+    under which Z is exactly invariant: the four mirrors (identity,
+    y mirror, z mirror, both), or on a square lattice those four and
+    the same composed with the swap (see :attr:`ImpedanceMatrix.swap`).
+    ``parity`` holds the character's value on each group element, in
+    the column order of the orbits' images.  Column p of E holds orbit
+    p's members, each with its sign under the character, scaled by
+    ``1/sqrt(|orbit|)``.  Products with E are signed sums over an
+    orbit's images in fixed pairs, ``(v0 +- v1) +- (v2 +- v3)`` for four
+    and the same twice over for eight, in which an image that repeats
+    counts ``|group|/|orbit|`` times.  So a component that the symmetry
+    makes zero comes out exactly zero, the block of an exactly invariant
+    Z is exactly symmetric, and with one orbit per element every product
+    is exact and the block is Z itself.
 
     ``ar`` is the matrix's arithmetic (:meth:`Precision.arithmetic`);
     the methods take numpy arrays of floats, or object arrays of mpmath
@@ -107,29 +132,34 @@ class _Sector:
 
     def __init__(self, parity, orbits, ar):
         self.parity = parity
-        # (m, 4) element indices in the column order of _PARITIES
+        # (m, group size) element indices in the column order of parity
         self.images = np.array(orbits, dtype=int)
-        # an orbit's size is 4 over the number of mirrors that fix its elements
-        self.roots = ar.sqrt(ar.number([4 // images.count(images[0]) for images in orbits]))
+        # an orbit's size is the group's over the number of its elements that fix its members
+        self.roots = ar.sqrt(ar.number([len(images) // images.count(images[0])
+                                        for images in orbits]))
 
-    def _signed_sum(self, image):
-        _, sign_y, sign_z, _ = self.parity
+    def _signed_sum(self, image, start=0, count=None):
+        """Columns ``start..start+count`` of the images, summed in pairs of halves.
 
-        def pair(a, b, sign):
-            return a + b if sign > 0 else a - b
-
-        return pair(pair(image(0), image(1), sign_y), pair(image(2), image(3), sign_y), sign_z)
+        Each term is signed by the character relative to column start's.
+        """
+        count = len(self.parity) if count is None else count
+        if count == 1:
+            return image(start)
+        half = count // 2
+        left = self._signed_sum(image, start, half)
+        right = self._signed_sum(image, start + half, half)
+        return left + right if self.parity[start] == self.parity[start + half] else left - right
 
     def project(self, v):
         """``E^T v`` for a vector v over the elements."""
-        return self._signed_sum(lambda k: v[self.images[:, k]]) * (self.roots / 4)
+        return self._signed_sum(lambda k: v[self.images[:, k]]) * (self.roots / len(self.parity))
 
     def block(self, entries):
         """``E^T Z E``, gathered from the rows of the orbits' first members."""
         first = self.images[:, :1]
-        half = self.roots / 2
         return (self._signed_sum(lambda k: entries[first, self.images[:, k]])
-                * np.outer(half, half))
+                * np.outer(self.roots, self.roots / len(self.parity)))
 
     def expand(self, y, out, columns=None):
         """Write ``E y`` into the rows of out (or into the given columns of a matrix)."""
@@ -142,20 +172,75 @@ class _Sector:
         return out
 
 
-def _sectors(orbits, ar):
-    """The nonempty parity sectors of a layout's mirror orbits.
+def _sectors(orbits, parities, ar):
+    """The nonempty sectors of ``orbits`` under each character in ``parities``.
 
-    An orbit drops out of a sector whose character is -1 on a mirror
-    that fixes the orbit's elements: its sector vector would equal
-    minus itself.
+    An orbit drops out of a sector whose character is -1 on a group
+    element that fixes the orbit's elements: its sector vector would
+    equal minus itself.
     """
     sectors = []
-    for parity in _PARITIES:
+    for parity in parities:
         held = [images for images in orbits.tolist()
                 if all(sign > 0 or image != images[0] for image, sign in zip(images, parity))]
         if held:
             sectors.append(_Sector(parity, held, ar))
     return sectors
+
+
+def _swap_sectors(orbits, group_orbits, ar):
+    """The sectors the extended solve factors when Z is also invariant under the swap.
+
+    The swap maps the even-even and the odd-odd mirror sector each onto
+    itself and splits it into a swap-symmetric and a swap-antisymmetric
+    half: the sectors of the square's group whose character extends the
+    mirror character by +1 or by -1 on the swap, of about m(m+1)/2 and
+    m(m-1)/2 orbits for m the mirror sector's side.  It exchanges the
+    even-odd and odd-even sectors, which stay whole.  ``group_orbits``
+    are the square group's orbits, in the columns of
+    :func:`_square_group`.
+    """
+    sectors = []
+    for parity in _PARITIES:
+        if parity[1] == parity[2]:
+            # the swap's columns are ordered like _SWAP_COLUMNS' mirrors
+            halves = [parity + tuple(t * parity[k] for k in _SWAP_COLUMNS) for t in (1, -1)]
+            sectors += _sectors(group_orbits, halves, ar)
+        else:
+            sectors += _sectors(orbits, [parity], ar)
+    return sectors
+
+
+def _square_group(images, swap):
+    """The images of each element under the square's 8 symmetries, shape (N, 8).
+
+    The mirrors' four columns, then the swap composed with the mirrors
+    of :data:`_SWAP_COLUMNS` in that order: swap after the identity,
+    after both mirrors, after the y mirror and after the z mirror.  The
+    last two are each other's inverses, and the ee and oo characters
+    agree on them, so the signed sums pair them in a sum and a half's
+    block stays exactly symmetric.
+    """
+    return np.hstack([images, swap[images[:, _SWAP_COLUMNS]]])
+
+
+def _moves(group, orbits):
+    """``(permutation, targets, first)`` per group element that reaches an element first.
+
+    ``targets`` are the images of the orbits' first members under the
+    element, and ``first`` the orbits whose image no earlier element
+    reached: every element of the layout is some orbit's first target
+    exactly once.
+    """
+    reached = np.zeros(len(group), dtype=bool)
+    moves = []
+    for k in range(group.shape[1]):
+        targets = orbits[:, k]
+        first = np.flatnonzero(~reached[targets])
+        reached[targets] = True
+        if len(first):
+            moves.append((group[:, k], targets, first.tolist()))
+    return moves
 
 
 class ImpedanceMatrix:
@@ -190,9 +275,16 @@ class ImpedanceMatrix:
         parity sectors in which the eigendecomposition and the solve
         work, in both precisions; with no mirrors there is one orbit per
         element, a single sector whose block is Z itself.
+    swap : ndarray of int, shape (N,), or None
+        Each element's image under the swap y <-> z of a square lattice,
+        as returned by :meth:`ArrayGeometry.swap_images`, under which Z
+        must also be exactly invariant; None (the default) for no swap.
+        Only extended precision uses it: its products with Z read one
+        row per orbit of the square's 8 symmetries, and its solve splits
+        the even-even and odd-odd sectors into their swap halves.
     """
 
-    def __init__(self, entries, precision: Precision, images=None):
+    def __init__(self, entries, precision: Precision, images=None, swap=None):
         if not (isinstance(entries, np.ndarray) and entries.ndim == 2
                 and entries.shape[0] == entries.shape[1]):
             raise InvalidArgumentError(
@@ -209,13 +301,20 @@ class ImpedanceMatrix:
         self.images = images
         self.orbits = images[images.min(axis=1) == own]
         self.orbits.setflags(write=False)
+        if swap is not None:
+            swap.setflags(write=False)
+        self.swap = swap
         with self.arithmetic.lock:
-            self._sectors = _sectors(self.orbits, self.arithmetic)
-        if self.context is not None:  # what _product reads: see there
-            self._orbit_rows = entries[self.orbits[:, 0]].tolist()
-            # (k, each element's image under k) for the identity and the mirrors that move one
-            self._mirrors = [(k, images[:, k]) for k in range(4)
-                             if k == 0 or np.any(images[:, k] != own)]
+            self._sectors = self._solve_sectors = _sectors(self.orbits, _PARITIES,
+                                                           self.arithmetic)
+            if self.context is not None:  # what _product and _sector_inverse read: see there
+                group = images if swap is None else _square_group(images, swap)
+                group_orbits = group[group.min(axis=1) == own]
+                self._orbit_rows = entries[group_orbits[:, 0]].tolist()
+                self._moves = _moves(group, group_orbits)
+                if swap is not None:
+                    self._solve_sectors = _swap_sectors(self.orbits, group_orbits,
+                                                        self.arithmetic)
         self._eig = None
         self._eig_lock = threading.Lock()
 
@@ -239,18 +338,19 @@ class ImpedanceMatrix:
 def _product(Z: ImpedanceMatrix, v):
     """``Z v`` in Z's arithmetic; call under its lock.
 
-    Under extended precision only the rows of the orbit representatives
-    ``a = Z.orbits[:, 0]`` are read.  Z is exactly invariant under the
-    mirrors, so ``(Z v)[image_k(a)] = fdot(Z[a], v[perm_k])``, with
-    ``perm_k = Z.images[:, k]``: one ``fdot`` per representative row and
-    per distinct image ``v[perm_k]``, and an image equal to plus or minus
-    one already formed reuses its products, negated where needed.  Only
-    the identity and the mirrors that move an element are tried.
-    ``fdot`` sums its products exactly
-    and rounds once to nearest, so every entry is bit for bit the
-    ``fdot`` of its own row of Z with v.  A vector in one parity sector
-    costs about N^2/4 terms, a vector spanning all four sectors N^2, and
-    a layout with one orbit per element the plain product.
+    Under extended precision only the rows of the orbits' first members
+    ``a`` are read, the orbits of the mirrors or, with a swap, of the
+    square's 8 symmetries.  Z is exactly invariant under each symmetry
+    g, so ``(Z v)[g(a)] = fdot(Z[a], v[g])``, with ``v[g]`` the vector
+    whose entry c is ``v[g(c)]``.  Each entry is formed once, by the
+    first symmetry that reaches it (:func:`_moves`), and the fdots of an
+    image ``v[g]`` equal to plus or minus one already formed are reused,
+    negated where needed.  ``fdot`` sums its products exactly and rounds
+    once to nearest, so every entry is bit for bit the ``fdot`` of its
+    own row of Z with v.  A vector in one mirror sector, as every
+    broadside iterate and current is, costs about N^2/4 terms, and one
+    also even under the swap about N^2/8; no vector costs more than the
+    plain product's N^2, which a layout with one orbit per element gets.
 
     Machine double keeps the BLAS product: BLAS sums each row in its own
     order, so folding rows by the mirrors would change the double bits.
@@ -270,19 +370,23 @@ def _product(Z: ImpedanceMatrix, v):
         return out
     fdot = Z.context.fdot
     out = np.empty(Z.n, dtype=object)
-    formed = []  # (an image of v, the orbit rows' fdots with it)
-    for k, perm in Z._mirrors:
+    formed = []  # (an image of v, its fdots with the orbit rows so far, by orbit)
+    for perm, targets, first in Z._moves:
         image = v[perm]
+        negate = False
         for earlier, products in formed:
             if np.array_equal(image, earlier):
                 break
             if np.array_equal(image, -earlier):
-                products = -products
+                negate = True
                 break
         else:
-            products = np.array([fdot(row, image) for row in Z._orbit_rows], dtype=object)
-            formed.append((image, products))
-        out[Z.orbits[:, k]] = products
+            earlier, products = image, {}
+            formed.append((earlier, products))
+        for p in first:
+            if p not in products:
+                products[p] = fdot(Z._orbit_rows[p], earlier)
+            out[targets[p]] = -products[p] if negate else products[p]
     return out
 
 
@@ -377,8 +481,9 @@ def impedance(geom: ArrayGeometry, precision: Precision = Precision()) -> Impeda
     is therefore 1 or 1/2.  The matrix is symmetric by construction.
     Lattice layouts are built from the kernel's values at their distinct
     lattice offsets, so Z is exactly invariant under the layout's
-    mirrors, whose images the matrix carries (see
-    :attr:`ImpedanceMatrix.images`).
+    mirrors, and a square lattice's under its swap y <-> z, whose
+    images the matrix carries (see :attr:`ImpedanceMatrix.images` and
+    :attr:`ImpedanceMatrix.swap`).
 
     Raises
     ------
@@ -406,7 +511,8 @@ def impedance(geom: ArrayGeometry, precision: Precision = Precision()) -> Impeda
             # one kernel value per distinct offset triple, then one gather
             pairs, r = _pair_distances(geom, ar)
             entries = _kernel(geom.kind, r * k, precision)[pairs]
-    return ImpedanceMatrix(entries, precision, images=geom.mirror_images())
+    return ImpedanceMatrix(entries, precision, images=geom.mirror_images(),
+                           swap=geom.swap_images())
 
 
 def _off_norm(ctx, a):
@@ -746,6 +852,9 @@ def solve(Z: ImpedanceMatrix, h):
     double and a Crout LU on row lists under extended precision
     (:func:`_crout_factor`), and check the residual against the full Z;
     the refinement step projects the residual into the same sectors.
+    Under extended precision a Z with a swap (a square lattice) factors
+    the swap halves of the even-even and odd-odd sectors instead of the
+    whole sectors (:func:`_sector_inverse`).
     An exactly singular block (a zero pivot) or an iterate that is not
     finite is refused with residual ``inf``.  A right-hand side with a
     NaN or infinite entry is refused before anything is factored.
@@ -805,8 +914,17 @@ def _sector_inverse(Z: ImpedanceMatrix, h):
     """``v -> sum over the sectors h excites of E_s B_s^-1 E_s^T v``.
 
     Factors each sector block that h excites once; components of v in
-    the other sectors are dropped.  Extended blocks are factored and
-    solved with ``_LU_GUARD_BITS`` extra working bits.
+    the other sectors are dropped.  A sector is skipped only where the
+    projection of h onto it is exactly zero.  Extended blocks are
+    factored and solved with ``_LU_GUARD_BITS`` extra working bits.
+
+    Under extended precision a Z with a swap works in the square group's
+    sectors (:func:`_swap_sectors`), each block gathered straight from
+    the rows of the group orbits' first members.  A broadside channel,
+    exactly swap-symmetric, excites only the symmetric half of
+    even-even: 45 of 81 at N = 324, about a sixth of the whole block's
+    factor.  Machine double and a Z with no swap factor the four mirror
+    sectors.
     """
     ctx = Z.context
     if ctx is None:  # different algorithms: LAPACK getrf in double, a Crout LU at any width
@@ -820,7 +938,7 @@ def _sector_inverse(Z: ImpedanceMatrix, h):
 
     with guard():
         factored = [(sector, factor(sector.block(Z.entries)))
-                    for sector in Z._sectors if np.any(sector.project(h) != 0)]
+                    for sector in Z._solve_sectors if np.any(sector.project(h) != 0)]
 
     def apply(v):
         with guard():

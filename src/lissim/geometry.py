@@ -4,7 +4,7 @@ The surface lies in the plane x = 0 with broadside along +x.  Layout
 factories return immutable :class:`ArrayGeometry` objects, checked once
 on construction.  A regular grid is described by its shape and pitches
 alone, from which its positions, its exact coordinates in any precision
-and its mirror images are derived.
+and its mirror images, and a square lattice's swap images, are derived.
 """
 
 from __future__ import annotations
@@ -73,7 +73,8 @@ class ArrayGeometry:
     Give either ``shape`` with the pitches ``dy`` and ``dz`` (a lattice)
     or ``positions`` (a custom layout), not both.  A lattice is described
     by its shape and pitches alone: its positions, its (iy, iz) indices
-    and its elements' mirror images are all derived from them here.
+    and its elements' mirror and swap images are all derived from them
+    here.
     Layouts compare and hash by value: a lattice by its kind, wavelength,
     shape and pitches, a custom layout by its kind, wavelength and
     positions.
@@ -91,8 +92,9 @@ class ArrayGeometry:
         Center-to-center pitch along y and z in meters, required with
         ``shape``; ``None`` for a custom layout, which has no pitch.
     shape : (int, int) or None
-        ``(n_y, n_z)`` of a lattice centered on the origin, element
-        ``iz * n_y + iy`` at index (iy, iz); ``None`` for a custom layout.
+        ``(n_y, n_z)`` of two positive integers (not bools), a lattice
+        centered on the origin, element ``iz * n_y + iy`` at index
+        (iy, iz); ``None`` for a custom layout.
     """
 
     kind: ElementKind
@@ -109,11 +111,14 @@ class ArrayGeometry:
                 "a layout is either a lattice shape or explicit positions: give exactly one")
         if self.shape is not None:
             if not (len(self.shape) == 2
-                    and all(isinstance(c, numbers.Integral) and c >= 1 for c in self.shape)):
+                    and all(isinstance(c, numbers.Integral) and not isinstance(c, bool)
+                            and c >= 1 for c in self.shape)):
                 raise InvalidArgumentError(
                     f"a lattice shape is two positive integers, got {self.shape!r}")
             if self.dy is None or self.dz is None:
                 raise InvalidArgumentError("a lattice layout needs its pitches dy and dz")
+            _require_positive("dy", self.dy)
+            _require_positive("dz", self.dz)
             positions = self.coordinates(lambda x: np.asarray(x, dtype=float))
             object.__setattr__(self, "positions", positions)
         self.positions.setflags(write=False)
@@ -166,9 +171,26 @@ class ArrayGeometry:
         """
         if self.shape is None:
             return np.column_stack([np.arange(self.n)] * 4)
-        grid = np.arange(self.n).reshape(self.shape[1], self.shape[0])  # [iz, iy]
+        grid = self._grid()
         return np.column_stack([g.ravel() for g in (grid, grid[:, ::-1], grid[::-1],
                                                     grid[::-1, ::-1])])
+
+    def swap_images(self) -> np.ndarray | None:
+        """Each element's image under the swap y <-> z, or None where the layout has none.
+
+        A square lattice (``n_y == n_z`` and ``dy == dz``) maps onto
+        itself under the swap, element (iy, iz) onto (iz, iy): its images
+        are the transpose of the grid of element numbers, as the mirrors'
+        are its flips.  A non-square lattice and a custom layout have no
+        swap.
+        """
+        if self.shape is None or self.shape[0] != self.shape[1] or self.dy != self.dz:
+            return None
+        return self._grid().T.ravel()
+
+    def _grid(self) -> np.ndarray:
+        """A lattice's element numbers as its ``n_z x n_y`` grid, indexed ``[iz, iy]``."""
+        return np.arange(self.n).reshape(self.shape[1], self.shape[0])
 
 
 def planar_grid(

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import tracemalloc
 
@@ -17,10 +18,12 @@ from lissim import (
     InvalidArgumentError,
     InvalidGeometryError,
     Precision,
+    ca_mf,
     channel_for,
     channel_isotropic,
     condition_number,
     custom_geometry,
+    directivity,
     impedance,
     linear_array,
     planar_grid,
@@ -387,6 +390,11 @@ def factored_sizes(monkeypatch):
     return sizes
 
 
+def _swap_half_sizes(m):
+    """Sizes of the swap-symmetric and swap-antisymmetric halves of an m x m mirror sector."""
+    return m * (m + 1) // 2, m * (m - 1) // 2
+
+
 @pytest.mark.parametrize("n_y,n_z", [(4, 5), (5, 3), (4, 4), (1, 7)])
 @pytest.mark.parametrize("kind", list(ElementKind))
 @pytest.mark.parametrize("terminal", [(10.0, 0.0, 0.0), (10.0, 1.3, 0.0), (10.0, 1.3, -0.7)])
@@ -406,9 +414,19 @@ def test_solve_extended_in_parity_sectors_matches_lu_solve(factored_sizes, n_y, 
     y_parities = (1, -1) if terminal[1] != 0 else (1,)
     z_parities = (1, -1) if terminal[2] != 0 else (1,)
     sizes_y, sizes_z = _axis_sector_sizes(n_y), _axis_sector_sizes(n_z)
-    expected = [sizes_y[py] * sizes_z[pz]
-                for pz in (1, -1) for py in (1, -1)
-                if py in y_parities and pz in z_parities and sizes_y[py] * sizes_z[pz]]
+    expected = []
+    for pz in (1, -1):
+        for py in (1, -1):
+            if py in y_parities and pz in z_parities and sizes_y[py] * sizes_z[pz]:
+                if n_y == n_z and py == pz:
+                    # a square's swap splits the even-even and odd-odd sectors, and a
+                    # terminal off the diagonal y = z excites both halves
+                    symmetric, antisymmetric = _swap_half_sizes(sizes_y[py])
+                    expected.append(symmetric)
+                    if antisymmetric and abs(terminal[1]) != abs(terminal[2]):
+                        expected.append(antisymmetric)
+                else:
+                    expected.append(sizes_y[py] * sizes_z[pz])
 
     x = solve(Z, h)
     assert factored_sizes == expected
@@ -418,16 +436,103 @@ def test_solve_extended_in_parity_sectors_matches_lu_solve(factored_sizes, n_y, 
     assert _mp_residual(ctx, Z, x, h) <= 1e-8 * ctx.norm(h)
 
 
-def test_solve_extended_broadside_factors_only_the_even_sector(factored_sizes):
-    pitch = 0.25 * LAM
-    geom = planar_grid(10 * pitch, 10 * pitch, pitch, pitch, ElementKind.PLANAR, LAM)
+def _hp_panel(side, frac):
+    pitch = frac * LAM
+    return planar_grid(side, side, pitch, pitch, ElementKind.PLANAR, LAM)
+
+
+def _four_sector(Z):
+    """Z with its mirrors and no swap: the extended solve then works in the four mirror sectors."""
+    return ImpedanceMatrix(Z.entries, Z.precision, images=Z.images)
+
+
+def _relative_distance(ctx, x, reference):
+    return ctx.norm(_mp(ctx, x) - _mp(ctx, reference)) / ctx.norm(_mp(ctx, reference))
+
+
+@pytest.mark.parametrize("frac,n,half", [(0.25, 81, 15), (0.2, 121, 21)])
+def test_solve_extended_broadside_factors_only_the_swap_symmetric_half(factored_sizes, frac, n,
+                                                                      half):
+    # the 0.25 m panel of the spacing-hp benchmark: the channel is exactly
+    # swap-symmetric, so the even-even sector's antisymmetric half is skipped
+    geom = _hp_panel(0.25, frac)
     Z = impedance(geom, EXT)
     h = channel_for(geom, [10.0, 0.0, 0.0], EXT)
+    assert np.array_equal(h, h[geom.swap_images()])
     ctx = EXT.context()
     x = solve(Z, h)
-    assert geom.n == 121
-    assert factored_sizes == [36]
+    assert geom.n == n
+    assert factored_sizes == [half]
     assert _mp_residual(ctx, Z, x, h) <= 1e-8 * ctx.norm(h)
+
+
+def test_solve_extended_on_the_default_panel_keeps_the_quarter_wavelength_directivity(
+        factored_sizes):
+    geom = _hp_panel(0.5, 0.25)
+    Z = impedance(geom, EXT)
+    h = channel_for(geom, [10.0, 0.0, 0.0], EXT)
+    # the 256-bit channel is exactly swap-symmetric here too: one block of 45, not 81
+    assert np.array_equal(h, h[geom.swap_images()])
+    ctx = EXT.context()
+    x = solve(Z, h)
+    assert (geom.n, factored_sizes) == (324, [45])
+    assert _mp_residual(ctx, Z, x, h) <= 1e-8 * ctx.norm(h)
+    assert directivity(ca_mf(Z, h), Z, h, [10.0, 0.0, 0.0], LAM) == 246.2424259795558
+
+
+def test_solve_extended_factors_both_even_halves_when_h_is_not_swap_symmetric(factored_sizes):
+    # terminals at y = +-0.3 m: h is even under both mirrors but not under the swap
+    geom = _hp_panel(0.5, 0.25)
+    Z = impedance(geom, EXT)
+    h = channel_for(geom, [10.0, 0.3, 0.0], EXT) + channel_for(geom, [10.0, -0.3, 0.0], EXT)
+    ctx = EXT.context()
+    x = solve(Z, h)
+    assert factored_sizes == [45, 36]
+    assert _mp_residual(ctx, Z, x, h) <= 1e-8 * ctx.norm(h)
+    factored_sizes.clear()
+    reference = solve(_four_sector(Z), h)
+    assert factored_sizes == [81]
+    assert _relative_distance(ctx, x, reference) <= 1e-55
+
+
+def test_solve_extended_off_axis_excites_every_sector_and_matches_the_four_sector_solve(
+        factored_sizes):
+    geom = _hp_panel(0.25, 0.25)
+    Z = impedance(geom, EXT)
+    h = channel_for(geom, [10.0, 0.3, 0.1], EXT)
+    ctx = EXT.context()
+    x = solve(Z, h)
+    # the even-even and odd-odd sectors' swap halves, and the even-odd and odd-even sectors whole
+    assert factored_sizes == [15, 10, 20, 20, 10, 6]
+    assert _mp_residual(ctx, Z, x, h) <= 1e-8 * ctx.norm(h)
+    factored_sizes.clear()
+    reference = solve(_four_sector(Z), h)
+    assert factored_sizes == [25, 20, 20, 16]
+    assert _relative_distance(ctx, x, reference) <= 1e-55
+
+
+def _exact_digest(values):
+    """sha256 of the exact sign, mantissa and exponent of each entry's real and imaginary parts."""
+    parts = [(p[0], int(p[1]), p[2]) for v in values
+             for p in (v._mpc_ if hasattr(v, "_mpc_") else (v._mpf_,))]
+    return hashlib.sha256(repr(parts).encode()).hexdigest()
+
+
+# digests of the four-mirror-sector solve, pinned before a square lattice's swap was used
+@pytest.mark.parametrize("geom,terminal,digest", [
+    (ArrayGeometry(shape=(4, 5), kind=ElementKind.ISOTROPIC, wavelength=LAM,
+                   dy=0.3 * LAM, dz=0.3 * LAM), (10.0, 1.3, -0.7),
+     "f4568c564b1bda4f449ecabe72d4b2ef3ea1c513bdeb66dd770482e67dfe2d4b"),
+    (ArrayGeometry(shape=(5, 5), kind=ElementKind.PLANAR, wavelength=LAM,
+                   dy=0.2 * LAM, dz=0.25 * LAM), (10.0, 1.3, -0.7),
+     "369b7a0fa90eefd24ff4491c2719bc086699d0e13a57baa9bdfd091129620593"),
+    (geom_linear(20, 0.2, ElementKind.PLANAR), (10.0, 0.0, 0.5),
+     "9b2a7ef416fde5577bade0076da38b2a46b12a55325cbba1608eeadc17357ab6"),
+], ids=["4x5", "5x5-unequal-pitches", "line"])
+def test_solve_extended_without_a_swap_keeps_its_bits(geom, terminal, digest):
+    assert geom.swap_images() is None
+    Z = impedance(geom, EXT)
+    assert _exact_digest(solve(Z, channel_for(geom, terminal, EXT))) == digest
 
 
 @pytest.mark.parametrize("precision,eigensolver", [(Precision(), "_lapack_eigh"),
@@ -520,6 +625,37 @@ def _mirror_sector_sizes(n_y, n_z):
     sizes_y, sizes_z = _axis_sector_sizes(n_y), _axis_sector_sizes(n_z)
     return sorted(sizes_y[py] * sizes_z[pz] for py in (1, -1) for pz in (1, -1)
                   if sizes_y[py] * sizes_z[pz])
+
+
+@pytest.mark.parametrize("n", [4, 5, 6])
+def test_extended_solve_sectors_of_a_square_are_an_orthonormal_split_of_z(n):
+    Z = impedance(_lattice(n, n, 0.25, ElementKind.PLANAR), EXT)
+    ctx, ar = Z.context, Z.arithmetic
+    even, odd = (n + 1) // 2, n // 2
+    # the even-even and odd-odd swap halves, and the even-odd and odd-even sectors whole
+    assert [len(sector.images) for sector in Z._solve_sectors] == [
+        *_swap_half_sizes(even), even * odd, odd * even, *_swap_half_sizes(odd)]
+    with ar.lock:
+        bases = [sector.expand(_ext_array(ctx, np.eye(len(sector.images))),
+                               np.zeros((Z.n, len(sector.images)), dtype=object))
+                 for sector in Z._solve_sectors]
+        E = _mp(ctx, np.hstack(bases))
+        gram = E.T * E - ctx.eye(Z.n)
+        assert max(abs(gram[i, j]) for i in range(Z.n) for j in range(Z.n)) <= 1e-70
+        # E^T Z E is block diagonal, its blocks the gathered ones, which are exactly symmetric
+        expected = E.T * _mp(ctx, Z.entries) * E
+        start = 0
+        for sector in Z._solve_sectors:
+            block = sector.block(Z.entries)
+            assert np.array_equal(block, block.T)
+            m = len(block)
+            stop = start + m
+            for i in range(Z.n):
+                for j in range(start, stop):
+                    inside = start <= i < stop
+                    value = block[i - start, j - start] if inside else 0
+                    assert abs(expected[i, j] - value) <= 1e-70
+            start = stop
 
 
 @pytest.mark.parametrize("n_y,n_z", [(5, 5), (4, 6), (11, 11), (1, 12)])
@@ -761,10 +897,11 @@ def test_custom_layout_build_matches_the_per_pair_distance_formula_bit_for_bit(
 
 
 def _vectors_for_the_product(Z, rng):
-    """One real and one complex vector in each parity sector of Z, and two spanning all of them.
+    """Two vectors over all elements, and one in each sector of the eigensolve and the solve.
 
-    The sector vectors are ``expand`` outputs written into ``np.zeros``:
-    an odd sector leaves the elements its mirrors fix as Python-int zeros.
+    Each comes real and complex.  The sector vectors are ``expand``
+    outputs written into ``np.zeros``: a sector leaves the elements it
+    does not hold as Python-int zeros.
     """
     ctx = Z.context
 
@@ -774,31 +911,47 @@ def _vectors_for_the_product(Z, rng):
         return np.array([ctx.mpf(x) for x in rng.normal(size=m)], dtype=object)
 
     vectors = [numbers(Z.n, complex_) for complex_ in (False, True)]
-    for sector in Z._sectors:
+    for sector in Z._sectors + [s for s in Z._solve_sectors if s not in Z._sectors]:
         for complex_ in (False, True):
             y = numbers(len(sector.images), complex_)
             vectors.append(sector.expand(y, np.zeros(Z.n, dtype=object)))
     return vectors
 
 
-# (layout, the identity and the mirrors that move an element, whether an
-# odd sector leaves Python-int zeros)
-@pytest.mark.parametrize("geom,mirrors,int_zeros", [
-    (_lattice(5, 5, 0.2, ElementKind.PLANAR), [0, 1, 2, 3], True),
-    (_lattice(4, 5, 0.25, ElementKind.ISOTROPIC), [0, 1, 2, 3], True),
-    (geom_linear(20, 0.3), [0, 2, 3], False),
-    (_custom_copy(_lattice(3, 4, 0.3, ElementKind.PLANAR)), [0], False),
-], ids=["odd-odd", "even-odd", "line", "custom"])
-def test_extended_product_matches_the_row_by_row_product_bit_for_bit(geom, mirrors, int_zeros):
+# (layout, the orbit rows the product reads)
+@pytest.mark.parametrize("geom,rows", [
+    (_lattice(4, 4, 0.25, ElementKind.PLANAR), 3),
+    (_lattice(5, 5, 0.2, ElementKind.PLANAR), 6),
+    (_lattice(9, 9, 0.25, ElementKind.ISOTROPIC), 15),
+    # no swap: the four mirrors' orbits
+    (_lattice(4, 5, 0.25, ElementKind.ISOTROPIC), 6),
+    (ArrayGeometry(shape=(5, 5), kind=ElementKind.PLANAR, wavelength=LAM,
+                   dy=0.2 * LAM, dz=0.25 * LAM), 9),
+    (geom_linear(20, 0.3), 10),
+    (_custom_copy(_lattice(3, 4, 0.3, ElementKind.PLANAR)), 12),
+], ids=["4x4", "5x5", "9x9", "4x5", "5x5-unequal-pitches", "line", "custom"])
+def test_extended_product_matches_the_row_by_row_product_bit_for_bit(monkeypatch, geom, rows):
     Z = impedance(geom, EXT)
-    assert [k for k, _ in Z._mirrors] == mirrors
-    ar = Z.arithmetic
-    vectors = _vectors_for_the_product(Z, np.random.default_rng(11))
-    assert any(type(x) is int for v in vectors for x in v) == int_zeros
+    # a square lattice reads one row per orbit of its 8 symmetries, any other one per mirror orbit
+    assert len(Z._orbit_rows) == rows
+    assert rows == len(Z.orbits) if Z.swap is None else rows < len(Z.orbits)
+    ctx, ar = Z.context, Z.arithmetic
+    fdot = ctx.fdot
+    calls = []
+
+    def counting_fdot(*args, **kwargs):
+        calls.append(1)
+        return fdot(*args, **kwargs)
+
     with ar.lock:
-        for v in vectors:
+        for v in _vectors_for_the_product(Z, np.random.default_rng(11)):
+            calls.clear()
+            monkeypatch.setattr(ctx, "fdot", counting_fdot)
             got = coupling._product(Z, v)
-            assert [_bits(x) for x in got] == [_bits(x) for x in ar.matvec(Z.entries, v)]
+            monkeypatch.undo()
+            # every entry is formed once at most: no vector costs more than the plain product
+            assert len(calls) <= geom.n
+            assert [_bits(x) for x in got] == [_bits(fdot(Z.entries[a], v)) for a in range(Z.n)]
 
 
 def _row_blocks_without_tail_merge(n):
@@ -936,9 +1089,10 @@ def test_extended_quadratic_form_of_an_even_vector_reads_one_row_per_orbit(monke
     value = quadratic_form(Z, h)
     monkeypatch.undo()
     assert _bits(value) == _bits(expected)
-    # one fdot per orbit's row of Z (36 of 121 rows), then the vdot
-    assert (geom.n, len(Z.orbits)) == (121, 36)
-    assert calls == [geom.n] * (36 + 1)
+    # h is even under the swap too: one fdot per row of an orbit of the
+    # square's 8 symmetries (21 of 121 rows, against 36 mirror orbits), then the vdot
+    assert (geom.n, len(Z.orbits), len(Z._orbit_rows)) == (121, 36, 21)
+    assert calls == [geom.n] * (21 + 1)
 
 
 def test_impedance_refuses_a_matrix_larger_than_physical_memory(monkeypatch):

@@ -189,6 +189,51 @@ def test_a_lattice_shape_is_two_positive_integers(shape):
         ArrayGeometry(shape=shape, kind=ElementKind.ISOTROPIC, wavelength=LAM, dy=0.1, dz=0.1)
 
 
+@pytest.mark.parametrize("shape", [(True, 2), (2, True)])
+def test_a_lattice_shape_refuses_a_bool(shape):
+    # (True, 2) would otherwise build a 2-element lattice
+    with pytest.raises(InvalidArgumentError, match="two positive integers"):
+        ArrayGeometry(shape=shape, kind=ElementKind.ISOTROPIC, wavelength=LAM, dy=0.1, dz=0.1)
+
+
+@pytest.mark.parametrize("dy,dz,name", [
+    (float("nan"), -0.1, "dy"),
+    (0.1, -0.1, "dz"),
+    (0.0, 0.1, "dy"),
+    (0.1, float("inf"), "dz"),
+    (True, 0.1, "dy"),
+    (0.1, "0.1", "dz"),
+], ids=["nan", "negative", "zero", "inf", "bool", "string"])
+def test_a_lattice_refuses_a_pitch_that_is_not_positive_and_finite(dy, dz, name):
+    # a NaN pitch would make every y coordinate NaN, a negative one reverse the z axis
+    with pytest.raises(InvalidArgumentError, match=name):
+        ArrayGeometry(shape=(2, 2), kind=ElementKind.ISOTROPIC, wavelength=LAM, dy=dy, dz=dz)
+
+
+def test_swap_images_of_a_square_lattice_transpose_its_grid():
+    # 3 x 3 grid, element index = iz * 3 + iy: the swap maps (iy, iz) onto (iz, iy)
+    g = planar_grid(0.2, 0.2, 0.1, 0.1, ElementKind.PLANAR, LAM)
+    swap = g.swap_images()
+    assert swap.tolist() == [0, 3, 6, 1, 4, 7, 2, 5, 8]
+    assert np.array_equal(swap[swap], np.arange(g.n))
+    assert np.array_equal(g.positions[swap], g.positions[:, [0, 2, 1]])
+    # swapping, then mirroring y, is mirroring z, then swapping
+    images = g.mirror_images()
+    assert np.array_equal(images[swap, 1], swap[images[:, 2]])
+    assert linear_array(1, 0.1, ElementKind.ISOTROPIC, LAM).swap_images().tolist() == [0]
+
+
+@pytest.mark.parametrize("layout", [
+    planar_grid(0.2, 0.1, 0.1, 0.1, ElementKind.PLANAR, LAM),
+    ArrayGeometry(shape=(3, 3), kind=ElementKind.PLANAR, wavelength=LAM, dy=0.1, dz=0.11),
+    linear_array(3, 0.1, ElementKind.ISOTROPIC, LAM),
+    custom_geometry(planar_grid(0.2, 0.2, 0.1, 0.1, ElementKind.PLANAR, LAM).positions,
+                    ElementKind.PLANAR, LAM),
+], ids=["3x2", "3x3-unequal-pitches", "line", "custom-square"])
+def test_only_a_square_lattice_has_a_swap(layout):
+    assert layout.swap_images() is None
+
+
 def _grid(n_y, n_z, frac):
     pitch = frac * LAM
     return planar_grid((n_y - 1) * pitch, (n_z - 1) * pitch, pitch, pitch, ElementKind.PLANAR, LAM)
