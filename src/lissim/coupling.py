@@ -40,11 +40,12 @@ symmetries of the square.  Extended precision uses them; machine double
 keeps the four mirror sectors, whose LAPACK bits would otherwise
 change.  The swap splits the even-even and odd-odd sectors each into a
 swap-symmetric and a swap-antisymmetric half, of about m(m+1)/2 and
-m(m-1)/2 for an m x m sector, and the extended solve factors those
-halves: a broadside channel is exactly swap-symmetric, so it excites
-only the first, 45 of 81 at N = 324.  The even-odd and odd-even sectors,
-which the swap exchanges, stay whole, and the eigendecomposition keeps
-the four mirror sectors.
+m(m-1)/2 for an m x m sector, and the extended eigendecomposition and
+solve both work in those halves: the Jacobi of an 11 x 11 grid
+decomposes blocks of 21, 15, 30, 30, 15 and 10 instead of 36, 30, 30
+and 25, and a broadside channel, exactly swap-symmetric, excites only
+the first half, 45 of 81 at N = 324.  The even-odd and odd-even
+sectors, which the swap exchanges, stay whole.
 
 In extended precision every product with Z (the solve's residuals, and
 the radiated power ``i^H Z i``) reads only the rows of the first
@@ -97,9 +98,9 @@ _SOLVE_RESIDUAL_RTOL = 1e-8
 # the extra working bits mpmath's own lu_solve uses for factor and substitution
 _LU_GUARD_BITS = 10
 # value of each parity character on (identity, y mirror, z mirror, both),
-# the column order of ImpedanceMatrix.images and .orbits
+# the order of the first four columns of ImpedanceMatrix.images and .orbits
 _PARITIES = ((1, 1, 1, 1), (1, -1, 1, -1), (1, 1, -1, -1), (1, -1, -1, 1))
-# the mirror columns the swap is composed with, in the order of _square_group's last four
+# the mirror columns the swap is composed with, in the order of a square's last four images
 _SWAP_COLUMNS = [0, 3, 1, 2]
 # int64 keys of a custom layout's offset triples stay below this (see _pair_distances)
 _PAIR_KEY_LIMIT = 2 ** 62
@@ -113,7 +114,7 @@ class _Sector:
     A sector is a sign character of a group of element permutations
     under which Z is exactly invariant: the four mirrors (identity,
     y mirror, z mirror, both), or on a square lattice those four and
-    the same composed with the swap (see :attr:`ImpedanceMatrix.swap`).
+    the same composed with the swap (see :attr:`ImpedanceMatrix.images`).
     ``parity`` holds the character's value on each group element, in
     the column order of the orbits' images.  Column p of E holds orbit
     p's members, each with its sign under the character, scaled by
@@ -172,56 +173,58 @@ class _Sector:
         return out
 
 
-def _sectors(orbits, parities, ar):
-    """The nonempty sectors of ``orbits`` under each character in ``parities``.
+def _sectors(images, ar):
+    """The nonempty sectors of a Z exactly invariant under each column of ``images``.
 
-    An orbit drops out of a sector whose character is -1 on a group
-    element that fixes the orbit's elements: its sector vector would
-    equal minus itself.
-    """
-    sectors = []
-    for parity in parities:
-        held = [images for images in orbits.tolist()
-                if all(sign > 0 or image != images[0] for image, sign in zip(images, parity))]
-        if held:
-            sectors.append(_Sector(parity, held, ar))
-    return sectors
-
-
-def _swap_sectors(orbits, group_orbits, ar):
-    """The sectors the extended solve factors when Z is also invariant under the swap.
-
-    The swap maps the even-even and the odd-odd mirror sector each onto
-    itself and splits it into a swap-symmetric and a swap-antisymmetric
-    half: the sectors of the square's group whose character extends the
-    mirror character by +1 or by -1 on the swap, of about m(m+1)/2 and
+    Four columns give the four mirror sectors, one per character in
+    :data:`_PARITIES`.  With the eight of a square lattice the swap maps
+    the even-even and the odd-odd mirror sector each onto itself and
+    splits it into a swap-symmetric and a swap-antisymmetric half: the
+    sectors of the square's group whose character extends the mirror
+    character by +1 or by -1 on the swap, of about m(m+1)/2 and
     m(m-1)/2 orbits for m the mirror sector's side.  It exchanges the
-    even-odd and odd-even sectors, which stay whole.  ``group_orbits``
-    are the square group's orbits, in the columns of
-    :func:`_square_group`.
+    even-odd and odd-even sectors, which stay whole.  The swap after the
+    y mirror and after the z mirror, the last two columns, are each
+    other's inverses, and the ee and oo characters agree on them, so the
+    signed sums pair them in a sum and a half's block stays exactly
+    symmetric.  An orbit drops out of a sector whose character is -1 on
+    a group element that fixes the orbit's elements: its sector vector
+    would equal minus itself.
     """
+    mirror_orbits, group_orbits = _orbits(images[:, :4]), _orbits(images)
     sectors = []
     for parity in _PARITIES:
-        if parity[1] == parity[2]:
-            # the swap's columns are ordered like _SWAP_COLUMNS' mirrors
-            halves = [parity + tuple(t * parity[k] for k in _SWAP_COLUMNS) for t in (1, -1)]
-            sectors += _sectors(group_orbits, halves, ar)
+        if images.shape[1] == 8 and parity[1] == parity[2]:
+            orbits = group_orbits
+            characters = [parity + tuple(t * parity[k] for k in _SWAP_COLUMNS) for t in (1, -1)]
         else:
-            sectors += _sectors(orbits, [parity], ar)
+            orbits, characters = mirror_orbits, [parity]
+        for character in characters:
+            held = [row for row in orbits.tolist()
+                    if all(sign > 0 or image != row[0] for image, sign in zip(row, character))]
+            if held:
+                sectors.append(_Sector(character, held, ar))
     return sectors
 
 
-def _square_group(images, swap):
-    """The images of each element under the square's 8 symmetries, shape (N, 8).
+def _orbits(images):
+    """The rows of ``images`` whose smallest entry is their own element: one per orbit."""
+    return images[images.min(axis=1) == np.arange(len(images))]
 
-    The mirrors' four columns, then the swap composed with the mirrors
-    of :data:`_SWAP_COLUMNS` in that order: swap after the identity,
-    after both mirrors, after the y mirror and after the z mirror.  The
-    last two are each other's inverses, and the ee and oo characters
-    agree on them, so the signed sums pair them in a sum and a half's
-    block stays exactly symmetric.
-    """
-    return np.hstack([images, swap[images[:, _SWAP_COLUMNS]]])
+
+def _require_images(images, n):
+    """Refuse all but an (n, 4) or (n, 8) int array of permutations, the identity first: O(n g)."""
+    valid = (isinstance(images, np.ndarray) and images.dtype.kind in "iu"
+             and images.shape in ((n, 4), (n, 8)) and np.array_equal(images[:, 0], np.arange(n))
+             and np.all((images >= 0) & (images < n)))
+    if valid:
+        hit = np.zeros(images.shape, dtype=bool)
+        hit[images, np.arange(images.shape[1])] = True
+        valid = hit.all()
+    if not valid:
+        raise InvalidArgumentError(
+            f"images must be an int array of shape ({n}, 4) or ({n}, 8) whose columns are"
+            " permutations of the elements, the identity first")
 
 
 def _moves(group, orbits):
@@ -260,61 +263,54 @@ class ImpedanceMatrix:
     arithmetic, context
         ``precision.arithmetic()`` and ``precision.context()`` (the
         latter None in double).
-    images : ndarray of int, shape (N, 4)
-        Each element's images under the layout's mirror symmetries, as
-        returned by :meth:`ArrayGeometry.mirror_images`: row a holds the
-        images of element a under the identity, the y mirror, the z
-        mirror and both, and Z must be exactly invariant under each of
-        these permutations (column k is mirror k's).  :func:`impedance`
-        attaches the layout's images and builds lattice entries from the
-        lattice offsets, so the invariance is exact.  Defaults to no
-        mirrors, every row ``[a, a, a, a]``.
-    orbits : ndarray of int, shape (M, 4)
+    images : ndarray of int, shape (N, 4) or (N, 8)
+        Each element's images under the layout's symmetries, as returned
+        by :meth:`ArrayGeometry.symmetry_images`: column k is symmetry
+        k's permutation of the elements: the identity, the y mirror, the
+        z mirror and both, and on a square lattice the swap y <-> z after
+        the identity, both mirrors, the y mirror and the z mirror.  Any
+        other shape, a column 0 that is not the identity or a column that
+        is not a permutation raises :class:`InvalidArgumentError`.  That Z is
+        exactly invariant under each column is a precondition, not
+        checked (N^2 comparisons per column); :func:`impedance` builds
+        lattice entries from the lattice offsets, so there it is exact.
+        Defaults to no symmetry, every row ``[a, a, a, a]``.
+    orbits : ndarray of int, shape (M, 4) or (M, 8)
         The rows of ``images`` whose smallest entry is their own element,
-        one per orbit with its lowest element first.  They define the
-        parity sectors in which the eigendecomposition and the solve
-        work, in both precisions; with no mirrors there is one orbit per
-        element, a single sector whose block is Z itself.
-    swap : ndarray of int, shape (N,), or None
-        Each element's image under the swap y <-> z of a square lattice,
-        as returned by :meth:`ArrayGeometry.swap_images`, under which Z
-        must also be exactly invariant; None (the default) for no swap.
-        Only extended precision uses it: its products with Z read one
-        row per orbit of the square's 8 symmetries, and its solve splits
-        the even-even and odd-odd sectors into their swap halves.
+        one per orbit with its lowest element first.  Extended products
+        with Z read one row of Z per orbit.
+
+    The eigendecomposition and the solve both work in the sectors of the
+    images (:func:`_sectors`); machine double uses only the four mirror
+    columns.  With no symmetry there is one orbit per element, a single
+    sector whose block is Z itself.
     """
 
-    def __init__(self, entries, precision: Precision, images=None, swap=None):
+    def __init__(self, entries, precision: Precision, images=None):
         if not (isinstance(entries, np.ndarray) and entries.ndim == 2
                 and entries.shape[0] == entries.shape[1]):
             raise InvalidArgumentError(
                 "entries must be a square numpy array, of mpmath numbers under extended precision")
+        n = len(entries)
+        if images is None:
+            images = np.column_stack([np.arange(n)] * 4)
+        _require_images(images, n)
         self.precision = precision
         self.arithmetic = precision.arithmetic()
         self.context = precision.context()
         entries.setflags(write=False)
         self.entries = entries
-        own = np.arange(self.n)
-        if images is None:
-            images = np.column_stack([own] * 4)
         images.setflags(write=False)
         self.images = images
-        self.orbits = images[images.min(axis=1) == own]
+        self.orbits = _orbits(images)
         self.orbits.setflags(write=False)
-        if swap is not None:
-            swap.setflags(write=False)
-        self.swap = swap
         with self.arithmetic.lock:
-            self._sectors = self._solve_sectors = _sectors(self.orbits, _PARITIES,
-                                                           self.arithmetic)
-            if self.context is not None:  # what _product and _sector_inverse read: see there
-                group = images if swap is None else _square_group(images, swap)
-                group_orbits = group[group.min(axis=1) == own]
-                self._orbit_rows = entries[group_orbits[:, 0]].tolist()
-                self._moves = _moves(group, group_orbits)
-                if swap is not None:
-                    self._solve_sectors = _swap_sectors(self.orbits, group_orbits,
-                                                        self.arithmetic)
+            # machine double keeps the mirror sectors: the swap halves would change its LAPACK bits
+            self._sectors = _sectors(images if self.context is not None else images[:, :4],
+                                     self.arithmetic)
+            if self.context is not None:  # what _product reads: see there
+                self._orbit_rows = entries[self.orbits[:, 0]].tolist()
+                self._moves = _moves(images, self.orbits)
         self._eig = None
         self._eig_lock = threading.Lock()
 
@@ -339,9 +335,9 @@ def _product(Z: ImpedanceMatrix, v):
     """``Z v`` in Z's arithmetic; call under its lock.
 
     Under extended precision only the rows of the orbits' first members
-    ``a`` are read, the orbits of the mirrors or, with a swap, of the
-    square's 8 symmetries.  Z is exactly invariant under each symmetry
-    g, so ``(Z v)[g(a)] = fdot(Z[a], v[g])``, with ``v[g]`` the vector
+    ``a`` are read, the orbits of the columns of ``Z.images``.  Z is
+    exactly invariant under each symmetry g, so
+    ``(Z v)[g(a)] = fdot(Z[a], v[g])``, with ``v[g]`` the vector
     whose entry c is ``v[g(c)]``.  Each entry is formed once, by the
     first symmetry that reaches it (:func:`_moves`), and the fdots of an
     image ``v[g]`` equal to plus or minus one already formed are reused,
@@ -482,8 +478,7 @@ def impedance(geom: ArrayGeometry, precision: Precision = Precision()) -> Impeda
     Lattice layouts are built from the kernel's values at their distinct
     lattice offsets, so Z is exactly invariant under the layout's
     mirrors, and a square lattice's under its swap y <-> z, whose
-    images the matrix carries (see :attr:`ImpedanceMatrix.images` and
-    :attr:`ImpedanceMatrix.swap`).
+    images the matrix carries (see :attr:`ImpedanceMatrix.images`).
 
     Raises
     ------
@@ -511,8 +506,7 @@ def impedance(geom: ArrayGeometry, precision: Precision = Precision()) -> Impeda
             # one kernel value per distinct offset triple, then one gather
             pairs, r = _pair_distances(geom, ar)
             entries = _kernel(geom.kind, r * k, precision)[pairs]
-    return ImpedanceMatrix(entries, precision, images=geom.mirror_images(),
-                           swap=geom.swap_images())
+    return ImpedanceMatrix(entries, precision, images=geom.symmetry_images())
 
 
 def _off_norm(ctx, a):
@@ -847,14 +841,14 @@ def solve(Z: ImpedanceMatrix, h):
     extended precision each entry of ``Z x`` is one ``fdot``, rounded
     once, so the extended residual needs no such guard.)
 
-    Both precisions factor one block per parity sector of ``Z.orbits``
-    that h excites (see the module docstring), with LAPACK under machine
-    double and a Crout LU on row lists under extended precision
-    (:func:`_crout_factor`), and check the residual against the full Z;
-    the refinement step projects the residual into the same sectors.
-    Under extended precision a Z with a swap (a square lattice) factors
-    the swap halves of the even-even and odd-odd sectors instead of the
-    whole sectors (:func:`_sector_inverse`).
+    Both precisions factor one block per parity sector of Z that h
+    excites (see :class:`ImpedanceMatrix` and the module docstring),
+    with LAPACK under machine double and a Crout LU on row lists under
+    extended precision (:func:`_crout_factor`), and check the residual
+    against the full Z; the refinement step projects the residual into
+    the same sectors.  Under extended precision a square lattice's
+    sectors are the swap halves of the even-even and odd-odd sectors
+    and the even-odd and odd-even sectors whole (:func:`_sector_inverse`).
     An exactly singular block (a zero pivot) or an iterate that is not
     finite is refused with residual ``inf``.  A right-hand side with a
     NaN or infinite entry is refused before anything is factored.
@@ -918,12 +912,13 @@ def _sector_inverse(Z: ImpedanceMatrix, h):
     projection of h onto it is exactly zero.  Extended blocks are
     factored and solved with ``_LU_GUARD_BITS`` extra working bits.
 
-    Under extended precision a Z with a swap works in the square group's
-    sectors (:func:`_swap_sectors`), each block gathered straight from
-    the rows of the group orbits' first members.  A broadside channel,
-    exactly swap-symmetric, excites only the symmetric half of
+    The sectors are the matrix's own, those its eigendecomposition
+    works in too.  Under extended precision a square lattice's are the
+    square group's (:func:`_sectors`), each block gathered straight
+    from the rows of the group orbits' first members.  A broadside
+    channel, exactly swap-symmetric, excites only the symmetric half of
     even-even: 45 of 81 at N = 324, about a sixth of the whole block's
-    factor.  Machine double and a Z with no swap factor the four mirror
+    factor.  Machine double and any other layout factor the four mirror
     sectors.
     """
     ctx = Z.context
@@ -938,7 +933,7 @@ def _sector_inverse(Z: ImpedanceMatrix, h):
 
     with guard():
         factored = [(sector, factor(sector.block(Z.entries)))
-                    for sector in Z._solve_sectors if np.any(sector.project(h) != 0)]
+                    for sector in Z._sectors if np.any(sector.project(h) != 0)]
 
     def apply(v):
         with guard():

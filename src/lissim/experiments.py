@@ -290,7 +290,8 @@ def _format_cell(v) -> str:
 
 
 def _linear_geometry(cfg: ExperimentConfig, spacing: float, kind: ElementKind) -> ArrayGeometry:
-    return linear_array(cfg.linear_elements, spacing, kind, cfg.wavelength)
+    return linear_array(cfg.linear_elements, spacing, kind, cfg.wavelength,
+                        max_elements=cfg.max_elements)
 
 
 def _grid_geometry(cfg: ExperimentConfig, spacing: float, kind: ElementKind) -> ArrayGeometry:

@@ -4,7 +4,8 @@ The surface lies in the plane x = 0 with broadside along +x.  Layout
 factories return immutable :class:`ArrayGeometry` objects, checked once
 on construction.  A regular grid is described by its shape and pitches
 alone, from which its positions, its exact coordinates in any precision
-and its mirror images, and a square lattice's swap images, are derived.
+and its elements' images under its mirrors (and a square's swap) are
+derived.
 """
 
 from __future__ import annotations
@@ -56,6 +57,13 @@ def _require_positive(name: str, value) -> None:
         raise InvalidArgumentError(f"{name} must be a positive finite number, got {value!r}")
 
 
+def _require_capacity(layout: str, n: int, max_elements: int) -> None:
+    """Refuse a layout of n elements, a ``"grid"`` or ``"line"``, above the cap."""
+    if n > max_elements:
+        raise CapacityError(
+            f"{layout} would hold {n} elements, exceeding the cap of {max_elements}")
+
+
 def _centered(index, count: int, pitch):
     """``(i - (n - 1) / 2) * pitch``: the coordinate of index i on a centered n-point axis.
 
@@ -73,8 +81,7 @@ class ArrayGeometry:
     Give either ``shape`` with the pitches ``dy`` and ``dz`` (a lattice)
     or ``positions`` (a custom layout), not both.  A lattice is described
     by its shape and pitches alone: its positions, its (iy, iz) indices
-    and its elements' mirror and swap images are all derived from them
-    here.
+    and its elements' symmetry images are all derived from them here.
     Layouts compare and hash by value: a lattice by its kind, wavelength,
     shape and pitches, a custom layout by its kind, wavelength and
     positions.
@@ -161,36 +168,28 @@ class ArrayGeometry:
                                 _centered(number(np.arange(n_y)), n_y, self.dy)[iy],
                                 _centered(number(np.arange(n_z)), n_z, self.dz)[iz]])
 
-    def mirror_images(self) -> np.ndarray:
-        """Each element's images under the lattice mirrors y -> -y and z -> -z.
+    def symmetry_images(self) -> np.ndarray:
+        """Each element's images under the layout's symmetries, shape (N, 4) or (N, 8).
 
-        Returns an int array of shape (N, 4): row a holds the images of
-        element a under the identity, the y mirror, the z mirror and
-        both.  A custom layout has no mirrors: every row is
-        ``[a, a, a, a]``.
+        Row a holds the images of element a under the identity, the
+        y mirror y -> -y, the z mirror z -> -z and both: the flips of the
+        grid of element numbers.  A square lattice (``n_y == n_z`` and
+        ``dy == dz``) also maps onto itself under the swap y <-> z,
+        element (iy, iz) onto (iz, iy), and gets four more columns: the
+        swap after the identity, after both mirrors, after the y mirror
+        and after the z mirror, the same flips of the grid's transpose.
+        A custom layout has no symmetry: every row is ``[a, a, a, a]``.
         """
         if self.shape is None:
             return np.column_stack([np.arange(self.n)] * 4)
-        grid = self._grid()
-        return np.column_stack([g.ravel() for g in (grid, grid[:, ::-1], grid[::-1],
-                                                    grid[::-1, ::-1])])
-
-    def swap_images(self) -> np.ndarray | None:
-        """Each element's image under the swap y <-> z, or None where the layout has none.
-
-        A square lattice (``n_y == n_z`` and ``dy == dz``) maps onto
-        itself under the swap, element (iy, iz) onto (iz, iy): its images
-        are the transpose of the grid of element numbers, as the mirrors'
-        are its flips.  A non-square lattice and a custom layout have no
-        swap.
-        """
-        if self.shape is None or self.shape[0] != self.shape[1] or self.dy != self.dz:
-            return None
-        return self._grid().T.ravel()
-
-    def _grid(self) -> np.ndarray:
-        """A lattice's element numbers as its ``n_z x n_y`` grid, indexed ``[iz, iy]``."""
-        return np.arange(self.n).reshape(self.shape[1], self.shape[0])
+        # the element numbers as the n_z x n_y grid [iz, iy], and the (z, y) steps
+        # of the identity, the y mirror, the z mirror and both
+        grid = np.arange(self.n).reshape(self.shape[1], self.shape[0])
+        flips = [(1, 1), (1, -1), (-1, 1), (-1, -1)]
+        grids = [grid[::z, ::y] for z, y in flips]
+        if self.shape[0] == self.shape[1] and self.dy == self.dz:
+            grids += [grid.T[::z, ::y] for z, y in (flips[k] for k in (0, 3, 1, 2))]
+        return np.column_stack([g.ravel() for g in grids])
 
 
 def planar_grid(
@@ -244,11 +243,7 @@ def planar_grid(
     # floating-point noise in the division
     n_y = int(math.floor(y_lis / dy + 1e-12)) + 1
     n_z = int(math.floor(z_lis / dz + 1e-12)) + 1
-    if n_y * n_z > max_elements:
-        raise CapacityError(
-            f"grid would hold {n_y * n_z} elements, exceeding the cap of {max_elements}"
-        )
-
+    _require_capacity("grid", n_y * n_z, max_elements)
     return ArrayGeometry(kind=kind, wavelength=wavelength, dy=dy, dz=dz, shape=(n_y, n_z))
 
 
@@ -257,16 +252,19 @@ def linear_array(
     dz: float,
     kind: ElementKind,
     wavelength: float,
+    max_elements: int = DEFAULT_MAX_ELEMENTS,
 ) -> ArrayGeometry:
     """Centered n-element line along the z axis with pitch dz.
 
     ``dy`` of the result is set equal to ``dz`` as a nominal value; a
-    single-column array has no y pitch.
+    single-column array has no y pitch.  More than ``max_elements``
+    elements raise :class:`CapacityError`, as in :func:`planar_grid`.
     """
     _require_element_model(kind, wavelength)
     if not isinstance(n, int) or isinstance(n, bool) or n < 1:
         raise InvalidArgumentError(f"element count must be a positive integer, got {n!r}")
     _require_positive("dz", dz)
+    _require_capacity("line", n, max_elements)
     return ArrayGeometry(kind=kind, wavelength=wavelength, dy=dz, dz=dz, shape=(1, n))
 
 

@@ -335,7 +335,7 @@ def test_solve_extended_factors_once_and_matches_lu_solve(monkeypatch):
 def test_crout_factor_reconstructs_the_even_block_at_a_fifth_wavelength():
     pitch = 0.2 * LAM
     geom = planar_grid(10 * pitch, 10 * pitch, pitch, pitch, ElementKind.PLANAR, LAM)
-    Z = impedance(geom, EXT)
+    Z = _four_sector(impedance(geom, EXT))
     block = Z._sectors[0].block(Z.entries)
     n = len(block)
     assert n == 36
@@ -442,8 +442,8 @@ def _hp_panel(side, frac):
 
 
 def _four_sector(Z):
-    """Z with its mirrors and no swap: the extended solve then works in the four mirror sectors."""
-    return ImpedanceMatrix(Z.entries, Z.precision, images=Z.images)
+    """Z with its mirrors and no swap: it then works in the four mirror sectors."""
+    return ImpedanceMatrix(Z.entries, Z.precision, images=Z.images[:, :4])
 
 
 def _relative_distance(ctx, x, reference):
@@ -458,7 +458,7 @@ def test_solve_extended_broadside_factors_only_the_swap_symmetric_half(factored_
     geom = _hp_panel(0.25, frac)
     Z = impedance(geom, EXT)
     h = channel_for(geom, [10.0, 0.0, 0.0], EXT)
-    assert np.array_equal(h, h[geom.swap_images()])
+    assert np.array_equal(h, h[geom.symmetry_images()[:, 4]])
     ctx = EXT.context()
     x = solve(Z, h)
     assert geom.n == n
@@ -472,7 +472,7 @@ def test_solve_extended_on_the_default_panel_keeps_the_quarter_wavelength_direct
     Z = impedance(geom, EXT)
     h = channel_for(geom, [10.0, 0.0, 0.0], EXT)
     # the 256-bit channel is exactly swap-symmetric here too: one block of 45, not 81
-    assert np.array_equal(h, h[geom.swap_images()])
+    assert np.array_equal(h, h[geom.symmetry_images()[:, 4]])
     ctx = EXT.context()
     x = solve(Z, h)
     assert (geom.n, factored_sizes) == (324, [45])
@@ -530,7 +530,7 @@ def _exact_digest(values):
      "9b2a7ef416fde5577bade0076da38b2a46b12a55325cbba1608eeadc17357ab6"),
 ], ids=["4x5", "5x5-unequal-pitches", "line"])
 def test_solve_extended_without_a_swap_keeps_its_bits(geom, terminal, digest):
-    assert geom.swap_images() is None
+    assert geom.symmetry_images().shape == (geom.n, 4)
     Z = impedance(geom, EXT)
     assert _exact_digest(solve(Z, channel_for(geom, terminal, EXT))) == digest
 
@@ -584,6 +584,36 @@ def test_impedance_matrix_refuses_entries_that_are_not_a_square_array():
             ImpedanceMatrix(entries, EXT)
 
 
+def _malformed_images(images):
+    """Arrays that are not a layout's symmetry images, each with the flaw it shows."""
+    n = len(images)
+    not_identity = images.copy()
+    not_identity[:, 0] = not_identity[::-1, 0]
+    repeated = images.copy()
+    repeated[0, 2] = repeated[1, 2]
+    out_of_range, negative = images.copy(), images.copy()
+    out_of_range[0, 1], negative[0, 1] = n, -1
+    return {"list": images.tolist(), "float": images.astype(float), "bool": images > 0,
+            "three-columns": images[:, :3], "five-columns": images[:, [0, 1, 2, 3, 0]],
+            "short": images[:-1], "vector": images[:, 0], "not-identity": not_identity,
+            "repeated": repeated, "out-of-range": out_of_range, "negative": negative}
+
+
+@pytest.mark.parametrize("geom", [planar_grid(0.2, 0.2, 0.1, 0.1, ElementKind.PLANAR, LAM),
+                                  planar_grid(0.2, 0.3, 0.1, 0.1, ElementKind.PLANAR, LAM)],
+                         ids=["3x3", "3x4"])
+@pytest.mark.parametrize("precision", [Precision(), EXT], ids=["double", "ext"])
+def test_impedance_matrix_refuses_malformed_symmetry_images(geom, precision):
+    Z = impedance(geom, precision)
+    assert Z.images.shape[1] == (8 if geom.shape == (3, 3) else 4)
+    for images in _malformed_images(np.array(Z.images)).values():
+        with pytest.raises(InvalidArgumentError, match="images must be an int array"):
+            ImpedanceMatrix(Z.entries, precision, images=images)
+    # the layout's own images, and their mirror columns alone, are accepted
+    assert ImpedanceMatrix(Z.entries, precision, images=np.array(Z.images)).n == geom.n
+    assert ImpedanceMatrix(Z.entries, precision, images=Z.images[:, :4]).n == geom.n
+
+
 @pytest.mark.parametrize("precision", [Precision(), EXT], ids=["double", "ext"])
 def test_solve_refuses_a_right_hand_side_not_of_its_arithmetic_or_length(precision):
     geom = geom_linear(3, 0.3)
@@ -621,31 +651,42 @@ def _lattice(n_y, n_z, frac, kind):
     return planar_grid((n_y - 1) * pitch, (n_z - 1) * pitch, pitch, pitch, kind, LAM)
 
 
-def _mirror_sector_sizes(n_y, n_z):
+def _axis_block_sizes(n_y, n_z):
+    """The four mirror sectors' sizes, even-even, odd-even, even-odd and odd-odd in (y, z)."""
     sizes_y, sizes_z = _axis_sector_sizes(n_y), _axis_sector_sizes(n_z)
-    return sorted(sizes_y[py] * sizes_z[pz] for py in (1, -1) for pz in (1, -1)
-                  if sizes_y[py] * sizes_z[pz])
+    return [sizes_y[py] * sizes_z[pz] for pz in (1, -1) for py in (1, -1)]
+
+
+def _mirror_sector_sizes(n_y, n_z):
+    return sorted(size for size in _axis_block_sizes(n_y, n_z) if size)
+
+
+def _square_sector_sizes(n):
+    """Sizes of the extended sectors of an n x n square, nonempty ones in the matrix's order.
+
+    The even-even and odd-odd swap halves, and the even-odd and odd-even sectors whole.
+    """
+    even, odd = (n + 1) // 2, n // 2
+    sizes = [*_swap_half_sizes(even), even * odd, odd * even, *_swap_half_sizes(odd)]
+    return [size for size in sizes if size]
 
 
 @pytest.mark.parametrize("n", [4, 5, 6])
-def test_extended_solve_sectors_of_a_square_are_an_orthonormal_split_of_z(n):
+def test_extended_sectors_of_a_square_are_an_orthonormal_split_of_z(n):
     Z = impedance(_lattice(n, n, 0.25, ElementKind.PLANAR), EXT)
     ctx, ar = Z.context, Z.arithmetic
-    even, odd = (n + 1) // 2, n // 2
-    # the even-even and odd-odd swap halves, and the even-odd and odd-even sectors whole
-    assert [len(sector.images) for sector in Z._solve_sectors] == [
-        *_swap_half_sizes(even), even * odd, odd * even, *_swap_half_sizes(odd)]
+    assert [len(sector.images) for sector in Z._sectors] == _square_sector_sizes(n)
     with ar.lock:
         bases = [sector.expand(_ext_array(ctx, np.eye(len(sector.images))),
                                np.zeros((Z.n, len(sector.images)), dtype=object))
-                 for sector in Z._solve_sectors]
+                 for sector in Z._sectors]
         E = _mp(ctx, np.hstack(bases))
         gram = E.T * E - ctx.eye(Z.n)
         assert max(abs(gram[i, j]) for i in range(Z.n) for j in range(Z.n)) <= 1e-70
         # E^T Z E is block diagonal, its blocks the gathered ones, which are exactly symmetric
         expected = E.T * _mp(ctx, Z.entries) * E
         start = 0
-        for sector in Z._solve_sectors:
+        for sector in Z._sectors:
             block = sector.block(Z.entries)
             assert np.array_equal(block, block.T)
             m = len(block)
@@ -684,15 +725,29 @@ def test_double_sector_eigh_matches_dense_eigh_orthonormal_and_reconstructs_z(
 
 @pytest.mark.parametrize("n_y,n_z,kind", [(3, 4, ElementKind.PLANAR),
                                           (1, 9, ElementKind.ISOTROPIC),
-                                          (1, 15, ElementKind.ISOTROPIC)])
-def test_extended_sector_jacobi_matches_full_jacobi_at_256_bits(n_y, n_z, kind):
+                                          (1, 15, ElementKind.ISOTROPIC),
+                                          (4, 4, ElementKind.PLANAR),
+                                          (5, 5, ElementKind.ISOTROPIC)])
+def test_extended_sector_jacobi_matches_full_jacobi_at_256_bits(monkeypatch, n_y, n_z, kind):
     geom = _lattice(n_y, n_z, 0.2, kind)
     Z = impedance(geom, EXT)
     ctx = EXT.context()
+    jacobi = coupling._jacobi_eigh
+    block_sizes = []
+
+    def recording_jacobi(ctx, A):
+        block_sizes.append(len(A))
+        return jacobi(ctx, A)
+
+    monkeypatch.setattr(coupling, "_jacobi_eigh", recording_jacobi)
     s, U = sym_eig(Z)
+    monkeypatch.undo()
+    # a square decomposes the swap halves, any other lattice its four mirror sectors
+    assert block_sizes == (_square_sector_sizes(n_y) if n_y == n_z
+                           else [size for size in _axis_block_sizes(n_y, n_z) if size])
     with EXT.arithmetic().lock:
-        full, _ = coupling._jacobi_eigh(ctx, Z.entries)
-    assert len(Z.orbits) < geom.n  # the layout has mirror orbits to split on
+        full, _ = jacobi(ctx, Z.entries)
+    assert len(Z.orbits) < geom.n  # the layout has orbits to split on
     assert max(abs(a - b) for a, b in zip(s, full)) <= 1e-60 * full[0]
     U = _mp(ctx, U)
     gram = U.T * U - ctx.eye(geom.n)
@@ -755,15 +810,17 @@ def test_extended_half_wavelength_isotropic_line_keeps_the_unit_start(monkeypatc
 ], ids=["iso-0.3", "planar-0.15", "iso-rect", "planar-aniso", "line"])
 def test_offset_table_build_is_mirror_invariant_and_matches_cdist_build(geom):
     matrix = impedance(geom)
-    Z, images = matrix.entries, geom.mirror_images()
+    Z, images = matrix.entries, geom.symmetry_images()
     assert len(matrix.orbits) < geom.n  # some mirror moves elements
-    # column k of the images is mirror k's permutation of the elements, and
-    # the mirrors (identity, y, z, both) compose like the bits of k
-    for mirror in range(1, 4):
-        perm = images[:, mirror]
+    # Z is invariant under every column's permutation of the elements, the
+    # swap's too on a square
+    assert images.shape[1] == (8 if geom.shape[0] == geom.shape[1] and geom.dy == geom.dz else 4)
+    for perm in images.T:
         assert np.array_equal(Z[np.ix_(perm, perm)], Z)
+    # the mirrors (identity, y, z, both) compose like the bits of their column
+    for mirror in range(1, 4):
         for image in range(4):
-            assert np.array_equal(perm[images[:, image]], images[:, image ^ mirror])
+            assert np.array_equal(images[:, mirror][images[:, image]], images[:, image ^ mirror])
     assert np.array_equal(Z, Z.T)
     by_distance = coupling._kernel(
         geom.kind, 2.0 * math.pi / geom.wavelength * cdist(geom.positions, geom.positions), Precision())
@@ -897,7 +954,7 @@ def test_custom_layout_build_matches_the_per_pair_distance_formula_bit_for_bit(
 
 
 def _vectors_for_the_product(Z, rng):
-    """Two vectors over all elements, and one in each sector of the eigensolve and the solve.
+    """Two vectors over all elements, one in each sector of Z and, on a square, each mirror sector.
 
     Each comes real and complex.  The sector vectors are ``expand``
     outputs written into ``np.zeros``: a sector leaves the elements it
@@ -911,7 +968,8 @@ def _vectors_for_the_product(Z, rng):
         return np.array([ctx.mpf(x) for x in rng.normal(size=m)], dtype=object)
 
     vectors = [numbers(Z.n, complex_) for complex_ in (False, True)]
-    for sector in Z._sectors + [s for s in Z._solve_sectors if s not in Z._sectors]:
+    mirror_sectors = _four_sector(Z)._sectors if Z.images.shape[1] == 8 else []
+    for sector in Z._sectors + mirror_sectors:
         for complex_ in (False, True):
             y = numbers(len(sector.images), complex_)
             vectors.append(sector.expand(y, np.zeros(Z.n, dtype=object)))
@@ -933,8 +991,8 @@ def _vectors_for_the_product(Z, rng):
 def test_extended_product_matches_the_row_by_row_product_bit_for_bit(monkeypatch, geom, rows):
     Z = impedance(geom, EXT)
     # a square lattice reads one row per orbit of its 8 symmetries, any other one per mirror orbit
-    assert len(Z._orbit_rows) == rows
-    assert rows == len(Z.orbits) if Z.swap is None else rows < len(Z.orbits)
+    assert len(Z._orbit_rows) == len(Z.orbits) == rows
+    assert (rows < len(_four_sector(Z).orbits)) == (Z.images.shape[1] == 8)
     ctx, ar = Z.context, Z.arithmetic
     fdot = ctx.fdot
     calls = []
@@ -1091,7 +1149,8 @@ def test_extended_quadratic_form_of_an_even_vector_reads_one_row_per_orbit(monke
     assert _bits(value) == _bits(expected)
     # h is even under the swap too: one fdot per row of an orbit of the
     # square's 8 symmetries (21 of 121 rows, against 36 mirror orbits), then the vdot
-    assert (geom.n, len(Z.orbits), len(Z._orbit_rows)) == (121, 36, 21)
+    assert (geom.n, len(_four_sector(Z).orbits), len(Z.orbits), len(Z._orbit_rows)) == (
+        121, 36, 21, 21)
     assert calls == [geom.n] * (21 + 1)
 
 

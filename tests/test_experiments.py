@@ -533,15 +533,24 @@ def test_cli_terminal_off_the_radiating_side_is_a_config_error(tmp_path, capsys,
     assert not out.exists()
 
 
-def test_cli_numerical_failure_exit_code(tmp_path):
+@pytest.mark.parametrize("experiment,config,message", [
+    ("spacing", {"spacings": ["0.001 lambda"], "max_elements": 100},
+     "grid would hold 18809569 elements, exceeding the cap of 100"),
+    ("conditioning", {"spacings": ["0.5 lambda"], "linear_elements": 30, "max_elements": 10},
+     "line would hold 30 elements, exceeding the cap of 10"),
+], ids=["grid", "line"])
+def test_cli_numerical_failure_exit_code(tmp_path, capsys, monkeypatch, experiment, config,
+                                         message):
+    def no_layout(*args, **kwargs):
+        raise AssertionError("a layout over the cap must be refused before it is built")
+
+    # the cap is checked before any layout is built
+    monkeypatch.setattr(lissim.geometry, "ArrayGeometry", no_layout)
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({
-        "spacings": ["0.001 lambda"],
-        "element_kinds": ["isotropic"],
-        "max_elements": 100,
-    }))
+    cfg.write_text(json.dumps({"element_kinds": ["isotropic"], **config}))
     out = tmp_path / "never.csv"
-    assert cli_main(["spacing", "--config", str(cfg), "--out", str(out), "--quiet"]) == 3
+    assert cli_main([experiment, "--config", str(cfg), "--out", str(out), "--quiet"]) == 3
+    assert message in capsys.readouterr().err
     assert not out.exists()
 
 

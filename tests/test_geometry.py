@@ -45,6 +45,12 @@ def test_planar_grid_capacity_cap():
         planar_grid(0.5, 0.5, 0.001, 0.001, ElementKind.ISOTROPIC, 0.1, max_elements=1000)
 
 
+def test_linear_array_capacity_cap():
+    assert linear_array(10, 0.1, ElementKind.ISOTROPIC, LAM, max_elements=10).n == 10
+    with pytest.raises(CapacityError, match="line would hold 11 elements, exceeding the cap"):
+        linear_array(11, 0.1, ElementKind.ISOTROPIC, LAM, max_elements=10)
+
+
 def test_planar_grid_names_a_bad_wavelength_before_refusing_the_element_count():
     # the 501 x 501 grid exceeds the cap, but the wavelength is the first bad argument
     for kind, wavelength, match in ((ElementKind.ISOTROPIC, float("nan"), "wavelength"),
@@ -152,21 +158,21 @@ def _orbits(images):
     return ImpedanceMatrix(np.eye(len(images)), Precision(), images=images).orbits.tolist()
 
 
-def test_mirror_images_of_lattices_and_custom_layouts():
+def test_symmetry_images_of_lattices_and_custom_layouts():
     # 3 x 2 grid, element index = iz * 3 + iy: the y mirror swaps iy 0 and 2,
     # the z mirror swaps the two rows
     g = planar_grid(0.2, 0.1, 0.1, 0.1, ElementKind.PLANAR, LAM)
     assert g.lattice_indices().tolist() == [[0, 0], [1, 0], [2, 0], [0, 1], [1, 1], [2, 1]]
-    assert g.mirror_images().tolist() == [[0, 2, 3, 5], [1, 1, 4, 4], [2, 0, 5, 3],
-                                          [3, 5, 0, 2], [4, 4, 1, 1], [5, 3, 2, 0]]
-    assert _orbits(g.mirror_images()) == [[0, 2, 3, 5], [1, 1, 4, 4]]
+    assert g.symmetry_images().tolist() == [[0, 2, 3, 5], [1, 1, 4, 4], [2, 0, 5, 3],
+                                            [3, 5, 0, 2], [4, 4, 1, 1], [5, 3, 2, 0]]
+    assert _orbits(g.symmetry_images()) == [[0, 2, 3, 5], [1, 1, 4, 4]]
 
     line = linear_array(3, 0.1, ElementKind.ISOTROPIC, LAM)
-    assert _orbits(line.mirror_images()) == [[0, 0, 2, 2], [1, 1, 1, 1]]
+    assert _orbits(line.symmetry_images()) == [[0, 0, 2, 2], [1, 1, 1, 1]]
 
     custom = custom_geometry(g.positions, g.kind, LAM)
-    assert custom.mirror_images().tolist() == [[k] * 4 for k in range(6)]
-    assert _orbits(custom.mirror_images()) == [[k] * 4 for k in range(6)]
+    assert custom.symmetry_images().tolist() == [[k] * 4 for k in range(6)]
+    assert _orbits(custom.symmetry_images()) == [[k] * 4 for k in range(6)]
 
 
 def test_a_lattice_layout_needs_its_pitches():
@@ -210,17 +216,30 @@ def test_a_lattice_refuses_a_pitch_that_is_not_positive_and_finite(dy, dz, name)
         ArrayGeometry(shape=(2, 2), kind=ElementKind.ISOTROPIC, wavelength=LAM, dy=dy, dz=dz)
 
 
-def test_swap_images_of_a_square_lattice_transpose_its_grid():
+def test_the_swap_images_of_a_square_lattice_transpose_its_grid():
     # 3 x 3 grid, element index = iz * 3 + iy: the swap maps (iy, iz) onto (iz, iy)
     g = planar_grid(0.2, 0.2, 0.1, 0.1, ElementKind.PLANAR, LAM)
-    swap = g.swap_images()
+    images = g.symmetry_images()
+    swap = images[:, 4]
     assert swap.tolist() == [0, 3, 6, 1, 4, 7, 2, 5, 8]
     assert np.array_equal(swap[swap], np.arange(g.n))
     assert np.array_equal(g.positions[swap], g.positions[:, [0, 2, 1]])
     # swapping, then mirroring y, is mirroring z, then swapping
-    images = g.mirror_images()
     assert np.array_equal(images[swap, 1], swap[images[:, 2]])
-    assert linear_array(1, 0.1, ElementKind.ISOTROPIC, LAM).swap_images().tolist() == [0]
+    assert linear_array(1, 0.1, ElementKind.ISOTROPIC, LAM).symmetry_images().tolist() == [[0] * 8]
+
+
+@pytest.mark.parametrize("n", range(1, 10))
+def test_square_symmetry_images_are_the_mirrors_then_the_swap_after_them(n):
+    g = ArrayGeometry(shape=(n, n), kind=ElementKind.PLANAR, wavelength=LAM, dy=0.1, dz=0.1)
+    # the mirrors are the flips of the n x n grid of element numbers, the swap its transpose
+    grid = np.arange(n * n).reshape(n, n)
+    mirrors = np.column_stack([m.ravel() for m in (grid, grid[:, ::-1], grid[::-1],
+                                                   grid[::-1, ::-1])])
+    swap = grid.T.ravel()
+    # the swap after the identity, after both mirrors, after the y mirror and after the z mirror
+    expected = np.hstack([mirrors, swap[mirrors[:, [0, 3, 1, 2]]]])
+    assert np.array_equal(g.symmetry_images(), expected)
 
 
 @pytest.mark.parametrize("layout", [
@@ -231,7 +250,7 @@ def test_swap_images_of_a_square_lattice_transpose_its_grid():
                     ElementKind.PLANAR, LAM),
 ], ids=["3x2", "3x3-unequal-pitches", "line", "custom-square"])
 def test_only_a_square_lattice_has_a_swap(layout):
-    assert layout.swap_images() is None
+    assert layout.symmetry_images().shape == (layout.n, 4)
 
 
 def _grid(n_y, n_z, frac):
