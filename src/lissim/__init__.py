@@ -27,7 +27,6 @@ from .errors import (
     EmptySpectrumError,
     IllConditionedSolveError,
     InvalidArgumentError,
-    InvalidGeometryError,
     LisSimError,
     NonRadiatingCurrentError,
     NumericalFailureError,
@@ -47,7 +46,6 @@ from .geometry import (
     SPEED_OF_LIGHT,
     ArrayGeometry,
     ElementKind,
-    custom_geometry,
     linear_array,
     planar_grid,
 )
@@ -69,7 +67,6 @@ __all__ = [
     "IllConditionedSolveError",
     "ImpedanceMatrix",
     "InvalidArgumentError",
-    "InvalidGeometryError",
     "LisSimError",
     "NonRadiatingCurrentError",
     "NumericalFailureError",
@@ -83,7 +80,6 @@ __all__ = [
     "channel_isotropic",
     "channel_planar",
     "condition_number",
-    "custom_geometry",
     "d_nc",
     "default_config",
     "directivity",

@@ -22,8 +22,8 @@ Jacobi from the unit basis is only absolutely accurate there, to about
 ``eps kappa`` relative on the smallest eigenvalue.  Extended inner
 products are ``fdot``, one rounding each.
 
-Both precisions build Z of a lattice layout from its table of distinct
-lattice offsets: one kernel value per ``(|di|, |dj|)`` pair, then a
+Both precisions build Z from the layout's table of distinct lattice
+offsets: one kernel value per ``(|di|, |dj|)`` pair, then a
 gather.  So Z is exactly invariant under the layout's mirrors y -> -y
 and z -> -z, and it splits exactly into four parity sectors, one per
 character (+-1, +-1) of the mirror group, each about N/4 square.  The
@@ -61,9 +61,7 @@ complex copy of the whole of Z is made.  Every row of a block gets the
 bits of the whole product.  A block of a single row would not, as numpy
 multiplies it by another route, so a one-row tail joins the block
 before it.  The gather that builds a lattice Z works by the same row
-blocks.  Custom layouts have
-no lattice, so no mirrors: one orbit per element, a single sector, and
-the sector block is Z itself, bit for bit.
+blocks.
 """
 
 from __future__ import annotations
@@ -84,7 +82,6 @@ from .errors import (
     EmptySpectrumError,
     IllConditionedSolveError,
     InvalidArgumentError,
-    InvalidGeometryError,
     NumericalFailureError,
 )
 from .geometry import ArrayGeometry, ElementKind
@@ -102,8 +99,6 @@ _LU_GUARD_BITS = 10
 _PARITIES = ((1, 1, 1, 1), (1, -1, 1, -1), (1, 1, -1, -1), (1, -1, -1, 1))
 # the mirror columns the swap is composed with, in the order of a square's last four images
 _SWAP_COLUMNS = [0, 3, 1, 2]
-# int64 keys of a custom layout's offset triples stay below this (see _pair_distances)
-_PAIR_KEY_LIMIT = 2 ** 62
 # rows per block of the double products with Z and of the lattice gather (see _row_blocks)
 _ROW_BLOCK = 128
 
@@ -346,7 +341,7 @@ def _product(Z: ImpedanceMatrix, v):
     own row of Z with v.  A vector in one mirror sector, as every
     broadside iterate and current is, costs about N^2/4 terms, and one
     also even under the swap about N^2/8; no vector costs more than the
-    plain product's N^2, which a layout with one orbit per element gets.
+    plain product's N^2, which a matrix with no symmetry gets.
 
     Machine double keeps the BLAS product: BLAS sums each row in its own
     order, so folding rows by the mirrors would change the double bits.
@@ -435,32 +430,6 @@ def _gather_offsets(indices, table):
     return out
 
 
-def _pair_distances(geom: ArrayGeometry, ar):
-    """Each element pair's index into a table of distances, and the table.
-
-    The table holds one distance per distinct triple of absolute double
-    coordinate offsets ``|p_b - p_a|``, found by sorting integer keys
-    built from each axis's distinct offsets.  The distance of a triple
-    is the pair formula ``sqrt(sum((p_b - p_a)^2))`` in the working
-    arithmetic, whose squares do not see the offsets' signs, so the
-    gathered distances equal a per-pair build bit for bit.
-    """
-    pos, n = geom.positions, geom.n
-    key = np.zeros(n * n, dtype=np.int64)
-    for coordinates in pos.T:
-        values, at = np.unique(coordinates, return_inverse=True)
-        offsets, code = np.unique(np.abs(np.subtract.outer(values, values)), return_inverse=True)
-        if (int(key.max()) + 1) * len(offsets) > _PAIR_KEY_LIMIT:
-            key = np.unique(key, return_inverse=True)[1]  # ranks, below N^2
-        key = key * len(offsets) + code.reshape(len(values), -1)[np.ix_(at, at)].ravel()
-    _, first, pairs, count = np.unique(
-        key, return_index=True, return_inverse=True, return_counts=True)
-    r = ar.sqrt((ar.number(pos[first % n] - pos[first // n]) ** 2).sum(axis=1))
-    if count[r == 0].sum() > n:
-        raise InvalidGeometryError("duplicate element positions make Z exactly singular")
-    return pairs.reshape(n, n), r
-
-
 def _physical_memory_bytes():
     """The machine's physical memory in bytes, or None where the system does not say."""
     try:
@@ -475,16 +444,13 @@ def impedance(geom: ArrayGeometry, precision: Precision = Precision()) -> Impeda
     Entries are ``kernel(k * ||p_a - p_b||)`` where the kernel is the
     unnormalized sinc (isotropic) or ``J1(x)/x`` (planar); the diagonal
     is therefore 1 or 1/2.  The matrix is symmetric by construction.
-    Lattice layouts are built from the kernel's values at their distinct
+    It is built from the kernel's values at the layout's distinct
     lattice offsets, so Z is exactly invariant under the layout's
     mirrors, and a square lattice's under its swap y <-> z, whose
     images the matrix carries (see :attr:`ImpedanceMatrix.images`).
 
     Raises
     ------
-    InvalidGeometryError
-        If two elements coincide (the kernel argument 0 off the diagonal
-        would make Z exactly singular).
     CapacityError
         If the dense matrix, 8 bytes per entry, would not fit in the
         machine's physical memory.
@@ -497,15 +463,9 @@ def impedance(geom: ArrayGeometry, precision: Precision = Precision()) -> Impeda
     ar = precision.arithmetic()
     with ar.lock:
         k = 2 * ar.pi / ar.number(geom.wavelength)
-        if geom.shape is not None:
-            # one kernel value per distinct lattice offset, then one gather
-            r = _offset_distances(geom, ar)
-            entries = _gather_offsets(geom.lattice_indices(),
-                                      _kernel(geom.kind, r * k, precision))
-        else:
-            # one kernel value per distinct offset triple, then one gather
-            pairs, r = _pair_distances(geom, ar)
-            entries = _kernel(geom.kind, r * k, precision)[pairs]
+        # one kernel value per distinct lattice offset, then one gather
+        r = _offset_distances(geom, ar)
+        entries = _gather_offsets(geom.lattice_indices(), _kernel(geom.kind, r * k, precision))
     return ImpedanceMatrix(entries, precision, images=geom.symmetry_images())
 
 

@@ -18,10 +18,6 @@ class DomainError(LisSimError, ValueError):
     """Input lies outside the mathematical domain of an operation."""
 
 
-class InvalidGeometryError(LisSimError, ValueError):
-    """Element layout is degenerate (e.g. duplicate positions)."""
-
-
 class NumericalFailureError(LisSimError):
     """An iterative numerical routine failed to converge.
 

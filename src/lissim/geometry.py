@@ -2,22 +2,23 @@
 
 The surface lies in the plane x = 0 with broadside along +x.  Layout
 factories return immutable :class:`ArrayGeometry` objects, checked once
-on construction.  A regular grid is described by its shape and pitches
-alone, from which its positions, its exact coordinates in any precision
-and its elements' images under its mirrors (and a square's swap) are
-derived.
+on construction.  A layout is a centered lattice, described by its shape
+and pitches alone, from which its positions, its exact coordinates in
+any precision and its elements' images under its mirrors (and a
+square's swap) are derived.
 """
 
 from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass
+from collections.abc import Sequence
+from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
 
-from .errors import CapacityError, InvalidArgumentError, InvalidGeometryError
+from .errors import CapacityError, InvalidArgumentError
 
 SPEED_OF_LIGHT = 299_792_458.0  # m/s, used for wavelength = c / frequency
 
@@ -76,15 +77,12 @@ def _centered(index, count: int, pitch):
 
 @dataclass(frozen=True, eq=False)
 class ArrayGeometry:
-    """Immutable element layout: a centered lattice, or explicit positions.
+    """Immutable element layout: a centered lattice.
 
-    Give either ``shape`` with the pitches ``dy`` and ``dz`` (a lattice)
-    or ``positions`` (a custom layout), not both.  A lattice is described
-    by its shape and pitches alone: its positions, its (iy, iz) indices
-    and its elements' symmetry images are all derived from them here.
-    Layouts compare and hash by value: a lattice by its kind, wavelength,
-    shape and pitches, a custom layout by its kind, wavelength and
-    positions.
+    A lattice is described by its shape and pitches alone: its
+    positions, its (iy, iz) indices and its elements' symmetry images
+    are all derived from them here.  Layouts compare and hash by their
+    kind, wavelength, shape and pitches.
 
     Attributes
     ----------
@@ -92,47 +90,41 @@ class ArrayGeometry:
         Element model shared by all elements.
     wavelength : float
         Carrier wavelength in meters, positive and finite.
-    positions : ndarray, shape (N, 3)
-        Element centers in meters, all on the plane x = 0.  A lattice's
-        are computed from its shape and pitches (:meth:`coordinates`).
-    dy, dz : float or None
-        Center-to-center pitch along y and z in meters, required with
-        ``shape``; ``None`` for a custom layout, which has no pitch.
-    shape : (int, int) or None
+    shape : (int, int)
         ``(n_y, n_z)`` of two positive integers (not bools), a lattice
         centered on the origin, element ``iz * n_y + iy`` at index
-        (iy, iz); ``None`` for a custom layout.
+        (iy, iz).
+    dy, dz : float
+        Center-to-center pitch along y and z in meters, positive and
+        finite.
+    positions : ndarray, shape (N, 3)
+        Element centers in meters, all on the plane x = 0, read-only and
+        computed from the shape and pitches (:meth:`coordinates`).
     """
 
     kind: ElementKind
     wavelength: float
-    positions: np.ndarray | None = None
+    shape: tuple[int, int] | None = None
     dy: float | None = None
     dz: float | None = None
-    shape: tuple[int, int] | None = None
+    positions: np.ndarray = field(init=False)
 
     def __post_init__(self):
         _require_element_model(self.kind, self.wavelength)
-        if (self.shape is None) == (self.positions is None):
+        if not (isinstance(self.shape, Sequence) and len(self.shape) == 2
+                and all(isinstance(c, numbers.Integral) and not isinstance(c, bool)
+                        and c >= 1 for c in self.shape)):
             raise InvalidArgumentError(
-                "a layout is either a lattice shape or explicit positions: give exactly one")
-        if self.shape is not None:
-            if not (len(self.shape) == 2
-                    and all(isinstance(c, numbers.Integral) and not isinstance(c, bool)
-                            and c >= 1 for c in self.shape)):
-                raise InvalidArgumentError(
-                    f"a lattice shape is two positive integers, got {self.shape!r}")
-            if self.dy is None or self.dz is None:
-                raise InvalidArgumentError("a lattice layout needs its pitches dy and dz")
-            _require_positive("dy", self.dy)
-            _require_positive("dz", self.dz)
-            positions = self.coordinates(lambda x: np.asarray(x, dtype=float))
-            object.__setattr__(self, "positions", positions)
-        self.positions.setflags(write=False)
+                f"a lattice shape is two positive integers, got {self.shape!r}")
+        if self.dy is None or self.dz is None:
+            raise InvalidArgumentError("a lattice layout needs its pitches dy and dz")
+        _require_positive("dy", self.dy)
+        _require_positive("dz", self.dz)
+        positions = self.coordinates(lambda x: np.asarray(x, dtype=float))
+        positions.setflags(write=False)
+        object.__setattr__(self, "positions", positions)
 
     def _key(self) -> tuple:
-        if self.shape is None:
-            return self.kind, self.wavelength, tuple(map(tuple, self.positions.tolist()))
         return self.kind, self.wavelength, tuple(self.shape), self.dy, self.dz
 
     def __eq__(self, other):
@@ -158,11 +150,8 @@ class ArrayGeometry:
         ``number`` converts real values to an arithmetic (such as
         :meth:`Precision.arithmetic`'s ``number``).  A lattice's are
         :func:`_centered` on each axis in that arithmetic, so in any
-        precision they carry one rounding each and no accumulated offset;
-        a custom layout's double positions are converted verbatim.
+        precision they carry one rounding each and no accumulated offset.
         """
-        if self.shape is None:
-            return number(self.positions)
         (n_y, n_z), (iy, iz) = self.shape, self.lattice_indices().T
         return np.column_stack([number(np.zeros(len(iy))),
                                 _centered(number(np.arange(n_y)), n_y, self.dy)[iy],
@@ -178,10 +167,7 @@ class ArrayGeometry:
         element (iy, iz) onto (iz, iy), and gets four more columns: the
         swap after the identity, after both mirrors, after the y mirror
         and after the z mirror, the same flips of the grid's transpose.
-        A custom layout has no symmetry: every row is ``[a, a, a, a]``.
         """
-        if self.shape is None:
-            return np.column_stack([np.arange(self.n)] * 4)
         # the element numbers as the n_z x n_y grid [iz, iy], and the (z, y) steps
         # of the identity, the y mirror, the z mirror and both
         grid = np.arange(self.n).reshape(self.shape[1], self.shape[0])
@@ -267,17 +253,3 @@ def linear_array(
     _require_capacity("line", n, max_elements)
     return ArrayGeometry(kind=kind, wavelength=wavelength, dy=dz, dz=dz, shape=(1, n))
 
-
-def custom_geometry(positions, kind: ElementKind, wavelength: float) -> ArrayGeometry:
-    """Wrap explicit element positions, validating the layout invariants.
-
-    The layout has no lattice, so its ``dy`` and ``dz`` are ``None``.
-    """
-    pos = np.asarray(positions, dtype=float)
-    if pos.ndim != 2 or pos.shape[1] != 3 or pos.shape[0] < 1:
-        raise InvalidArgumentError(f"positions must have shape (N, 3), got {pos.shape}")
-    if not np.all(np.isfinite(pos)):
-        raise InvalidArgumentError("positions must be finite")
-    if np.unique(pos, axis=0).shape[0] != pos.shape[0]:
-        raise InvalidGeometryError("element positions must be pairwise distinct")
-    return ArrayGeometry(kind=kind, wavelength=wavelength, positions=pos)

@@ -5,8 +5,16 @@ import warnings
 
 import mpmath
 import numpy as np
+from scipy.spatial.distance import cdist
 
-from lissim import ArrayGeometry, DomainError, ElementKind, InvalidArgumentError
+from lissim import (
+    ArrayGeometry,
+    DomainError,
+    ElementKind,
+    InvalidArgumentError,
+    j1_over_x,
+    sinc_unnormalized,
+)
 
 _SERIES_ORACLE_MAX_X = 30.0
 
@@ -140,3 +148,14 @@ def radiated_power_quadrature(
             stacklevel=2,
         )
     return beta * fine
+
+
+def pairwise_impedance(geom: ArrayGeometry) -> np.ndarray:
+    """The double coupling matrix built pair by pair from the element positions.
+
+    Each entry is the kernel of ``k * ||p_a - p_b||``, the distance from
+    ``cdist`` of the double positions: no lattice offsets, no table and
+    no gather, so it checks the offset-table build of ``impedance``.
+    """
+    kernel = sinc_unnormalized if geom.kind is ElementKind.ISOTROPIC else j1_over_x
+    return kernel(2.0 * math.pi / geom.wavelength * cdist(geom.positions, geom.positions))

@@ -6,7 +6,6 @@ import mpmath
 import numpy as np
 import pytest
 from scipy.linalg import lu_factor, lu_solve
-from scipy.spatial.distance import cdist
 
 from lissim import (
     SPEED_OF_LIGHT,
@@ -16,13 +15,11 @@ from lissim import (
     EmptySpectrumError,
     ImpedanceMatrix,
     InvalidArgumentError,
-    InvalidGeometryError,
     Precision,
     ca_mf,
     channel_for,
     channel_isotropic,
     condition_number,
-    custom_geometry,
     directivity,
     impedance,
     linear_array,
@@ -37,7 +34,7 @@ from lissim import (
 )
 from lissim import coupling, precoding
 from lissim.errors import IllConditionedSolveError, LisSimError
-from oracles import radiated_power_quadrature
+from oracles import pairwise_impedance, radiated_power_quadrature
 
 LAM = SPEED_OF_LIGHT / 2.6e9
 EXT = Precision.extended(256)
@@ -72,6 +69,11 @@ RETAINED_ABOVE_1E9 = 19
 
 def _direct(entries):
     return ImpedanceMatrix(np.asarray(entries, dtype=float), Precision())
+
+
+def _no_symmetry(Z):
+    """Z with no images: one orbit per element, a single sector whose block is Z itself."""
+    return ImpedanceMatrix(Z.entries, Z.precision)
 
 
 def _ext_array(ctx, values):
@@ -121,15 +123,6 @@ def test_positive_semidefinite_up_to_roundoff():
             Z = impedance(geom_linear(12, frac, kind))
             w = np.linalg.eigvalsh(Z.entries)
             assert w.min() >= -1e-10 * w.max()
-
-
-def test_duplicate_positions_rejected():
-    pos = np.array([[0.0, 0.0, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, 0.1]])
-    geom = ArrayGeometry(positions=pos, kind=ElementKind.ISOTROPIC, wavelength=0.1)
-    with pytest.raises(InvalidGeometryError):
-        impedance(geom)
-    with pytest.raises(InvalidGeometryError):
-        impedance(geom, EXT)
 
 
 def test_sym_eig_identity_and_rank_one():
@@ -310,10 +303,9 @@ def _refined_lu_solve(ctx, A, h):
 
 
 def test_solve_extended_factors_once_and_matches_lu_solve(monkeypatch):
-    # a custom layout has one orbit per element: the solve factors the whole Z
-    line = geom_linear(frac=0.3)
-    geom = custom_geometry(line.positions, line.kind, LAM)
-    Z = impedance(geom, EXT)
+    # with no symmetry there is one orbit per element: the solve factors the whole Z
+    geom = geom_linear(frac=0.3)
+    Z = _no_symmetry(impedance(geom, EXT))
     h = channel_isotropic(geom, [10.0, 0.0, 0.0], EXT)
     ctx = EXT.context()
     expected = _refined_lu_solve(ctx, _mp(ctx, Z.entries), _mp(ctx, h))
@@ -822,9 +814,7 @@ def test_offset_table_build_is_mirror_invariant_and_matches_cdist_build(geom):
         for image in range(4):
             assert np.array_equal(images[:, mirror][images[:, image]], images[:, image ^ mirror])
     assert np.array_equal(Z, Z.T)
-    by_distance = coupling._kernel(
-        geom.kind, 2.0 * math.pi / geom.wavelength * cdist(geom.positions, geom.positions), Precision())
-    assert np.max(np.abs(Z - by_distance)) <= 4 * np.spacing(1.0)
+    assert np.max(np.abs(Z - pairwise_impedance(geom))) <= 4 * np.spacing(1.0)
 
 
 @pytest.fixture
@@ -888,11 +878,10 @@ def test_double_sector_solve_factors_each_excited_sector_and_matches_dense(
     assert np.linalg.norm(x - dense) <= 1e-9 * np.linalg.norm(dense)
 
 
-def test_custom_layout_spectrum_and_solve_are_bit_identical_to_dense_path():
+def test_no_symmetry_spectrum_and_solve_are_bit_identical_to_dense_path():
     grid = planar_grid(0.3, 0.2, 0.3 * LAM, 0.3 * LAM, ElementKind.PLANAR, LAM)
-    geom = custom_geometry(grid.positions, grid.kind, LAM)
-    Z = impedance(geom)
-    h = channel_for(geom, [10.0, 1.3, -0.7])
+    Z = _no_symmetry(impedance(grid))
+    h = channel_for(grid, [10.0, 1.3, -0.7])
 
     w, u = np.linalg.eigh(Z.entries)
     s, U = sym_eig(Z)
@@ -906,10 +895,8 @@ def test_custom_layout_spectrum_and_solve_are_bit_identical_to_dense_path():
     assert np.array_equal(solve(Z, h), expected)
 
 
-def test_custom_layout_extended_spectrum_is_bit_identical_to_full_jacobi():
-    line = geom_linear(6, 0.3)
-    geom = custom_geometry(line.positions, line.kind, LAM)
-    Z = impedance(geom, EXT)
+def test_no_symmetry_extended_spectrum_is_bit_identical_to_full_jacobi():
+    Z = _no_symmetry(impedance(geom_linear(6, 0.3), EXT))
     s, U = sym_eig(Z)
     with EXT.arithmetic().lock:
         full, V = coupling._jacobi_eigh(EXT.context(), Z.entries)
@@ -922,28 +909,25 @@ def _bits(x):
     return type(x), getattr(x, "_mpc_", None) or x._mpf_
 
 
-def _custom_copy(geom):
-    return custom_geometry(geom.positions, geom.kind, LAM)
-
-
 @pytest.mark.parametrize("precision", [Precision(), EXT], ids=["double", "ext"])
-@pytest.mark.parametrize("geom,key_limit", [
-    (_custom_copy(_lattice(11, 11, 0.2, ElementKind.PLANAR)), coupling._PAIR_KEY_LIMIT),
-    (custom_geometry(np.random.default_rng(5).normal(scale=0.1, size=(30, 3)),
-                     ElementKind.ISOTROPIC, LAM), coupling._PAIR_KEY_LIMIT),
-    # a limit of 0 ranks the keys before every axis, as a large 3-D layout would
-    (custom_geometry(np.indices((3, 3, 3)).reshape(3, -1).T * [0.03, 0.04, 0.05],
-                     ElementKind.PLANAR, LAM), 0),
-], ids=["grid", "cloud", "3d-grid-ranked"])
-def test_custom_layout_build_matches_the_per_pair_distance_formula_bit_for_bit(
-        monkeypatch, geom, key_limit, precision):
-    monkeypatch.setattr(coupling, "_PAIR_KEY_LIMIT", key_limit)
+@pytest.mark.parametrize("geom", [
+    _lattice(9, 9, 0.2, ElementKind.PLANAR),
+    ArrayGeometry(shape=(5, 3), kind=ElementKind.ISOTROPIC, wavelength=LAM,
+                  dy=0.2 * LAM, dz=0.27 * LAM),
+    geom_linear(20, 0.3),
+], ids=["grid", "rect-unequal-pitches", "line"])
+def test_lattice_build_matches_the_per_pair_offset_formula_bit_for_bit(
+        monkeypatch, geom, precision):
+    # 7-row blocks: the gather runs in several blocks, the last of them short
+    monkeypatch.setattr(coupling, "_ROW_BLOCK", 7)
     ar = precision.arithmetic()
-    pos = geom.positions
+    iy, iz = geom.lattice_indices().T
     with ar.lock:
+        dy, dz = ar.number([geom.dy, geom.dz])
         r = np.empty((geom.n, geom.n), dtype=ar.dtype)
-        for a, p in enumerate(pos):
-            r[a, a:] = r[a:, a] = ar.sqrt((ar.number(pos[a:] - p) ** 2).sum(axis=1))
+        for a in range(geom.n):
+            r[a] = ar.sqrt((ar.number(np.abs(iy - iy[a])) * dy) ** 2
+                           + (ar.number(np.abs(iz - iz[a])) * dz) ** 2)
         k = 2 * ar.pi / ar.number(geom.wavelength)
         expected = coupling._kernel(geom.kind, r * k, precision)
     entries = impedance(geom, precision).entries
@@ -976,20 +960,24 @@ def _vectors_for_the_product(Z, rng):
     return vectors
 
 
-# (layout, the orbit rows the product reads)
-@pytest.mark.parametrize("geom,rows", [
-    (_lattice(4, 4, 0.25, ElementKind.PLANAR), 3),
-    (_lattice(5, 5, 0.2, ElementKind.PLANAR), 6),
-    (_lattice(9, 9, 0.25, ElementKind.ISOTROPIC), 15),
+# (layout, whether Z keeps its images, the orbit rows the product reads)
+@pytest.mark.parametrize("geom,symmetric,rows", [
+    (_lattice(4, 4, 0.25, ElementKind.PLANAR), True, 3),
+    (_lattice(5, 5, 0.2, ElementKind.PLANAR), True, 6),
+    (_lattice(9, 9, 0.25, ElementKind.ISOTROPIC), True, 15),
     # no swap: the four mirrors' orbits
-    (_lattice(4, 5, 0.25, ElementKind.ISOTROPIC), 6),
+    (_lattice(4, 5, 0.25, ElementKind.ISOTROPIC), True, 6),
     (ArrayGeometry(shape=(5, 5), kind=ElementKind.PLANAR, wavelength=LAM,
-                   dy=0.2 * LAM, dz=0.25 * LAM), 9),
-    (geom_linear(20, 0.3), 10),
-    (_custom_copy(_lattice(3, 4, 0.3, ElementKind.PLANAR)), 12),
-], ids=["4x4", "5x5", "9x9", "4x5", "5x5-unequal-pitches", "line", "custom"])
-def test_extended_product_matches_the_row_by_row_product_bit_for_bit(monkeypatch, geom, rows):
+                   dy=0.2 * LAM, dz=0.25 * LAM), True, 9),
+    (geom_linear(20, 0.3), True, 10),
+    # no symmetry: one row per element
+    (_lattice(3, 4, 0.3, ElementKind.PLANAR), False, 12),
+], ids=["4x4", "5x5", "9x9", "4x5", "5x5-unequal-pitches", "line", "no-symmetry"])
+def test_extended_product_matches_the_row_by_row_product_bit_for_bit(monkeypatch, geom,
+                                                                      symmetric, rows):
     Z = impedance(geom, EXT)
+    if not symmetric:
+        Z = _no_symmetry(Z)
     # a square lattice reads one row per orbit of its 8 symmetries, any other one per mirror orbit
     assert len(Z._orbit_rows) == len(Z.orbits) == rows
     assert (rows < len(_four_sector(Z).orbits)) == (Z.images.shape[1] == 8)

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 from fractions import Fraction
 
@@ -11,9 +12,7 @@ from lissim import (
     ElementKind,
     ImpedanceMatrix,
     InvalidArgumentError,
-    InvalidGeometryError,
     Precision,
-    custom_geometry,
     linear_array,
     planar_grid,
 )
@@ -118,16 +117,11 @@ def test_linear_array_refuses_bad_arguments_like_planar_grid(args, match):
         linear_array(*args)
 
 
-def test_custom_geometry_rejects_duplicates():
-    with pytest.raises(InvalidGeometryError):
-        custom_geometry([[0, 0, 0], [0, 0, 0]], ElementKind.ISOTROPIC, 0.1)
-
-
 @pytest.mark.parametrize("build", [
     lambda kind: linear_array(2, 0.05, kind, 0.115),
     lambda kind: planar_grid(0.1, 0.1, 0.05, 0.05, kind, 0.115),
-    lambda kind: custom_geometry([[0, 0, 0], [0, 0, 0.05]], kind, 0.115),
-], ids=["linear", "planar", "custom"])
+    lambda kind: ArrayGeometry(shape=(1, 2), kind=kind, wavelength=0.115, dy=0.05, dz=0.05),
+], ids=["linear", "planar", "constructor"])
 @pytest.mark.parametrize("kind", ["isotropic", "planar", None])
 def test_layouts_refuse_a_kind_that_is_not_an_element_kind(build, kind):
     # a string kind would build Z with the planar kernel and the channel with the isotropic gain
@@ -136,9 +130,10 @@ def test_layouts_refuse_a_kind_that_is_not_an_element_kind(build, kind):
 
 
 @pytest.mark.parametrize("wavelength", [0.0, float("nan"), -1.0, float("inf")])
-def test_custom_geometry_refuses_a_wavelength_that_is_not_positive_and_finite(wavelength):
+def test_a_lattice_refuses_a_wavelength_that_is_not_positive_and_finite(wavelength):
     with pytest.raises(InvalidArgumentError, match="wavelength"):
-        custom_geometry([[0, 0, 0], [0, 0, 0.05]], ElementKind.ISOTROPIC, wavelength)
+        ArrayGeometry(shape=(1, 2), kind=ElementKind.ISOTROPIC, wavelength=wavelength,
+                      dy=0.05, dz=0.05)
 
 
 def test_positions_are_read_only():
@@ -147,18 +142,11 @@ def test_positions_are_read_only():
         g.positions[0, 2] = 1.0
 
 
-def test_geometry_distinct_positions_via_custom():
-    g = custom_geometry([[0, 0, 0], [0, 0.1, 0], [0, 0, 0.2]], ElementKind.PLANAR, 0.1)
-    assert isinstance(g, ArrayGeometry)
-    assert g.shape is None
-    assert g.dy is None and g.dz is None
-
-
 def _orbits(images):
     return ImpedanceMatrix(np.eye(len(images)), Precision(), images=images).orbits.tolist()
 
 
-def test_symmetry_images_of_lattices_and_custom_layouts():
+def test_symmetry_images_of_lattices_and_of_a_matrix_with_no_symmetry():
     # 3 x 2 grid, element index = iz * 3 + iy: the y mirror swaps iy 0 and 2,
     # the z mirror swaps the two rows
     g = planar_grid(0.2, 0.1, 0.1, 0.1, ElementKind.PLANAR, LAM)
@@ -170,9 +158,10 @@ def test_symmetry_images_of_lattices_and_custom_layouts():
     line = linear_array(3, 0.1, ElementKind.ISOTROPIC, LAM)
     assert _orbits(line.symmetry_images()) == [[0, 0, 2, 2], [1, 1, 1, 1]]
 
-    custom = custom_geometry(g.positions, g.kind, LAM)
-    assert custom.symmetry_images().tolist() == [[k] * 4 for k in range(6)]
-    assert _orbits(custom.symmetry_images()) == [[k] * 4 for k in range(6)]
+    # a matrix made with no images has no symmetry: one orbit per element
+    Z = ImpedanceMatrix(np.eye(6), Precision())
+    assert Z.images.tolist() == [[k] * 4 for k in range(6)]
+    assert Z.orbits.tolist() == [[k] * 4 for k in range(6)]
 
 
 def test_a_lattice_layout_needs_its_pitches():
@@ -182,17 +171,25 @@ def test_a_lattice_layout_needs_its_pitches():
             ArrayGeometry(shape=g.shape, kind=g.kind, wavelength=LAM, **pitches)
 
 
-def test_a_layout_is_either_a_lattice_shape_or_explicit_positions():
-    g = linear_array(3, 0.05, ElementKind.ISOTROPIC, LAM)
-    for layout in ({"shape": g.shape, "positions": g.positions.copy()}, {}):
-        with pytest.raises(InvalidArgumentError, match="exactly one"):
-            ArrayGeometry(kind=g.kind, wavelength=LAM, dy=g.dy, dz=g.dz, **layout)
-
-
-@pytest.mark.parametrize("shape", [(0, 3), (3,), (2.0, 3), (2, 3, 1)])
+@pytest.mark.parametrize("shape", [(0, 3), (3,), (2.0, 3), (2, 3, 1), 5, None])
 def test_a_lattice_shape_is_two_positive_integers(shape):
     with pytest.raises(InvalidArgumentError, match="two positive integers"):
         ArrayGeometry(shape=shape, kind=ElementKind.ISOTROPIC, wavelength=LAM, dy=0.1, dz=0.1)
+
+
+@pytest.mark.parametrize("change", [
+    {"dz": 0.07}, {"dy": 0.13}, {"shape": (2, 4)}, {"wavelength": 0.2},
+    {"kind": ElementKind.ISOTROPIC},
+], ids=["dz", "dy", "shape", "wavelength", "kind"])
+def test_replace_builds_the_lattice_of_the_changed_fields(change):
+    # positions are derived, not a constructor field, so replace recomputes them
+    grid = planar_grid(0.2, 0.1, 0.1, 0.1, ElementKind.PLANAR, LAM)
+    fields = {"shape": grid.shape, "kind": grid.kind, "wavelength": LAM, "dy": 0.1, "dz": 0.1}
+    fresh = ArrayGeometry(**{**fields, **change})
+    replaced = dataclasses.replace(grid, **change)
+    assert replaced == fresh and hash(replaced) == hash(fresh)
+    assert replaced.positions.tobytes() == fresh.positions.tobytes()
+    assert not replaced.positions.flags.writeable
 
 
 @pytest.mark.parametrize("shape", [(True, 2), (2, True)])
@@ -246,9 +243,7 @@ def test_square_symmetry_images_are_the_mirrors_then_the_swap_after_them(n):
     planar_grid(0.2, 0.1, 0.1, 0.1, ElementKind.PLANAR, LAM),
     ArrayGeometry(shape=(3, 3), kind=ElementKind.PLANAR, wavelength=LAM, dy=0.1, dz=0.11),
     linear_array(3, 0.1, ElementKind.ISOTROPIC, LAM),
-    custom_geometry(planar_grid(0.2, 0.2, 0.1, 0.1, ElementKind.PLANAR, LAM).positions,
-                    ElementKind.PLANAR, LAM),
-], ids=["3x2", "3x3-unequal-pitches", "line", "custom-square"])
+], ids=["3x2", "3x3-unequal-pitches", "line"])
 def test_only_a_square_lattice_has_a_swap(layout):
     assert layout.symmetry_images().shape == (layout.n, 4)
 
@@ -306,16 +301,11 @@ def test_extended_lattice_coordinates_are_the_exact_centered_products(build):
 def test_layouts_compare_and_hash_by_value():
     line = linear_array(3, 0.05, ElementKind.ISOTROPIC, 0.1)
     grid = planar_grid(0.2, 0.1, 0.1, 0.1, ElementKind.PLANAR, LAM)
-    custom = custom_geometry([[0, 0, 0], [0, 0, 0.05]], ElementKind.ISOTROPIC, 0.1)
     same = (linear_array(3, 0.05, ElementKind.ISOTROPIC, 0.1),
-            planar_grid(0.2, 0.1, 0.1, 0.1, ElementKind.PLANAR, LAM),
-            custom_geometry([[0, 0, 0], [0, 0, 0.05]], ElementKind.ISOTROPIC, 0.1))
-    for a, b in zip((line, grid, custom), same):
+            planar_grid(0.2, 0.1, 0.1, 0.1, ElementKind.PLANAR, LAM))
+    for a, b in zip((line, grid), same):
         assert a == b and hash(a) == hash(b)
         assert a in [b] and b in {a}
     assert line != linear_array(3, 0.06, ElementKind.ISOTROPIC, 0.1)
     assert line != linear_array(3, 0.05, ElementKind.PLANAR, 0.1)
     assert grid != planar_grid(0.2, 0.1, 0.1, 0.05, ElementKind.PLANAR, LAM)
-    assert custom != custom_geometry([[0, 0, 0], [0, 0, 0.06]], ElementKind.ISOTROPIC, 0.1)
-    # a custom layout on a lattice's positions is not that lattice
-    assert custom_geometry(line.positions, line.kind, 0.1) != line

@@ -1,8 +1,8 @@
 import lissim
 
 # deleted from the package, or moved with the sphere quadrature into tests/oracles.py
-REMOVED = ("AccuracyWarning", "FieldModel", "departure_angle", "distance", "field_at",
-           "radiated_power_quadrature")
+REMOVED = ("AccuracyWarning", "FieldModel", "InvalidGeometryError", "custom_geometry",
+           "departure_angle", "distance", "field_at", "radiated_power_quadrature")
 
 
 def test_star_import_binds_exactly_all_and_every_entry_resolves():
