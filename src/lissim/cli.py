@@ -7,7 +7,9 @@ Usage::
            [--precision double|ext:<bits>] [--threshold 1e-9]
            [--quiet] [--no-timing] [--dump-matrices dir/]
 
-Exit codes: 0 success, 2 configuration error, 3 numerical failure.
+Exit codes: 0 success, 2 configuration error, 3 numerical failure.  An
+output path or a dump directory that cannot be written is a
+configuration error, refused before the sweep.
 The sweep runs its points one after another in the calling thread; its
 BLAS calls still use the BLAS library's own thread count.
 
@@ -26,6 +28,7 @@ from __future__ import annotations
 import argparse
 import gc
 import sys
+from pathlib import Path
 
 from .errors import ConfigError, LisSimError
 from .experiments import (
@@ -79,6 +82,7 @@ def main(argv=None) -> int:
             include_timing=False if args.no_timing else None,
             dump_dir=args.dump_matrices,
         )
+        _require_output_paths(cfg)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
@@ -88,6 +92,18 @@ def main(argv=None) -> int:
         return _run(args, cfg)
     finally:
         gc.unfreeze()
+
+
+def _require_output_paths(cfg: ExperimentConfig) -> None:
+    """Refuse an output path or a dump directory the sweep could not write; make the latter."""
+    out = Path(cfg.output_path)
+    if out.is_dir() or not out.parent.is_dir():
+        raise ConfigError(f"output path {out} is not a file in an existing directory")
+    if cfg.dump_dir is not None:
+        try:
+            Path(cfg.dump_dir).mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise ConfigError(f"cannot make the dump directory {cfg.dump_dir}: {exc}") from exc
 
 
 def _run(args: argparse.Namespace, cfg: ExperimentConfig) -> int:

@@ -255,9 +255,9 @@ class ImpedanceMatrix:
         of the precision's mpmath numbers under extended precision.
     precision : Precision
         Arithmetic the entries were built in.
-    arithmetic, context
-        ``precision.arithmetic()`` and ``precision.context()`` (the
-        latter None in double).
+    arithmetic
+        ``precision.arithmetic()``; its ``ctx`` is the precision's mpmath
+        context, None in double.
     images : ndarray of int, shape (N, 4) or (N, 8)
         Each element's images under the layout's symmetries, as returned
         by :meth:`ArrayGeometry.symmetry_images`: column k is symmetry
@@ -292,7 +292,6 @@ class ImpedanceMatrix:
         _require_images(images, n)
         self.precision = precision
         self.arithmetic = precision.arithmetic()
-        self.context = precision.context()
         entries.setflags(write=False)
         self.entries = entries
         images.setflags(write=False)
@@ -301,9 +300,9 @@ class ImpedanceMatrix:
         self.orbits.setflags(write=False)
         with self.arithmetic.lock:
             # machine double keeps the mirror sectors: the swap halves would change its LAPACK bits
-            self._sectors = _sectors(images if self.context is not None else images[:, :4],
+            self._sectors = _sectors(images if precision.is_extended else images[:, :4],
                                      self.arithmetic)
-            if self.context is not None:  # what _product reads: see there
+            if precision.is_extended:  # what _product reads: see there
                 self._orbit_rows = entries[self.orbits[:, 0]].tolist()
                 self._moves = _moves(images, self.orbits)
         self._eig = None
@@ -320,10 +319,6 @@ class ImpedanceMatrix:
             if self._eig is None:
                 self._eig = _sector_eigh(self)
             return self._eig
-
-    def as_float_array(self) -> np.ndarray:
-        """Entries rounded to float64 (e.g. for text dumps)."""
-        return self.entries.astype(float)
 
 
 def _product(Z: ImpedanceMatrix, v):
@@ -351,7 +346,7 @@ def _product(Z: ImpedanceMatrix, v):
     written straight into it: numpy would otherwise cast all of Z, a
     copy twice its size.  The blocks give the whole product's bits.
     """
-    if Z.context is None:
+    if not Z.precision.is_extended:
         dtype = np.result_type(Z.entries, v)
         if dtype == Z.entries.dtype:
             return Z.entries @ v
@@ -359,7 +354,7 @@ def _product(Z: ImpedanceMatrix, v):
         for k, e in _row_blocks(Z.n):
             np.matmul(Z.entries[k:e].astype(dtype), v, out=out[k:e])
         return out
-    fdot = Z.context.fdot
+    fdot = Z.arithmetic.ctx.fdot
     out = np.empty(Z.n, dtype=object)
     formed = []  # (an image of v, its fdots with the orbit rows so far, by orbit)
     for perm, targets, first in Z._moves:
@@ -601,8 +596,8 @@ def _jacobi_sweeps(ctx, a, v, norm_a):
 
 def _block_eigh(Z: ImpedanceMatrix, block):
     """Eigenvalues (descending) and eigenvectors (columns) of one sector block."""
-    if Z.context is not None:  # different algorithms: cyclic Jacobi at any width, LAPACK in double
-        return _jacobi_eigh(Z.context, block)
+    if Z.precision.is_extended:  # cyclic Jacobi at any width, LAPACK in double
+        return _jacobi_eigh(Z.arithmetic.ctx, block)
     w, u = _lapack_eigh(block)
     return w[::-1], u[:, ::-1]
 
@@ -740,7 +735,7 @@ def _rank_solves(Z: ImpedanceMatrix, h):
     N currents cost one rank-N solve.
     """
     k = _leading_modes(Z, Z.n)
-    if Z.context is None:
+    if not Z.precision.is_extended:
         # one BLAS product per rank defines the double bits; a running sum would round otherwise
         return [_modal_solve(Z, min(m, k), h) for m in range(1, Z.n + 1)]
     with Z.arithmetic.lock:
@@ -845,7 +840,7 @@ def solve(Z: ImpedanceMatrix, h):
         if not res <= tol:
             reason = (f"solve residual {float(res / norm_h):.3e} exceeds"
                       f" {_SOLVE_RESIDUAL_RTOL:.0e} at {Z.precision.spec()}")
-        elif Z.context is not None:  # an extended residual is rounded once per entry
+        elif Z.precision.is_extended:  # an extended residual is rounded once per entry
             return x
         else:
             # a residual formed in double is only known to about eps |Z| |x|
@@ -881,7 +876,7 @@ def _sector_inverse(Z: ImpedanceMatrix, h):
     factor.  Machine double and any other layout factor the four mirror
     sectors.
     """
-    ctx = Z.context
+    ctx = Z.arithmetic.ctx
     if ctx is None:  # different algorithms: LAPACK getrf in double, a Crout LU at any width
         factor, substitute, guard = _lu_factor_double, _lapack_lu_solve, contextlib.nullcontext
     else:
@@ -1065,7 +1060,7 @@ def quadratic_form(Z: ImpedanceMatrix, i):
 
 def write_matrix_text(Z: ImpedanceMatrix, path) -> None:
     """Dump entries as plain text: one row per line, 17 significant digits."""
-    arr = Z.as_float_array()
+    arr = Z.entries.astype(float)
     with open(path, "w") as fh:
         for row in arr:
             fh.write(" ".join(f"{v:.17g}" for v in row))

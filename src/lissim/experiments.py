@@ -257,7 +257,6 @@ def default_config(experiment: str) -> ExperimentConfig:
 class SweepResult:
     """Column-named rows ready for CSV serialization."""
 
-    experiment: str
     columns: tuple[str, ...]
     rows: list[tuple] = field(default_factory=list)
 
@@ -299,39 +298,41 @@ def _grid_geometry(cfg: ExperimentConfig, spacing: float, kind: ElementKind) -> 
                        kind, cfg.wavelength, max_elements=cfg.max_elements)
 
 
-def _sweep(experiment: str, cfg: ExperimentConfig, columns: tuple[str, ...], layout,
-           precision: Precision, point) -> SweepResult:
+def _sweep(cfg: ExperimentConfig, columns: tuple[str, ...], layout, precision: Precision,
+           point) -> SweepResult:
     """Tabulate the generator ``point(geom, Z)`` at every configured spacing and kind.
 
-    ``point`` yields each row's cells for ``columns``.  The driver visits
-    ``(spacing, kind)`` in grid order: it lays out ``layout(cfg, spacing,
-    kind)``, builds ``Z`` in ``precision``, dumps it to ``cfg.dump_dir``
-    when set, and prefixes every row with the point's spacing, element
-    count and kind.  With ``cfg.include_timing`` each row ends with the
-    wall time since the row before it, so a point's layout, ``Z`` and
-    shared set-up land on its first row.
+    ``point`` yields each row's cells for ``columns``.  The driver first
+    lays out ``layout(cfg, spacing, kind)`` at every ``(spacing, kind)``,
+    so a layout the configuration refuses (above ``cfg.max_elements``)
+    fails before any ``Z`` is built.  It then visits them in grid order:
+    it builds ``Z`` in ``precision``, dumps it to ``cfg.dump_dir`` when
+    set, and prefixes every row with the point's spacing, element count
+    and kind.  With ``cfg.include_timing`` each row ends with the wall
+    time since the row before it, so a point's ``Z`` and shared set-up
+    land on its first row, and the layouts on the sweep's first row.
     """
     timed = cfg.include_timing
     rows = []
     mark = time.perf_counter()
-    for spacing in cfg.spacings_m:
-        for kind in cfg.element_kinds:
-            geom = layout(cfg, spacing, kind)
-            Z = impedance(geom, precision)
-            if cfg.dump_dir is not None:
-                directory = Path(cfg.dump_dir)
-                directory.mkdir(parents=True, exist_ok=True)
-                write_matrix_text(Z, directory / f"Z_{kind.value}_d{spacing:.9g}m.txt")
-            lead = (spacing, spacing / cfg.wavelength, geom.n, kind.value)
-            # the point runs lazily, so each row's time holds the work of that row
-            for cells in point(geom, Z):
-                now = time.perf_counter()
-                rows.append(lead + cells + (((now - mark) * 1e3,) if timed else ()))
-                mark = now
-            # release this point's Z and its cached spectrum before the next Z is built
-            del geom, Z
+    points = [(spacing, kind, layout(cfg, spacing, kind))
+              for spacing in cfg.spacings_m for kind in cfg.element_kinds]
+    for spacing, kind, geom in points:
+        Z = impedance(geom, precision)
+        if cfg.dump_dir is not None:
+            directory = Path(cfg.dump_dir)
+            directory.mkdir(parents=True, exist_ok=True)
+            write_matrix_text(Z, directory / f"Z_{kind.value}_d{spacing:.9g}m.txt")
+        lead = (spacing, spacing / cfg.wavelength, geom.n, kind.value)
+        # the point runs lazily, so each row's time holds the work of that row
+        for cells in point(geom, Z):
+            now = time.perf_counter()
+            rows.append(lead + cells + (((now - mark) * 1e3,) if timed else ()))
+            mark = now
+        # release this point's Z and its cached spectrum before the next Z is built
+        del Z
     columns = ("spacing_m", "spacing_wavelengths", "n_elements", "element_kind", *columns)
-    return SweepResult(experiment, columns + (("wall_time_ms",) if timed else ()), rows)
+    return SweepResult(columns + (("wall_time_ms",) if timed else ()), rows)
 
 
 def run_conditioning_sweep(cfg: ExperimentConfig) -> SweepResult:
@@ -339,7 +340,7 @@ def run_conditioning_sweep(cfg: ExperimentConfig) -> SweepResult:
     def point(geom, Z):
         yield (coupling.condition_number(Z),)
 
-    return _sweep("conditioning", cfg, ("kappa",), _linear_geometry, cfg.precision, point)
+    return _sweep(cfg, ("kappa",), _linear_geometry, cfg.precision, point)
 
 
 def run_singular_profile(cfg: ExperimentConfig) -> SweepResult:
@@ -347,8 +348,7 @@ def run_singular_profile(cfg: ExperimentConfig) -> SweepResult:
     def point(geom, Z):  # (mode_index, eigenvalue) pairs
         yield from enumerate(map(float, coupling.sym_eig(Z)[0]), start=1)
 
-    return _sweep("profile", cfg, ("mode_index", "eigenvalue"), _linear_geometry,
-                  cfg.precision, point)
+    return _sweep(cfg, ("mode_index", "eigenvalue"), _linear_geometry, cfg.precision, point)
 
 
 def run_truncation_sweep(cfg: ExperimentConfig) -> SweepResult:
@@ -382,9 +382,8 @@ def run_truncation_sweep(cfg: ExperimentConfig) -> SweepResult:
                 power = metrics.excitation_power(i_hat)
             yield (SCHEME_CA_PMF, m, d_lin, d_dbi, kappa, power)
 
-    return _sweep("truncation", cfg, ("scheme", "retained_modes", "directivity",
-                                      "directivity_dbi", "kappa", "excitation_power"),
-                  _linear_geometry, cfg.precision, point)
+    return _sweep(cfg, ("scheme", "retained_modes", "directivity", "directivity_dbi", "kappa",
+                        "excitation_power"), _linear_geometry, cfg.precision, point)
 
 
 def run_spacing_sweep(cfg: ExperimentConfig) -> SweepResult:
@@ -440,8 +439,8 @@ def run_spacing_sweep(cfg: ExperimentConfig) -> SweepResult:
                 h_hp = channel_for(geom, o, cfg.precision)
                 yield solved(scheme, geom.n, lambda: precoding.ca_mf(Z_hp, h_hp), Z_hp, h_hp)
 
-    return _sweep("spacing", cfg, ("scheme", "retained_modes", "directivity", "directivity_dbi",
-                                   "kappa", "excitation_power", "d_nc_reference", "status"),
+    return _sweep(cfg, ("scheme", "retained_modes", "directivity", "directivity_dbi", "kappa",
+                        "excitation_power", "d_nc_reference", "status"),
                   _grid_geometry, Precision(), point)
 
 

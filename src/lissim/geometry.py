@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 import numbers
 from collections.abc import Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -75,14 +75,14 @@ def _centered(index, count: int, pitch):
     return (index - (count - 1) / 2) * pitch
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class ArrayGeometry:
-    """Immutable element layout: a centered lattice.
+    """Immutable element layout: a centered lattice, stored as its five fields.
 
-    A lattice is described by its shape and pitches alone: its
-    positions, its (iy, iz) indices and its elements' symmetry images
-    are all derived from them here.  Layouts compare and hash by their
-    kind, wavelength, shape and pitches.
+    A lattice is described by its kind, wavelength, shape and pitches
+    alone: its positions, its (iy, iz) indices and its elements'
+    symmetry images are all derived from them when asked for, and
+    layouts compare and hash by those fields.
 
     Attributes
     ----------
@@ -93,13 +93,10 @@ class ArrayGeometry:
     shape : (int, int)
         ``(n_y, n_z)`` of two positive integers (not bools), a lattice
         centered on the origin, element ``iz * n_y + iy`` at index
-        (iy, iz).
+        (iy, iz); stored as a tuple of Python ints.
     dy, dz : float
         Center-to-center pitch along y and z in meters, positive and
         finite.
-    positions : ndarray, shape (N, 3)
-        Element centers in meters, all on the plane x = 0, read-only and
-        computed from the shape and pitches (:meth:`coordinates`).
     """
 
     kind: ElementKind
@@ -107,7 +104,6 @@ class ArrayGeometry:
     shape: tuple[int, int] | None = None
     dy: float | None = None
     dz: float | None = None
-    positions: np.ndarray = field(init=False)
 
     def __post_init__(self):
         _require_element_model(self.kind, self.wavelength)
@@ -120,28 +116,22 @@ class ArrayGeometry:
             raise InvalidArgumentError("a lattice layout needs its pitches dy and dz")
         _require_positive("dy", self.dy)
         _require_positive("dz", self.dz)
-        positions = self.coordinates(lambda x: np.asarray(x, dtype=float))
-        positions.setflags(write=False)
-        object.__setattr__(self, "positions", positions)
-
-    def _key(self) -> tuple:
-        return self.kind, self.wavelength, tuple(self.shape), self.dy, self.dz
-
-    def __eq__(self, other):
-        if not isinstance(other, ArrayGeometry):
-            return NotImplemented
-        return self._key() == other._key()
-
-    def __hash__(self):
-        return hash(self._key())
+        object.__setattr__(self, "shape", tuple(int(c) for c in self.shape))
 
     @property
     def n(self) -> int:
-        return self.positions.shape[0]
+        return self.shape[0] * self.shape[1]
+
+    @property
+    def positions(self) -> np.ndarray:
+        """Element centers in meters, shape (N, 3), on x = 0: read-only, computed at each read."""
+        positions = self.coordinates(lambda x: np.asarray(x, dtype=float))
+        positions.setflags(write=False)
+        return positions
 
     def lattice_indices(self) -> np.ndarray:
         """(iy, iz) of each element of a lattice, shape (N, 2), y index fastest."""
-        iz, iy = np.divmod(np.arange(self.shape[0] * self.shape[1]), self.shape[0])
+        iz, iy = np.divmod(np.arange(self.n), self.shape[0])
         return np.column_stack([iy, iz])
 
     def coordinates(self, number) -> np.ndarray:

@@ -22,7 +22,6 @@ with the zero location stored as a double-double pair.
 from __future__ import annotations
 
 import contextlib
-import functools
 import math
 import threading
 from dataclasses import dataclass
@@ -32,34 +31,19 @@ import numpy as np
 
 from .errors import InvalidArgumentError
 
-#: Serializes extended-precision computations.  mpmath contexts raise
+#: Serializes extended-precision computations, and guards the cache of
+#: arithmetics (:meth:`Precision.arithmetic`).  mpmath contexts raise
 #: their own precision temporarily inside many functions, so a shared
 #: context is only thread-safe under a lock; reentrant because extended
 #: operations nest (a solve may trigger an eigendecomposition).
 MP_LOCK = threading.RLock()
-
-_CTX_CACHE: dict[int, object] = {}
-
-
-def _extended_context(bits: int):
-    """One shared mpmath context per mantissa width.
-
-    Matrices from different context clones do not interoperate, so every
-    object built at a given precision must come from the same context.
-    """
-    with MP_LOCK:
-        ctx = _CTX_CACHE.get(bits)
-        if ctx is None:
-            ctx = mpmath.mp.clone()
-            ctx.prec = bits
-            _CTX_CACHE[bits] = ctx
-        return ctx
 
 
 class _DoubleArithmetic:
     """Machine double: float64 and complex128 arrays, with BLAS products."""
 
     lock = contextlib.nullcontext()
+    ctx = None
     dtype = float
     zero = 0.0
     pi = math.pi
@@ -89,8 +73,9 @@ class _ExtendedArithmetic:
     lock = MP_LOCK
     dtype = object
 
-    def __init__(self, ctx):
-        self.ctx = ctx
+    def __init__(self, bits: int):
+        self.ctx = ctx = mpmath.mp.clone()
+        ctx.prec = bits
         self.zero = ctx.zero
         self.pi = ctx.pi
         self.number = np.frompyfunc(ctx.mpf, 1, 1)
@@ -107,11 +92,8 @@ class _ExtendedArithmetic:
         return self.ctx.fdot(b, a, conjugate=True)
 
 
-@functools.cache
-def _arithmetic(bits: int | None):
-    if bits is None:
-        return _DoubleArithmetic()
-    return _ExtendedArithmetic(_extended_context(bits))
+#: Each width's arithmetic (``None`` for double); an extended one is added under :data:`MP_LOCK`.
+_ARITHMETICS: dict[int | None, object] = {None: _DoubleArithmetic()}
 
 
 _SINC_SERIES_CUTOFF = 1e-4   # below this, sin(x)/x via its quadratic series
@@ -137,10 +119,6 @@ class Precision:
                 )
 
     @classmethod
-    def double(cls) -> "Precision":
-        return cls()
-
-    @classmethod
     def extended(cls, mantissa_bits: int = 256) -> "Precision":
         return cls(mantissa_bits=mantissa_bits)
 
@@ -149,7 +127,7 @@ class Precision:
         """Parse ``"double"`` or ``"ext:<bits>"``."""
         t = text.strip().lower()
         if t == "double":
-            return cls.double()
+            return cls()
         if t.startswith("ext:"):
             try:
                 return cls.extended(int(t[4:]))
@@ -162,25 +140,25 @@ class Precision:
         return self.mantissa_bits is not None
 
     def context(self):
-        """The shared mpmath context at this precision (None for double).
-
-        Hold :data:`MP_LOCK` while computing with it; see the cache note
-        on :func:`_extended_context`.
-        """
-        if not self.is_extended:
-            return None
-        return _extended_context(self.mantissa_bits)
+        """:meth:`arithmetic`'s mpmath context (None in double); use it under :data:`MP_LOCK`."""
+        return self.arithmetic().ctx
 
     def arithmetic(self):
-        """The operations in which this precision differs from the other, shared per width.
+        """The operations in which this precision differs from the other, one object per width.
 
         ``lock`` (a null context in double, :data:`MP_LOCK` in extended
-        precision), ``dtype``, ``zero``, ``pi``, ``number`` (real values
+        precision), ``ctx`` (None in double, else the width's mpmath
+        context), ``dtype``, ``zero``, ``pi``, ``number`` (real values
         into this arithmetic), the elementwise ``sqrt``, ``exp`` and
         ``real``, ``matvec``, ``vdot`` (``a^H b``) and ``norm`` (with an
-        optional order, as numpy's and mpmath's take).
+        optional order, as numpy's and mpmath's take).  Built on first
+        use and shared: matrices from different mpmath context clones do
+        not interoperate, so all objects of one width share its context.
         """
-        return _arithmetic(self.mantissa_bits)
+        with MP_LOCK:
+            if self.mantissa_bits not in _ARITHMETICS:
+                _ARITHMETICS[self.mantissa_bits] = _ExtendedArithmetic(self.mantissa_bits)
+            return _ARITHMETICS[self.mantissa_bits]
 
     def spec(self) -> str:
         return "double" if not self.is_extended else f"ext:{self.mantissa_bits}"

@@ -666,7 +666,7 @@ def _square_sector_sizes(n):
 @pytest.mark.parametrize("n", [4, 5, 6])
 def test_extended_sectors_of_a_square_are_an_orthonormal_split_of_z(n):
     Z = impedance(_lattice(n, n, 0.25, ElementKind.PLANAR), EXT)
-    ctx, ar = Z.context, Z.arithmetic
+    ctx, ar = Z.arithmetic.ctx, Z.arithmetic
     assert [len(sector.images) for sector in Z._sectors] == _square_sector_sizes(n)
     with ar.lock:
         bases = [sector.expand(_ext_array(ctx, np.eye(len(sector.images))),
@@ -944,7 +944,7 @@ def _vectors_for_the_product(Z, rng):
     outputs written into ``np.zeros``: a sector leaves the elements it
     does not hold as Python-int zeros.
     """
-    ctx = Z.context
+    ctx = Z.arithmetic.ctx
 
     def numbers(m, complex_):
         if complex_:
@@ -981,7 +981,7 @@ def test_extended_product_matches_the_row_by_row_product_bit_for_bit(monkeypatch
     # a square lattice reads one row per orbit of its 8 symmetries, any other one per mirror orbit
     assert len(Z._orbit_rows) == len(Z.orbits) == rows
     assert (rows < len(_four_sector(Z).orbits)) == (Z.images.shape[1] == 8)
-    ctx, ar = Z.context, Z.arithmetic
+    ctx, ar = Z.arithmetic.ctx, Z.arithmetic
     fdot = ctx.fdot
     calls = []
 
@@ -1121,7 +1121,7 @@ def test_extended_quadratic_form_of_an_even_vector_reads_one_row_per_orbit(monke
     geom = _lattice(11, 11, 0.25, ElementKind.PLANAR)
     Z = impedance(geom, EXT)
     h = channel_for(geom, [10.0, 0.0, 0.0], EXT)  # even under both mirrors
-    ctx, ar = Z.context, Z.arithmetic
+    ctx, ar = Z.arithmetic.ctx, Z.arithmetic
     with ar.lock:
         expected = ar.real(ar.vdot(h, ar.matvec(Z.entries, h)))
     fdot = ctx.fdot
@@ -1192,5 +1192,5 @@ def test_matrix_text_dump_round_trips(tmp_path):
 def test_extended_entries_match_double_to_rounding():
     g = geom_linear(6, 0.3, ElementKind.PLANAR)
     Zd = impedance(g).entries
-    Ze = impedance(g, EXT).as_float_array()
+    Ze = impedance(g, EXT).entries.astype(float)
     np.testing.assert_allclose(Ze, Zd, rtol=1e-14, atol=1e-17)

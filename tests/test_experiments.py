@@ -554,6 +554,41 @@ def test_cli_numerical_failure_exit_code(tmp_path, capsys, monkeypatch, experime
     assert not out.exists()
 
 
+def test_cli_refuses_a_layout_over_the_cap_before_any_point_is_built(tmp_path, capsys,
+                                                                    monkeypatch):
+    def no_impedance(*args, **kwargs):
+        raise AssertionError("every layout must be checked before the first Z is built")
+
+    monkeypatch.setattr(experiments, "impedance", no_impedance)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"spacings": ["0.5 lambda", "0.001 lambda"],
+                               "max_elements": 100}))
+    out = tmp_path / "never.csv"
+    assert cli_main(["spacing", "--config", str(cfg), "--out", str(out), "--quiet"]) == 3
+    assert "grid would hold 18809569 elements, exceeding the cap of 100" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("option,bad", [
+    ("--out", "missing/x.csv"), ("--out", "file/x.csv"),
+    ("--dump-matrices", "file/x"), ("--dump-matrices", "file"),
+], ids=["out-missing-dir", "out-under-file", "dump-under-file", "dump-is-file"])
+def test_cli_refuses_an_unwritable_output_before_the_sweep(tmp_path, capsys, monkeypatch, option,
+                                                           bad):
+    # a missing dump directory is made, parents and all; one under a file cannot be
+    def no_sweep(*args):
+        raise AssertionError("an unwritable output must be refused before the sweep")
+
+    monkeypatch.setattr(lissim.cli, "run_experiment", no_sweep)
+    (tmp_path / "file").write_text("")
+    bad = tmp_path / bad
+    out = bad if option == "--out" else tmp_path / "never.csv"
+    assert cli_main(["conditioning", "--out", str(out), option, str(bad), "--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and str(bad) in err
+    assert not out.exists() and not (tmp_path / "file" / "x").exists()
+
+
 def test_cli_dump_matrices(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"spacings": ["0.5 lambda"], "element_kinds": ["planar"]}))

@@ -182,7 +182,7 @@ def test_a_lattice_shape_is_two_positive_integers(shape):
     {"kind": ElementKind.ISOTROPIC},
 ], ids=["dz", "dy", "shape", "wavelength", "kind"])
 def test_replace_builds_the_lattice_of_the_changed_fields(change):
-    # positions are derived, not a constructor field, so replace recomputes them
+    # positions are derived from the fields at each read, so replace changes them too
     grid = planar_grid(0.2, 0.1, 0.1, 0.1, ElementKind.PLANAR, LAM)
     fields = {"shape": grid.shape, "kind": grid.kind, "wavelength": LAM, "dy": 0.1, "dz": 0.1}
     fresh = ArrayGeometry(**{**fields, **change})
@@ -309,3 +309,12 @@ def test_layouts_compare_and_hash_by_value():
     assert line != linear_array(3, 0.06, ElementKind.ISOTROPIC, 0.1)
     assert line != linear_array(3, 0.05, ElementKind.PLANAR, 0.1)
     assert grid != planar_grid(0.2, 0.1, 0.1, 0.05, ElementKind.PLANAR, LAM)
+    # a layout is its five fields: a list shape is stored as a tuple of ints
+    listed = ArrayGeometry(shape=[3, np.int64(2)], kind=ElementKind.PLANAR, wavelength=LAM,
+                           dy=0.1, dz=0.1)
+    assert listed == grid and hash(listed) == hash(grid)
+    assert type(listed.shape) is tuple and all(type(c) is int for c in listed.shape)
+    assert [f.name for f in dataclasses.fields(ArrayGeometry)] == [
+        "kind", "wavelength", "shape", "dy", "dz"]
+    assert repr(grid) == (f"ArrayGeometry(kind=<ElementKind.PLANAR: 'planar'>, "
+                          f"wavelength={LAM!r}, shape=(3, 2), dy=0.1, dz=0.1)")

@@ -1,3 +1,6 @@
+import threading
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 
@@ -86,7 +89,7 @@ def test_series_oracle_domain_limits():
 
 
 def test_precision_parsing_and_validation():
-    assert Precision.parse("double") == Precision.double()
+    assert Precision.parse("double") == Precision()
     assert Precision.parse("ext:128") == Precision.extended(128)
     assert Precision.parse("ext:128").mantissa_bits == 128
     with pytest.raises(InvalidArgumentError):
@@ -100,3 +103,21 @@ def test_extended_context_is_shared_per_width():
     b = Precision.extended(192).context()
     assert a is b
     assert a.prec == 192
+
+
+def test_threads_asking_at_once_get_the_one_context_of_the_width():
+    # 200 bits is asked for by no other test, so the first of these
+    # threads to take the lock builds the width's arithmetic
+    threads = 8
+    barrier = threading.Barrier(threads, timeout=60)
+
+    def context():
+        barrier.wait()
+        return Precision.extended(200).context()
+
+    with ThreadPoolExecutor(threads) as pool:
+        contexts = [f.result(timeout=60) for f in [pool.submit(context) for _ in range(threads)]]
+    assert all(c is contexts[0] for c in contexts)
+    assert contexts[0] is Precision.extended(200).arithmetic().ctx
+    assert contexts[0].prec == 200
+    assert Precision().context() is None
