@@ -11,11 +11,11 @@ machine double, and an object array of the precision's mpmath numbers
 under extended precision.  Each function has one body for both, taking
 the operations in which they differ (roots, products, norms, the lock)
 from :meth:`Precision.arithmetic`.  Only the factorizations fork, being
-different algorithms: LAPACK ``eigh`` and ``getrf`` in double, and at
-any mantissa width a cyclic Jacobi eigensolver and a Crout LU.  The
-Jacobi starts from the LAPACK eigenbasis of each block rounded to
-double, made orthonormal in the working precision, and needs 3-4 sweeps
-from there.  On the sector blocks of a 20-element line
+different algorithms: LAPACK ``eigh`` and ``gesv`` in double, both
+numpy's, and at any mantissa width a cyclic Jacobi eigensolver and a
+Crout LU.  The Jacobi starts from the LAPACK eigenbasis of each block
+rounded to double, made orthonormal in the working precision, and needs
+3-4 sweeps from there.  On the sector blocks of a 20-element line
 (kappa up to 1e30) its eigenvalues agree with a 640-bit decomposition of
 the same 256-bit blocks to about 1e-64 relative, the smallest included;
 Jacobi from the unit basis is only absolutely accurate there, to about
@@ -31,7 +31,7 @@ eigendecomposition and the solve work on the sector blocks
 ``B_s = E_s^T Z E_s`` in both precisions: the eigensolver decomposes each
 block and merges the spectra; the solve projects the right-hand side
 onto the sectors, skips those it does not excite (a broadside terminal
-excites only the even-even one), factors each remaining block once, and
+excites only the even-even one), solves in each remaining block, and
 checks the residual against the full Z.
 
 A square lattice (``n_y = n_z`` and ``dy = dz``) is also invariant
@@ -75,7 +75,6 @@ import threading
 
 import mpmath
 import numpy as np
-from scipy.linalg import get_lapack_funcs, lu_solve as _lapack_lu_solve
 
 from .errors import (
     CapacityError,
@@ -787,19 +786,21 @@ def solve(Z: ImpedanceMatrix, h):
     below 1e-8 in the working arithmetic, otherwise an
     :class:`IllConditionedSolveError` is raised.  It carries the achieved
     residual and a condition-number estimate, ``||Z||_1`` times the
-    Hager-Higham estimate of ``||Z^-1||_1`` from the factors already
-    formed, so a refusal never runs the eigensolver.  Under machine
-    double the residual is itself formed in double, so it is only known
-    to about ``eps ||(|Z| |x|)||``; when that rounding error exceeds 1e-8
-    of ``||h||`` the residual cannot show the contract, and the solve is
-    refused the same way whatever it happens to measure.  (Under
+    Hager-Higham estimate of ``||Z^-1||_1`` through the sector solves
+    already set up, so a refusal never runs the eigensolver; it is
+    computed on the first read of the error's ``kappa_estimate``.  Under
+    machine double the residual is itself formed in double, so it is
+    only known to about ``eps ||(|Z| |x|)||``; when that rounding error
+    exceeds 1e-8 of ``||h||`` the residual cannot show the contract, and
+    the solve is refused the same way whatever it happens to measure.  (Under
     extended precision each entry of ``Z x`` is one ``fdot``, rounded
     once, so the extended residual needs no such guard.)
 
-    Both precisions factor one block per parity sector of Z that h
+    Both precisions solve one block per parity sector of Z that h
     excites (see :class:`ImpedanceMatrix` and the module docstring),
-    with LAPACK under machine double and a Crout LU on row lists under
-    extended precision (:func:`_crout_factor`), and check the residual
+    with LAPACK ``gesv`` under machine double (:func:`_gesv_solver`) and
+    a Crout LU on row lists under extended precision
+    (:func:`_crout_factor`), and check the residual
     against the full Z; the refinement step projects the residual into
     the same sectors.  Under extended precision a square lattice's
     sectors are the swap halves of the even-even and odd-odd sectors
@@ -832,8 +833,7 @@ def solve(Z: ImpedanceMatrix, h):
         norm_h = ar.norm(h)
         if norm_h == 0:
             return np.full_like(h, ar.zero)
-        # each sector h excites is factored once, and the factors serve the
-        # refinement step and the condition estimate
+        # the sector solves of h serve the refinement step and the condition estimate
         apply_inverse = _sector_inverse(Z, h)
         x, res = _refined(apply_inverse, h, lambda x: h - _product(Z, x), ar.norm)
         tol = _SOLVE_RESIDUAL_RTOL * norm_h
@@ -850,22 +850,27 @@ def solve(Z: ImpedanceMatrix, h):
             reason = (f"solve residual {res / norm_h:.3e} lies below the rounding error of Z x"
                       f" in double, {floor / norm_h:.3e}, so it cannot show"
                       f" {_SOLVE_RESIDUAL_RTOL:.0e}")
-        # Z is symmetric: its largest absolute row sum is its 1-norm
-        norm1_z = _abs_matvec(Z.entries, np.ones(Z.n)).max()
-        raise IllConditionedSolveError(
-            reason,
-            residual=float(res / norm_h),
-            kappa_estimate=float(norm1_z * _norm1_estimate(ar, apply_inverse, Z.n)),
-        )
+
+        def kappa_estimate():  # run on the error's first read of it, if any
+            with ar.lock:
+                # Z is symmetric: its largest absolute row sum is its 1-norm
+                norm1_z = _abs_matvec(Z.entries, np.ones(Z.n)).max()
+                return norm1_z * _norm1_estimate(ar, apply_inverse, Z.n)
+
+        raise IllConditionedSolveError(reason, residual=float(res / norm_h),
+                                       kappa_estimate=kappa_estimate)
 
 
 def _sector_inverse(Z: ImpedanceMatrix, h):
     """``v -> sum over the sectors h excites of E_s B_s^-1 E_s^T v``.
 
-    Factors each sector block that h excites once; components of v in
+    Gathers each sector block that h excites once; components of v in
     the other sectors are dropped.  A sector is skipped only where the
     projection of h onto it is exactly zero.  Extended blocks are
-    factored and solved with ``_LU_GUARD_BITS`` extra working bits.
+    factored once, by a Crout LU with ``_LU_GUARD_BITS`` extra working
+    bits, and each application substitutes in the factors.  Double
+    blocks are solved by numpy's ``gesv`` (:func:`_gesv_solver`), which
+    factors again on each application.
 
     The sectors are the matrix's own, those its eigendecomposition
     works in too.  Under extended precision a square lattice's are the
@@ -873,28 +878,28 @@ def _sector_inverse(Z: ImpedanceMatrix, h):
     from the rows of the group orbits' first members.  A broadside
     channel, exactly swap-symmetric, excites only the symmetric half of
     even-even: 45 of 81 at N = 324, about a sixth of the whole block's
-    factor.  Machine double and any other layout factor the four mirror
-    sectors.
+    factor.  Machine double and any other layout solve in the four
+    mirror sectors.
     """
     ctx = Z.arithmetic.ctx
-    if ctx is None:  # different algorithms: LAPACK getrf in double, a Crout LU at any width
-        factor, substitute, guard = _lu_factor_double, _lapack_lu_solve, contextlib.nullcontext
+    if ctx is None:  # different algorithms: LAPACK gesv in double, a Crout LU at any width
+        block_solver, guard = _gesv_solver, contextlib.nullcontext
     else:
-        factor = functools.partial(_crout_factor, ctx)
-        substitute = functools.partial(_crout_solve, ctx)
+        def block_solver(block):
+            return functools.partial(_crout_solve, ctx, _crout_factor(ctx, block))
 
         def guard():
             return ctx.extraprec(_LU_GUARD_BITS)
 
     with guard():
-        factored = [(sector, factor(sector.block(Z.entries)))
-                    for sector in Z._sectors if np.any(sector.project(h) != 0)]
+        solvers = [(sector, block_solver(sector.block(Z.entries)))
+                   for sector in Z._sectors if np.any(sector.project(h) != 0)]
 
     def apply(v):
         with guard():
             parts = []
-            for sector, factors in factored:
-                y = substitute(factors, sector.project(v))
+            for sector, solve_block in solvers:
+                y = solve_block(sector.project(v))
                 parts.append(sector.expand(y, np.zeros(Z.n, dtype=y.dtype)))
             return sum(parts[1:], parts[0])
 
@@ -920,21 +925,31 @@ def _refined(apply_inverse, h, residual, norm):
     return x, res
 
 
-def _lu_factor_double(block):
-    """LAPACK ``getrf`` factors ``(lu, piv)`` of a float64 block, as ``lu_factor`` returns.
+def _gesv_solver(block):
+    """``v -> B^-1 v`` for a float64 sector block B, by LAPACK ``gesv`` (``np.linalg.solve``).
 
-    Raises
-    ------
-    IllConditionedSolveError
-        On an exactly zero pivot: the block is singular.
+    numpy has no separate ``getrf`` and ``getrs``, so each call factors
+    B again.  A complex v is solved as the two real columns
+    ``[v.real, v.imag]``: at a 484-square block that takes 2.8 ms,
+    against 8.5 ms for a complex ``gesv`` (one OpenBLAS thread).
+
+    The returned function raises :class:`IllConditionedSolveError` on
+    an exactly zero pivot: the block is singular.
     """
-    getrf, = get_lapack_funcs(("getrf",), (block,))
-    lu, piv, info = getrf(block)
-    if info > 0:
-        raise IllConditionedSolveError(
-            f"zero pivot at step {info - 1} of {len(block)}: the matrix is singular",
-            residual=math.inf, kappa_estimate=math.inf)
-    return lu, piv
+    def solve_block(v):
+        try:
+            if v.dtype.kind != "c":
+                return np.linalg.solve(block, v)
+            y = np.linalg.solve(block, np.column_stack([v.real, v.imag]))
+        except np.linalg.LinAlgError as exc:
+            raise IllConditionedSolveError(
+                f"zero pivot in a {len(block)}-square block: the matrix is singular",
+                residual=math.inf, kappa_estimate=math.inf) from exc
+        x = np.empty(len(v), dtype=v.dtype)
+        x.real, x.imag = y.T
+        return x
+
+    return solve_block
 
 
 def _abs_matvec(A, v):

@@ -1,5 +1,9 @@
 """Exception types raised across the toolkit, all derived from :class:`LisSimError`."""
 
+from __future__ import annotations
+
+from typing import Callable
+
 
 class LisSimError(Exception):
     """Base class for all toolkit errors."""
@@ -40,16 +44,30 @@ class IllConditionedSolveError(NumericalFailureError):
         Estimated condition number of the matrix.  The solve reports,
         in both precisions, ``||Z||_1`` times a Hager-Higham lower
         estimate (ACM TOMS 670) of ``||Z^-1||_1`` on the parity sectors
-        the right-hand side excites, computed from the sector LU
-        factors the solve already holds, so the refusal costs a few
-        triangular solves and no eigendecomposition.  When every sector
-        is excited this estimates the 1-norm condition number, which
-        lies within a factor N of the 2-norm one.
+        the right-hand side excites, from the sector solves the refused
+        solve already set up, with no eigendecomposition.  It is lazy:
+        the error holds a function that computes it, run on the first
+        read and cached, so a caller that only notes the refusal never
+        pays the estimate's few sector solves.  When every sector is
+        excited this estimates the 1-norm condition number, which lies
+        within a factor N of the 2-norm one.
+
+    ``kappa_estimate`` is given as a float, or as a function of no
+    arguments that returns it.
     """
 
-    def __init__(self, message: str, residual: float, kappa_estimate: float):
+    def __init__(self, message: str, residual: float,
+                 kappa_estimate: float | Callable[[], float]):
         super().__init__(message, residual=residual)
-        self.kappa_estimate = kappa_estimate
+        self._kappa_estimate = kappa_estimate
+
+    @property
+    def kappa_estimate(self) -> float:
+        # read once: two threads reading first may both compute, but each gets the same float
+        estimate = self._kappa_estimate
+        if callable(estimate):
+            estimate = self._kappa_estimate = float(estimate())
+        return estimate
 
 
 class EmptySpectrumError(LisSimError):

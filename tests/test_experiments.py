@@ -1,5 +1,6 @@
 import gc
 import json
+import math
 import os
 import subprocess
 import sys
@@ -31,8 +32,9 @@ from lissim import (
     run_truncation_sweep,
 )
 import lissim
-from lissim import experiments
+from lissim import coupling, experiments, precoding
 from lissim.cli import main as cli_main
+from lissim.errors import IllConditionedSolveError
 from lissim.experiments import (
     ExperimentConfig,
     apply_overrides,
@@ -216,6 +218,35 @@ def test_spacing_sweep_columns_and_reference_values():
             i = ca_pmf(Z, h, cfg.svd_threshold)
         want = directivity(i, Z, h, [10.0, 0.0, 0.0], LAM)
         assert row[idx["directivity"]] == pytest.approx(want, rel=1e-10)
+
+
+def test_refused_double_solve_in_a_sweep_leaves_its_kappa_estimate_unrun(monkeypatch):
+    # the sweep notes only the refusal's type, so the Hager-Higham
+    # estimate and its sector solves run only when the error's
+    # kappa_estimate is read, once
+    estimates, refusals = [], []
+    norm1_estimate, ca_mf_of = coupling._norm1_estimate, precoding.ca_mf
+
+    def counting_estimate(*args):
+        estimates.append(args)
+        return norm1_estimate(*args)
+
+    def recording_ca_mf(Z, h):
+        try:
+            return ca_mf_of(Z, h)
+        except IllConditionedSolveError as exc:
+            refusals.append(exc)
+            raise
+
+    monkeypatch.setattr(coupling, "_norm1_estimate", counting_estimate)
+    monkeypatch.setattr(precoding, "ca_mf", recording_ca_mf)
+    res = run_spacing_sweep(make_config(spacings=["0.2 lambda"], schemes=["CA-MF"]))
+    assert res.column("n_elements") == [484]
+    assert res.column("status") == ["failed: IllConditionedSolveError"]
+    assert len(refusals) == 1 and estimates == []
+    kappa = refusals[0].kappa_estimate
+    assert len(estimates) == 1 and 1e8 < kappa < math.inf
+    assert refusals[0].kappa_estimate == kappa and len(estimates) == 1
 
 
 def test_spacing_sweep_hp_column_only_under_extended_precision():
@@ -460,19 +491,28 @@ def test_cli_success_and_output(tmp_path, capsys):
     assert capsys.readouterr().err == ""
 
 
-def test_cli_import_leaves_heavy_scipy_packages_unloaded():
-    # at run time only scipy.linalg (the double LU) is needed; importing
-    # scipy.integrate drags in optimize, special, sparse, fft and spatial,
-    # which cost every CLI run its set-up time
+def test_cli_import_and_a_double_sweep_leave_scipy_unloaded(tmp_path):
+    # the program runs on numpy's LAPACK alone: importing scipy.linalg
+    # would cost every run about 0.12 s of set-up and a second OpenBLAS,
+    # and a late import would move that cost into the sweep itself
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"spacings": ["0.5 lambda", "0.2 lambda"],
+                               "panel": {"width_m": 0.25, "height_m": 0.25}}))
     code = ("import sys, lissim.cli; "
-            "print(sorted(m for m in ('scipy.integrate', 'scipy.optimize', 'scipy.special', "
-            "'scipy.sparse') if m in sys.modules))")
+            "loaded = lambda: sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'); "
+            "print(loaded()); "
+            f"code = lissim.cli.main(['spacing', '--config', {str(cfg)!r}, '--out', "
+            f"{str(tmp_path / 's.csv')!r}, '--quiet', '--no-timing']); "
+            "print(code, loaded())")
     src = str(Path(lissim.__file__).parents[1])
     env = dict(os.environ,
                PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
                          check=True, timeout=120)
-    assert run.stdout.strip() == "[]"
+    assert run.stdout.splitlines() == ["[]", "0 []"]
+    # the sweep ran its double solves: one CA-MF row per spacing and kind
+    table = (tmp_path / "s.csv").read_text()
+    assert table.count(",CA-MF,") == 4
 
 
 def test_cli_freezes_the_collector_for_the_sweep_only(tmp_path, monkeypatch):
