@@ -12,15 +12,17 @@ under extended precision.  Each function has one body for both, taking
 the operations in which they differ (roots, products, norms, the lock)
 from :meth:`Precision.arithmetic`.  Only the factorizations fork, being
 different algorithms: LAPACK ``eigh`` and ``gesv`` in double, both
-numpy's, and at any mantissa width a cyclic Jacobi eigensolver and a
-Crout LU.  The Jacobi starts from the LAPACK eigenbasis of each block
-rounded to double, made orthonormal in the working precision, and needs
-3-4 sweeps from there.  On the sector blocks of a 20-element line
-(kappa up to 1e30) its eigenvalues agree with a 640-bit decomposition of
-the same 256-bit blocks to about 1e-64 relative, the smallest included;
-Jacobi from the unit basis is only absolutely accurate there, to about
-``eps kappa`` relative on the smallest eigenvalue.  Extended inner
-products are ``fdot``, one rounding each.
+numpy's, and at any mantissa width a cyclic Jacobi eigensolver in
+fixed-point Python ints and a Crout LU.  The Jacobi reads each block
+exactly as ints, starts from the block's LAPACK eigenbasis made
+orthonormal on a ``2^-(prec + 16)`` grid, rounds the rotated block once
+onto a grid on which its smallest nonzero diagonal entry keeps
+``prec + 16`` bits, and rotates in ints from there: 3-5 sweeps and a
+last that finds nothing to rotate.  On the sector blocks of a
+20-element line (kappa up to 2e30) its eigenvalues agree with a 640-bit
+decomposition of the same 256-bit blocks to about 6e-71 relative, the
+smallest included.  Extended inner products are ``fdot``, one rounding
+each.
 
 Both precisions build Z from the layout's table of distinct lattice
 offsets: one kernel value per ``(|di|, |dj|)`` pair, then a
@@ -87,9 +89,12 @@ from .geometry import ArrayGeometry, ElementKind
 from .specfun import Precision, j1_over_x, sinc_unnormalized
 
 _JACOBI_MAX_SWEEPS = 100
-# a block whose off-diagonal norm is at most this share of its Frobenius
-# norm is diagonal to double precision: Jacobi keeps the unit start basis
-_WARM_START_OFF_RTOL = 2.0 ** -52
+# a block whose off-diagonal norm is at most 2^-52 of its Frobenius norm
+# is diagonal to double precision: Jacobi keeps the unit start basis
+_WARM_START_OFF_BITS = 52
+# bits past the working precision that the fixed-point Jacobi gives the
+# smallest nonzero diagonal entry of its start block, and its basis
+_JACOBI_GUARD_BITS = 16
 _SOLVE_RESIDUAL_RTOL = 1e-8
 # the extra working bits mpmath's own lu_solve uses for factor and substitution
 _LU_GUARD_BITS = 10
@@ -463,134 +468,159 @@ def impedance(geom: ArrayGeometry, precision: Precision = Precision()) -> Impeda
     return ImpedanceMatrix(entries, precision, images=geom.symmetry_images())
 
 
-def _off_norm(ctx, a):
-    """Frobenius norm of the off-diagonal part of a symmetric row list."""
-    n = len(a)
-    return ctx.sqrt(2 * ctx.fsum(a[i][j] ** 2 for i in range(n) for j in range(i + 1, n)))
+def _round_shift(x, bits):
+    """``x 2^bits`` rounded to the nearest int, ties up, for an int or an object array of ints."""
+    if bits >= 0:
+        return x << bits
+    return (x + (1 << (-bits - 1))) >> -bits
 
 
-def _double_basis(ctx, a):
-    """An eigenbasis of ``a`` from LAPACK in double, orthonormal in the working precision.
+def _exact_ints(A):
+    """``(m, e)`` with ``A = m 2^e`` exactly: m an object array of ints, e the least exponent.
 
-    Returns the basis vectors as rows: the double ``eigh`` eigenvectors,
-    each made orthogonal to the ones before it and normalized by
-    Gram-Schmidt done twice, so orthonormal to the working precision.
+    A is an object array of mpmath reals; e is the least exponent of its
+    nonzero entries, so no bit of any entry is lost.
     """
-    _, q = _lapack_eigh(np.array(a, dtype=float))
-    rows = []
-    for column in q.T:
-        x = [ctx.mpf(c) for c in column]
+    parts = [x._mpf_ for x in A.flat]
+    exponent = min((e for _, man, e, _ in parts if man), default=0)
+    ints = [(-man if sign else man) << (e - exponent) if man else 0 for sign, man, e, _ in parts]
+    return np.array(ints, dtype=object).reshape(A.shape), exponent
+
+
+def _double_basis(A, bits):
+    """An eigenbasis of A from LAPACK in double, as rows of ints on the ``2^-bits`` grid.
+
+    The double ``eigh`` eigenvectors, each rounded onto the grid, made
+    orthogonal to the rows before it by classical Gram-Schmidt done
+    twice and normalized, every product rounded once onto the grid: the
+    rows are orthonormal to a few units of ``2^-bits``.
+    """
+    _, q = _lapack_eigh(A.astype(float))
+    v = np.empty(q.shape, dtype=object)
+    for k, column in enumerate(q.T):
+        x = np.array([_round_shift(num, bits + 1 - den.bit_length())
+                      for num, den in map(float.as_integer_ratio, column)], dtype=object)
         for _ in range(2):
-            for r in rows:
-                c = ctx.fdot(r, x)
-                x = [xi - c * ri for xi, ri in zip(x, r)]
-        scale = 1 / ctx.sqrt(ctx.fdot(x, x))
-        rows.append([xi * scale for xi in x])
-    return rows
-
-
-def _congruence(ctx, a, v):
-    """``V A V^T`` for the symmetric row list a and the basis rows v, exactly symmetric.
-
-    Every entry is formed with one rounding (``fdot`` of a row of v with
-    ``A v_j``, itself rounded once per entry).
-    """
-    av = [[ctx.fdot(row, vj) for row in a] for vj in v]
-    b = [[None] * len(v) for _ in v]
-    for i, vi in enumerate(v):
-        for j in range(i, len(v)):
-            b[i][j] = b[j][i] = ctx.fdot(vi, av[j])
-    return b
+            x = x - _round_shift(_round_shift(v[:k] @ x, -bits) @ v[:k], -bits)
+        root = math.isqrt(x @ x << 2 * bits)  # the norm of x on the 2^-2bits grid
+        v[k] = ((x << 2 * bits + 1) + root) // (2 * root)
+    return v
 
 
 def _jacobi_eigh(ctx, A):
-    """Cyclic Jacobi eigendecomposition of a symmetric matrix of mpmath numbers.
+    """Cyclic Jacobi eigendecomposition of a symmetric matrix of mpmath numbers, in fixed point.
 
     ``A`` is a square numpy object array.  Returns the eigenvalues
     (descending, a list) and the orthonormal eigenvectors as the columns
-    of a numpy object array.
+    of a numpy object array, both of the context's numbers.
 
+    A is read exactly as ints at its least exponent (:func:`_exact_ints`).
     The sweeps (:func:`_jacobi_sweeps`) start from the double ``eigh``
-    basis made orthonormal in the working precision
-    (:func:`_double_basis`), with A rotated into it: the mixed-precision
-    Jacobi of Higham, Tisseur, Webb and Zhou (SIAM J. Matrix Anal. Appl.
-    42, 2021).  The rotated A is off-diagonal only to about 1e-16 of its
-    norm, so the quadratically convergent sweeps finish in 3-4 sweeps,
-    where the unit start basis needs 8-10 on the sector blocks of a
-    20-element line.  A block already diagonal to double precision
-    (off-diagonal norm at most ``2^-52 ||A||_F``, as on a half-wavelength
-    isotropic line, whose spectrum is degenerate) keeps the unit start
-    basis, and with it the eigenvectors the sweeps find from there.
-    Works on plain row lists internally, which index faster than the
-    object array.
+    basis V made orthonormal on the ``2^-(prec + 16)`` grid
+    (:func:`_double_basis`), with ``V A V^T`` formed exactly in ints: the
+    mixed-precision Jacobi of Higham, Tisseur, Webb and Zhou (SIAM J.
+    Matrix Anal. Appl. 42, 2021).  The rotated block is off-diagonal only
+    to about 1e-16 of its norm, so the quadratically convergent sweeps
+    finish in 3-5 sweeps and a last that finds nothing to rotate, where
+    the unit start basis needs 8-10 and a last on the sector blocks of a
+    20-element line.
+
+    ``V A V^T`` is rounded once onto a ``2^-P`` grid, P the least at
+    which its smallest nonzero diagonal entry keeps ``prec + 16`` bits
+    (and at least ``prec + 16``), and every later rounding is a unit of
+    that grid.  So each eigenvalue's error is a few units of ``2^-P``,
+    about ``2^-(prec + 16)`` of the smallest times a small count: the
+    relative accuracy of Jacobi on a graded positive definite matrix
+    (Demmel and Veselic, SIAM J. Matrix Anal. Appl. 13, 1992), which a
+    fixed absolute rounding keeps when its grid is set by the smallest
+    scale.  A block already diagonal to double precision (off-diagonal
+    norm at most ``2^-52 ||A||_F``, as on a half-wavelength isotropic
+    line, whose spectrum is degenerate) keeps the unit start basis, and
+    with it the eigenvectors the sweeps find from there.
     """
-    a = [list(row) for row in A.tolist()]
+    a, exponent = _exact_ints(A)
     n = len(a)
-    norm_a = ctx.sqrt(ctx.fsum(x * x for row in a for x in row))
-    if norm_a != 0 and _off_norm(ctx, a) > _WARM_START_OFF_RTOL * norm_a:
-        v = _double_basis(ctx, a)
-        a = _congruence(ctx, a, v)
+    bits = ctx.prec + _JACOBI_GUARD_BITS
+    squares = a * a
+    norm2 = squares.sum()
+    if (norm2 - squares.trace()) << 2 * _WARM_START_OFF_BITS > norm2:
+        v = _double_basis(A, bits)
+        a = v @ a @ v.T  # exactly, on the 2^(exponent - 2 bits) grid
+        exponent -= 2 * bits
     else:
-        v = [[ctx.one if i == j else ctx.zero for j in range(n)] for i in range(n)]
-    return _jacobi_sweeps(ctx, a, v, norm_a)
+        v = np.diag([1 << bits] * n).astype(object)
+    # a block with no nonzero diagonal entry keeps every bit of its ints
+    smallest = min((abs(d) for d in a.diagonal() if d), default=1)
+    grid = max(bits, bits - exponent - smallest.bit_length())
+    return _jacobi_sweeps(ctx, _round_shift(a, exponent + grid), v << grid - bits, grid)
 
 
-def _jacobi_sweeps(ctx, a, v, norm_a):
-    """Cyclic Jacobi sweeps on the symmetric row list a, from the start basis rows v.
+def _rotation(d, e, bits):
+    """``(c, s)`` on the ``2^-bits`` grid of the rotation that zeroes ``e/2`` against gap d.
 
-    a and v are rotated in place.  ``norm_a`` is the Frobenius norm of
-    the matrix a holds, up to rounding.  Converges when the off-diagonal
-    Frobenius norm reaches the rounding floor ``eps norm_a`` of the
-    working precision; capped at ``_JACOBI_MAX_SWEEPS`` sweeps.  Returns
+    d is ``a_qq - a_pp`` and e is ``2 a_pq``: ``t = s/c`` is the smaller
+    root of ``t^2 + 2 tau t - 1`` with ``tau = d/e``, and the sign of
+    tau is taken as + when d is 0.  t and c come from ``math.isqrt``,
+    each to within a unit of the grid.
+    """
+    sign = -1 if (d < 0) != (e < 0) and d else 1
+    d, e = abs(d), abs(e)
+    root = math.isqrt((d * d + e * e) << 2 * bits)  # sqrt(d^2 + e^2) on the grid
+    t = (e << 2 * bits) // ((d << bits) + root)
+    c = math.isqrt((1 << 4 * bits) // ((1 << 2 * bits) + t * t))
+    return c, sign * ((t * c) >> bits)
+
+
+def _jacobi_sweeps(ctx, a, v, bits):
+    """Cyclic Jacobi sweeps in fixed point on the block a, from the start basis rows v.
+
+    a and v are (n, n) object arrays of ints on the ``2^-bits`` grid, a
+    symmetric; both are rotated in place.  Each rotation updates rows p
+    and q of a and of v as ``(c x - s y + half) >> bits``, rounded to
+    nearest, sets the 2 x 2 block from ``c^2``, ``s^2`` and ``cs`` in
+    one rounding with ``a_pq = 0``, and copies the two rows into the
+    two columns, so a stays exactly symmetric.  Pair (p, q) is skipped
+    when ``|a_pq|`` is at most one unit or at most
+    ``2^(1-prec) sqrt(|a_pp a_qq|)``; the sweeps end at the first that
+    rotates nothing, and are capped at ``_JACOBI_MAX_SWEEPS``.  Returns
     what :func:`_jacobi_eigh` returns.
     """
     n = len(a)
-    if norm_a == 0:
-        return [ctx.zero] * n, np.array(v, dtype=object)
-    eps = ctx.mpf(2) ** (1 - ctx.prec)
-    # rotations this small cannot move the off-diagonal mass above the
-    # convergence floor, so they are safe to skip
-    rot_tol = eps * norm_a / (4 * n)
-    off = None
+    half, half2 = 1 << bits - 1, 1 << 2 * bits - 1
+    tol = 2 * (ctx.prec - 1)  # |a_pq| <= 2^(1-prec) sqrt(|a_pp a_qq|), squared, as a shift
     for _ in range(_JACOBI_MAX_SWEEPS):
-        off = _off_norm(ctx, a)
-        if off <= eps * norm_a:
-            break
+        rotated = False
         for p in range(n - 1):
-            ap = a[p]
-            vp = v[p]
             for q in range(p + 1, n):
-                apq = ap[q]
-                if abs(apq) <= rot_tol:
+                apq, app, aqq = a[p, q], a[p, p], a[q, q]
+                if abs(apq) <= 1 or (apq * apq) << tol <= abs(app * aqq):
                     continue
-                aq = a[q]
-                vq = v[q]
-                tau = (aq[q] - ap[p]) / (2 * apq)
-                t = (1 if tau >= 0 else -1) / (abs(tau) + ctx.sqrt(1 + tau * tau))
-                c = 1 / ctx.sqrt(1 + t * t)
-                s = t * c
-                for i in range(n):  # columns p and q of the symmetric a
-                    aip = a[i][p]
-                    aiq = a[i][q]
-                    a[i][p] = c * aip - s * aiq
-                    a[i][q] = s * aip + c * aiq
-                for i in range(n):  # rows p and q
-                    api = ap[i]
-                    aqi = aq[i]
-                    ap[i] = c * api - s * aqi
-                    aq[i] = s * api + c * aqi
-                for i in range(n):  # accumulated rotations, stored row-wise
-                    vpi = vp[i]
-                    vqi = vq[i]
-                    vp[i] = c * vpi - s * vqi
-                    vq[i] = s * vpi + c * vqi
+                rotated = True
+                c, s = _rotation(aqq - app, 2 * apq, bits)
+                cc, ss, cs2 = c * c, s * s, 2 * c * s * apq
+                for m in (a, v):
+                    x, y = m[p], m[q]
+                    m[p], m[q] = (c * x - s * y + half) >> bits, (s * x + c * y + half) >> bits
+                a[p, p] = (cc * app - cs2 + ss * aqq + half2) >> 2 * bits
+                a[q, q] = (ss * app + cs2 + cc * aqq + half2) >> 2 * bits
+                a[p, q] = a[q, p] = 0
+                a[:, p], a[:, q] = a[p], a[q]
+        if not rotated:
+            break
     else:
+        squares = a * a
+        norm2 = squares.sum()
         raise NumericalFailureError(
             f"Jacobi eigensolver did not converge in {_JACOBI_MAX_SWEEPS} sweeps",
-            residual=float(off / norm_a),
+            residual=math.sqrt((norm2 - squares.trace()) / norm2),
         )
-    order = sorted(range(n), key=lambda i: a[i][i], reverse=True)
-    return [a[i][i] for i in order], np.array([v[i] for i in order], dtype=object).T
+
+    def number(m):
+        return ctx.mpf((m, -bits))
+
+    order = sorted(range(n), key=lambda i: a[i, i], reverse=True)
+    return ([number(a[i, i]) for i in order],
+            np.array([[number(x) for x in v[i]] for i in order], dtype=object).T)
 
 
 def _block_eigh(Z: ImpedanceMatrix, block):

@@ -159,3 +159,37 @@ def pairwise_impedance(geom: ArrayGeometry) -> np.ndarray:
     """
     kernel = sinc_unnormalized if geom.kind is ElementKind.ISOTROPIC else j1_over_x
     return kernel(2.0 * math.pi / geom.wavelength * cdist(geom.positions, geom.positions))
+
+
+def slepian_line_spectrum(geom: ArrayGeometry, entries, bits: int = 512):
+    """The spectrum of an isotropic line's Z from Slepian's commuting tridiagonal, descending.
+
+    On a line of N isotropic elements at pitch ``W`` wavelengths,
+    ``Z[m, n] = sin(2 pi W (m - n)) / (2 pi W (m - n))``: the prolate
+    matrix, which commutes with Slepian's tridiagonal T, of diagonal
+    ``((N - 1 - 2i) / 2)^2 cos(2 pi W)`` and off-diagonal
+    ``(i + 1)(N - 1 - i) / 2`` (Slepian 1978, "Prolate spheroidal wave
+    functions, Fourier analysis, and uncertainty V: the discrete case",
+    *Bell Syst. Tech. J.* 57).  T's eigenvalues are distinct, so its
+    eigenvectors u are Z's, found without solving Z's own eigenproblem.
+    Each ``u^T Z u``, with Z the given ``entries`` read exactly, is an
+    eigenvalue of those entries up to the square of their distance from
+    the exact prolate matrix.  W is the exact ratio of the layout's
+    double pitch and wavelength, and T's eigenvectors and the quotients
+    are formed at ``bits`` bits.
+    """
+    if geom.kind is not ElementKind.ISOTROPIC or geom.shape[0] != 1:
+        raise InvalidArgumentError("the Slepian oracle needs an isotropic line along z")
+    ctx = mpmath.mp.clone()
+    ctx.prec = bits
+    n = geom.n
+    cos = ctx.cos(2 * ctx.pi * ctx.mpf(geom.dz) / ctx.mpf(geom.wavelength))
+    T = ctx.matrix(n, n)
+    for i in range(n):
+        T[i, i] = (ctx.mpf(n - 1 - 2 * i) / 2) ** 2 * cos
+        if i + 1 < n:
+            T[i, i + 1] = T[i + 1, i] = ctx.mpf((i + 1) * (n - 1 - i)) / 2
+    _, U = ctx.eigsy(T)
+    Z = ctx.matrix(np.asarray(entries).tolist())
+    quotients = [(U[:, k].T * Z * U[:, k])[0] for k in range(n)]
+    return sorted(quotients, reverse=True)

@@ -32,8 +32,8 @@ from lissim import (
     write_matrix_text,
 )
 from lissim import coupling, precoding
-from lissim.errors import IllConditionedSolveError, LisSimError
-from oracles import pairwise_impedance, radiated_power_quadrature
+from lissim.errors import IllConditionedSolveError, LisSimError, NumericalFailureError
+from oracles import pairwise_impedance, radiated_power_quadrature, slepian_line_spectrum
 
 LAM = SPEED_OF_LIGHT / 2.6e9
 EXT = Precision.extended(256)
@@ -748,49 +748,123 @@ def test_extended_sector_jacobi_matches_full_jacobi_at_256_bits(monkeypatch, n_y
     assert max(abs(recon[i, j]) for i in range(geom.n) for j in range(geom.n)) <= 1e-60
 
 
+@pytest.mark.parametrize("bits,bound", [(128, 2.0 ** -71), (256, 1e-60), (512, 2.0 ** -455)],
+                         ids=["128", "256", "512"])
 @pytest.mark.parametrize("kind", list(ElementKind))
-def test_extended_eigenvalues_are_relatively_accurate_on_the_tenth_wavelength_line(kind):
-    # kappa is about 1e30 here; each 256-bit sector block's spectrum is
-    # compared with mpmath's eigsy of the same block at 640 bits, whose
-    # absolute error (about 1e-190) is far below 1e-60 of the smallest
-    # eigenvalue (about 1e-30)
-    Z = impedance(geom_linear(frac=0.1, kind=kind), EXT)
-    ctx = EXT.context()
-    ref = Precision.extended(640).context()
+def test_extended_eigenvalues_are_relatively_accurate_on_the_tenth_wavelength_line(
+        kind, bits, bound):
+    # kappa is about 1e30 here; each sector block's spectrum is compared
+    # with mpmath's eigsy of the same block at bits + 384, whose absolute
+    # error is far below the bound times the smallest eigenvalue (about
+    # 1e-30); the bound is 2^(57 - bits), and 1e-60 at 256 bits
+    precision = Precision.extended(bits)
+    Z = impedance(geom_linear(frac=0.1, kind=kind), precision)
+    ctx = precision.context()
+    ref = Precision.extended(bits + 384).context()
     for sector in Z._sectors:
         block = sector.block(Z.entries)
-        with EXT.arithmetic().lock:
+        with precision.arithmetic().lock:
             values, _ = coupling._jacobi_eigh(ctx, block)
             exact, _ = ref.eigsy(ref.matrix(block.tolist()))
             exact = sorted((exact[k] for k in range(exact.rows)), reverse=True)
             assert exact[-1] < 1e-25 * exact[0]
-            assert max(abs(a - b) / b for a, b in zip(values, exact)) <= 1e-60
+            assert max(abs(a - b) / b for a, b in zip(values, exact)) <= bound
+
+
+@pytest.mark.parametrize("entries,expected", [
+    ([[0, 0], [0, 4]], [4, 0]),
+    ([[2, 0, 0], [0, 0, 0], [0, 0, 8]], [8, 2, 0]),
+    ([[4, 2], [2, 4]], [6, 2]),
+], ids=["zero-row", "diagonal", "pair"])
+def test_extended_jacobi_of_small_integer_blocks_is_exact(entries, expected):
+    # exact zeros beside entries of positive exponent are read as ints too
+    precision = Precision.extended(128)
+    ctx = precision.context()
+    with precision.arithmetic().lock:
+        values, vectors = coupling._jacobi_eigh(ctx, _ext_array(ctx, entries))
+        assert values == expected
+        n = len(entries)
+        U = _mp(ctx, vectors)
+        gram = U.T * U - ctx.eye(n)
+        assert max(abs(gram[i, j]) for i in range(n) for j in range(n)) <= 1e-35
+
+
+def test_extended_eigenvalues_of_a_graded_block_are_relatively_accurate():
+    # A_ij = 2^(-50(i+j)) c_ij, c_ii = 1 and c_ij = 1/(10(1+|i-j|)): a
+    # positive definite block whose spectrum spans 2^-300, far below the
+    # working precision of the largest eigenvalue; each eigenvalue must
+    # still match a 640-bit eigsy to 1e-60 relative
+    ctx = EXT.context()
+    ref = Precision.extended(640).context()
+    with EXT.arithmetic().lock:
+        A = np.array([[ctx.ldexp(ctx.one if i == j else ctx.one / (10 * (1 + abs(i - j))),
+                                 -50 * (i + j)) for j in range(4)] for i in range(4)],
+                     dtype=object)
+        values, vectors = coupling._jacobi_eigh(ctx, A)
+        exact, _ = ref.eigsy(ref.matrix(A.tolist()))
+        exact = sorted((exact[k] for k in range(exact.rows)), reverse=True)
+        assert exact[-1] < 2.0 ** -299 * exact[0]
+        assert max(abs(a - b) / b for a, b in zip(values, exact)) <= 1e-60
+        U = _mp(ctx, vectors)
+        gram = U.T * U - ctx.eye(4)
+        assert max(abs(gram[i, j]) for i in range(4) for j in range(4)) <= 1e-70
+
+
+@pytest.mark.parametrize("frac", [0.1, 0.3])
+def test_extended_spectrum_of_the_isotropic_line_matches_slepian_quotients(frac):
+    # Slepian's tridiagonal commutes with the prolate matrix of the
+    # isotropic line, so the Rayleigh quotients of its eigenvectors with
+    # the 256-bit Z, formed at 512 bits, are Z's eigenvalues up to second
+    # order: an oracle that does not solve Z's own eigenproblem.  The
+    # Jacobi of the whole 256-bit Z matches them to 1e-60 relative (the
+    # smallest is 4.7e-30 at 0.1 wavelength).  The sector spectrum is of
+    # the sector blocks, each entry rounded once to 256 bits, which moves
+    # an eigenvalue by a few units of 2^-256 ||Z||: 1e-70 of the largest.
+    geom = geom_linear(frac=frac)
+    Z = impedance(geom, EXT)
+    quotients = slepian_line_spectrum(geom, Z.entries, bits=512)
+    with EXT.arithmetic().lock:
+        full, _ = coupling._jacobi_eigh(EXT.context(), Z.entries)
+    assert max(abs(a - b) / b for a, b in zip(full, quotients)) <= 1e-60
+    s, _ = sym_eig(Z)
+    assert max(abs(a - b) for a, b in zip(s, quotients)) <= 1e-70 * quotients[0]
+
+
+def test_extended_jacobi_past_its_sweep_limit_raises_with_its_residual(monkeypatch):
+    # from the double start a tenth-wavelength line block needs 4 sweeps
+    # that rotate and a fifth that finds nothing left to rotate; one sweep
+    # leaves an off-diagonal part well above the rounding floor
+    Z = impedance(geom_linear(frac=0.1), EXT)
+    block = Z._sectors[0].block(Z.entries)
+    monkeypatch.setattr(coupling, "_JACOBI_MAX_SWEEPS", 1)
+    with EXT.arithmetic().lock, pytest.raises(NumericalFailureError, match="1 sweeps") as info:
+        coupling._jacobi_eigh(EXT.context(), block)
+    assert 2.0 ** (1 - 256) < info.value.residual < 1
 
 
 def test_extended_half_wavelength_isotropic_line_keeps_the_unit_start(monkeypatch):
     # Z is the identity to 256 bits and its spectrum degenerate: the double
-    # basis is never formed, and each block's spectrum and eigenvectors are
-    # those of the sweeps run from the unit basis, bit for bit
+    # basis is never formed, and each block's sweeps start from the unit
+    # basis on their grid
     Z = impedance(geom_linear(frac=0.5), EXT)
-    ctx = EXT.context()
+    sweeps = coupling._jacobi_sweeps
+    starts = []
 
     def no_double_basis(*args):
         raise AssertionError("an already diagonal block must keep the unit start")
 
+    def recording_sweeps(ctx, a, v, bits):
+        starts.append((v.copy(), bits))
+        return sweeps(ctx, a, v, bits)
+
     monkeypatch.setattr(coupling, "_double_basis", no_double_basis)
+    monkeypatch.setattr(coupling, "_jacobi_sweeps", recording_sweeps)
     s, _ = sym_eig(Z)
     assert all(abs(v - 1) < 1e-70 for v in s)
-    with EXT.arithmetic().lock:
-        for sector in Z._sectors:
-            block = sector.block(Z.entries)
-            values, vectors = coupling._jacobi_eigh(ctx, block)
-            rows = [list(row) for row in block.tolist()]
-            n = len(rows)
-            unit = [[ctx.one if i == j else ctx.zero for j in range(n)] for i in range(n)]
-            norm = ctx.sqrt(ctx.fsum(x * x for row in rows for x in row))
-            unit_values, unit_vectors = coupling._jacobi_sweeps(ctx, rows, unit, norm)
-            assert values == unit_values
-            assert np.array_equal(vectors, unit_vectors)
+    assert len(starts) == len(Z._sectors)
+    for v, bits in starts:
+        assert bits >= 256
+        assert np.array_equal(v, np.eye(len(v), dtype=object) * (1 << bits))
 
 
 @pytest.mark.parametrize("geom", [
