@@ -38,32 +38,27 @@ checks the residual against the full Z.
 
 A square lattice (``n_y = n_z`` and ``dy = dz``) is also invariant
 under the swap y <-> z, and Z with it, exactly, so Z has the 8
-symmetries of the square.  Extended precision uses them; machine double
-keeps the four mirror sectors, whose LAPACK bits would otherwise
-change.  The swap splits the even-even and odd-odd sectors each into a
-swap-symmetric and a swap-antisymmetric half, of about m(m+1)/2 and
-m(m-1)/2 for an m x m sector, and the extended eigendecomposition and
-solve both work in those halves: the Jacobi of an 11 x 11 grid
-decomposes blocks of 21, 15, 30, 30, 15 and 10 instead of 36, 30, 30
-and 25, and a broadside channel, exactly swap-symmetric, excites only
-the first half, 45 of 81 at N = 324.  The even-odd and odd-even
-sectors, which the swap exchanges, stay whole.
+symmetries of the square, and both precisions use them.  The swap
+splits the even-even and odd-odd sectors each into a swap-symmetric
+and a swap-antisymmetric half, of about m(m+1)/2 and m(m-1)/2 for an
+m x m sector, and the eigendecomposition and the solve both work in
+those halves: an 11 x 11 grid decomposes blocks of 21, 15, 30, 30, 15
+and 10 instead of 36, 30, 30 and 25, and a broadside channel, exactly
+swap-symmetric, excites only the first half, 45 of 81 at N = 324.  The
+even-odd and odd-even sectors, which the swap exchanges, stay whole.
 
-In extended precision every product with Z (the solve's residuals, and
-the radiated power ``i^H Z i``) reads only the rows of the first
-members of the orbits, of the mirrors or of the square's symmetries:
-each entry is one ``fdot`` of such a row with an image of the vector,
-and the images equal to plus or minus one already formed reuse its
-``fdot`` values.  A vector in one mirror sector costs about N^2/4 terms
-instead of N^2, one also even under the swap about N^2/8, and no vector
-more than N^2, with the same bits as the row-by-row product.  Machine
-double keeps its BLAS product, but multiplies a complex vector one block
-of rows of Z at a time, each block cast to complex on its own, so no
-complex copy of the whole of Z is made.  Every row of a block gets the
-bits of the whole product.  A block of a single row would not, as numpy
-multiplies it by another route, so a one-row tail joins the block
-before it.  The gather that builds a lattice Z works by the same row
-blocks.
+Every product with Z (the solve's residuals, and the radiated power
+``i^H Z i``) reads only the rows of the first members of the orbits,
+of the mirrors or of the square's symmetries: each entry is the
+product of such a row with an image of the vector, one ``fdot`` in
+extended precision and a BLAS product in double, and the images equal
+to plus or minus one already formed reuse its products.  A vector in
+one mirror sector costs about N^2/4 terms instead of N^2, one also
+even under the swap about N^2/8, and no vector more than N^2.  In
+extended precision every entry has the bits of the row-by-row
+product.  A complex vector in double is multiplied as its real and
+imaginary parts, so no complex copy of a block of Z is made.  The
+gather that builds a lattice Z works one block of rows at a time.
 """
 
 from __future__ import annotations
@@ -103,7 +98,7 @@ _LU_GUARD_BITS = 10
 _PARITIES = ((1, 1, 1, 1), (1, -1, 1, -1), (1, 1, -1, -1), (1, -1, -1, 1))
 # the mirror columns the swap is composed with, in the order of a square's last four images
 _SWAP_COLUMNS = [0, 3, 1, 2]
-# rows per block of the double products with Z and of the lattice gather (see _row_blocks)
+# rows per block of the lattice gather and of |Z| |x| (see _row_blocks)
 _ROW_BLOCK = 128
 
 
@@ -241,7 +236,7 @@ def _moves(group, orbits):
         first = np.flatnonzero(~reached[targets])
         reached[targets] = True
         if len(first):
-            moves.append((group[:, k], targets, first.tolist()))
+            moves.append((group[:, k], targets, first))
     return moves
 
 
@@ -276,13 +271,13 @@ class ImpedanceMatrix:
         Defaults to no symmetry, every row ``[a, a, a, a]``.
     orbits : ndarray of int, shape (M, 4) or (M, 8)
         The rows of ``images`` whose smallest entry is their own element,
-        one per orbit with its lowest element first.  Extended products
-        with Z read one row of Z per orbit.
+        one per orbit with its lowest element first.  Products with Z
+        read one row of Z per orbit.
 
-    The eigendecomposition and the solve both work in the sectors of the
-    images (:func:`_sectors`); machine double uses only the four mirror
-    columns.  With no symmetry there is one orbit per element, a single
-    sector whose block is Z itself.
+    The eigendecomposition, the solve and the products all work in the
+    symmetries of the images (:func:`_sectors`, :func:`_product`), in
+    both precisions.  With no symmetry there is one orbit per element, a
+    single sector whose block is Z itself.
     """
 
     def __init__(self, entries, precision: Precision, images=None):
@@ -303,12 +298,8 @@ class ImpedanceMatrix:
         self.orbits = _orbits(images)
         self.orbits.setflags(write=False)
         with self.arithmetic.lock:
-            # machine double keeps the mirror sectors: the swap halves would change its LAPACK bits
-            self._sectors = _sectors(images if precision.is_extended else images[:, :4],
-                                     self.arithmetic)
-            if precision.is_extended:  # what _product reads: see there
-                self._orbit_rows = entries[self.orbits[:, 0]].tolist()
-                self._moves = _moves(images, self.orbits)
+            self._sectors = _sectors(images, self.arithmetic)
+        self._moves = _moves(images, self.orbits)
         self._eig = None
         self._eig_lock = threading.Lock()
 
@@ -328,65 +319,54 @@ class ImpedanceMatrix:
 def _product(Z: ImpedanceMatrix, v):
     """``Z v`` in Z's arithmetic; call under its lock.
 
-    Under extended precision only the rows of the orbits' first members
-    ``a`` are read, the orbits of the columns of ``Z.images``.  Z is
-    exactly invariant under each symmetry g, so
-    ``(Z v)[g(a)] = fdot(Z[a], v[g])``, with ``v[g]`` the vector
-    whose entry c is ``v[g(c)]``.  Each entry is formed once, by the
-    first symmetry that reaches it (:func:`_moves`), and the fdots of an
-    image ``v[g]`` equal to plus or minus one already formed are reused,
-    negated where needed.  ``fdot`` sums its products exactly and rounds
-    once to nearest, so every entry is bit for bit the ``fdot`` of its
-    own row of Z with v.  A vector in one mirror sector, as every
+    Only the rows of the orbits' first members ``a`` are read, the
+    orbits of the columns of ``Z.images``.  Z is exactly invariant under
+    each symmetry g, so ``(Z v)[g(a)] = Z[a] . v[g]``, with ``v[g]`` the
+    vector whose entry c is ``v[g(c)]``.  Each entry is formed once, by
+    the first symmetry that reaches it (:func:`_moves`), and the
+    products of an image ``v[g]`` equal to plus or minus one already
+    formed are reused, negated where needed.  The orbit rows an image
+    still needs are gathered and multiplied by ``arithmetic.matvec``:
+    one ``fdot`` per row in extended precision, which sums its products
+    exactly and rounds once to nearest, so every entry is bit for bit
+    the ``fdot`` of its own row of Z with v; one BLAS product of the
+    gathered rows in double.  A vector in one mirror sector, as every
     broadside iterate and current is, costs about N^2/4 terms, and one
     also even under the swap about N^2/8; no vector costs more than the
     plain product's N^2, which a matrix with no symmetry gets.
-
-    Machine double keeps the BLAS product: BLAS sums each row in its own
-    order, so folding rows by the mirrors would change the double bits.
-    A vector of Z's dtype multiplies the whole of Z at once.  Any other
-    (a complex current) multiplies one block of rows at a time
-    (:func:`_row_blocks`), each block cast to the result's dtype and
-    written straight into it: numpy would otherwise cast all of Z, a
-    copy twice its size.  The blocks give the whole product's bits.
     """
-    if not Z.precision.is_extended:
-        dtype = np.result_type(Z.entries, v)
-        if dtype == Z.entries.dtype:
-            return Z.entries @ v
-        out = np.empty(Z.n, dtype=dtype)
-        for k, e in _row_blocks(Z.n):
-            np.matmul(Z.entries[k:e].astype(dtype), v, out=out[k:e])
-        return out
-    fdot = Z.arithmetic.ctx.fdot
-    out = np.empty(Z.n, dtype=object)
-    formed = []  # (an image of v, its fdots with the orbit rows so far, by orbit)
+    out = np.empty(Z.n, dtype=np.result_type(Z.entries, v))
+    formed = []  # (an image of v, its products with the orbit rows, which of them are formed)
     for perm, targets, first in Z._moves:
         image = v[perm]
         negate = False
-        for earlier, products in formed:
+        for earlier, products, done in formed:
             if np.array_equal(image, earlier):
                 break
             if np.array_equal(image, -earlier):
                 negate = True
                 break
         else:
-            earlier, products = image, {}
-            formed.append((earlier, products))
-        for p in first:
-            if p not in products:
-                products[p] = fdot(Z._orbit_rows[p], earlier)
-            out[targets[p]] = -products[p] if negate else products[p]
+            earlier = image
+            products = np.empty(len(Z.orbits), dtype=out.dtype)
+            done = np.zeros(len(Z.orbits), dtype=bool)
+            formed.append((earlier, products, done))
+        missing = first[~done[first]]
+        if len(missing):
+            products[missing] = Z.arithmetic.matvec(Z.entries[Z.orbits[missing, 0]], earlier)
+            done[missing] = True
+        out[targets[first]] = -products[first] if negate else products[first]
     return out
 
 
 def _row_blocks(n):
     """``(start, stop)`` of consecutive blocks of ``_ROW_BLOCK`` rows covering n rows.
 
-    A one-row tail joins the block before it: numpy multiplies a single
-    row by a vector by another route than a taller block, with other
-    bits than the whole product (at 128-row blocks, at N = 129, 257 and
-    385), while each row of a taller block gets the whole product's.
+    The blocks of the lattice gather (:func:`_gather_offsets`) and of
+    :func:`_abs_matvec`.  A one-row tail joins the block before it:
+    numpy multiplies a single row by a vector by another route than a
+    taller block, with other bits than the whole product, while each
+    row of a taller block gets the whole product's.
     """
     starts = list(range(0, n, _ROW_BLOCK))
     if len(starts) > 1 and starts[-1] == n - 1:
@@ -832,9 +812,9 @@ def solve(Z: ImpedanceMatrix, h):
     a Crout LU on row lists under extended precision
     (:func:`_crout_factor`), and check the residual
     against the full Z; the refinement step projects the residual into
-    the same sectors.  Under extended precision a square lattice's
-    sectors are the swap halves of the even-even and odd-odd sectors
-    and the even-odd and odd-even sectors whole (:func:`_sector_inverse`).
+    the same sectors.  A square lattice's sectors are the swap halves of
+    the even-even and odd-odd sectors and the even-odd and odd-even
+    sectors whole (:func:`_sector_inverse`).
     An exactly singular block (a zero pivot) or an iterate that is not
     finite is refused with residual ``inf``.  A right-hand side with a
     NaN or infinite entry is refused before anything is factored.
@@ -903,13 +883,12 @@ def _sector_inverse(Z: ImpedanceMatrix, h):
     factors again on each application.
 
     The sectors are the matrix's own, those its eigendecomposition
-    works in too.  Under extended precision a square lattice's are the
-    square group's (:func:`_sectors`), each block gathered straight
-    from the rows of the group orbits' first members.  A broadside
-    channel, exactly swap-symmetric, excites only the symmetric half of
-    even-even: 45 of 81 at N = 324, about a sixth of the whole block's
-    factor.  Machine double and any other layout solve in the four
-    mirror sectors.
+    works in too.  A square lattice's are the square group's
+    (:func:`_sectors`), each block gathered straight from the rows of
+    the group orbits' first members.  A broadside channel, exactly
+    swap-symmetric, excites only the symmetric half of even-even: 45 of
+    81 at N = 324, about a sixth of the whole block's factor.  Any other
+    layout solves in the four mirror sectors.
     """
     ctx = Z.arithmetic.ctx
     if ctx is None:  # different algorithms: LAPACK gesv in double, a Crout LU at any width

@@ -173,7 +173,7 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
     _require(isinstance(kinds_raw, list) and kinds_raw, "element_kinds must be a non-empty list")
     kinds = []
     for name in kinds_raw:
-        _require(name in _KIND_NAMES, f"unknown element kind {name!r}")
+        _require(isinstance(name, str) and name in _KIND_NAMES, f"unknown element kind {name!r}")
         kind = _KIND_NAMES[name]
         _require(kind not in kinds, f"duplicate element kind {name!r}")
         kinds.append(kind)

@@ -60,7 +60,13 @@ class _DoubleArithmetic:
 
     @staticmethod
     def matvec(a, x):
-        return a @ x
+        """``a x``; a real a times a complex x as two real products, with no complex copy of a."""
+        if a.dtype.kind == "c" or x.dtype.kind != "c":
+            return a @ x
+        out = np.empty(len(a), dtype=x.dtype)
+        out.real = a @ x.real
+        out.imag = a @ x.imag
+        return out
 
 
 class _ExtendedArithmetic:
@@ -124,7 +130,9 @@ class Precision:
 
     @classmethod
     def parse(cls, text: str) -> "Precision":
-        """Parse ``"double"`` or ``"ext:<bits>"``."""
+        """Parse ``"double"`` or ``"ext:<bits>"``; anything but a string is refused."""
+        if not isinstance(text, str):
+            raise InvalidArgumentError(f"precision spec must be a string, got {text!r}")
         t = text.strip().lower()
         if t == "double":
             return cls()
@@ -138,10 +146,6 @@ class Precision:
     @property
     def is_extended(self) -> bool:
         return self.mantissa_bits is not None
-
-    def context(self):
-        """:meth:`arithmetic`'s mpmath context (None in double); use it under :data:`MP_LOCK`."""
-        return self.arithmetic().ctx
 
     def arithmetic(self):
         """The operations in which this precision differs from the other, one object per width.
@@ -297,7 +301,7 @@ def _bessel_j1_double(x):
 
 def _extended_kernel(precision: Precision, x, at_zero: float, numerator):
     """``numerator(ctx, x)/x`` (``at_zero`` at 0) on each entry of x, once per distinct value."""
-    ctx = precision.context()
+    ctx = precision.arithmetic().ctx
     with MP_LOCK:
         zero_value = ctx.mpf(at_zero)
         values = {}

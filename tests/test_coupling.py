@@ -153,7 +153,7 @@ def test_eigen_profile_regression_extended():
     s, U = sym_eig(impedance(geom_linear(), EXT))
     np.testing.assert_allclose([float(v) for v in s], EIG_03LAM_ISO, rtol=1e-12)
     # orthonormality at working precision
-    U = _mp(EXT.context(), U)
+    U = _mp(EXT.arithmetic().ctx, U)
     gram = U.T * U
     gram_err = max(abs(gram[i, j] - (1 if i == j else 0))
                    for i in range(20) for j in range(20))
@@ -251,7 +251,7 @@ def test_rank_solves_are_the_rank_truncated_solves_bit_for_bit(precision):
 
 def test_rank_solves_past_the_last_nonzero_eigenvalue_repeat_it():
     precision = Precision.extended(128)
-    ctx = precision.context()
+    ctx = precision.arithmetic().ctx
     Z = ImpedanceMatrix(_ext_array(ctx, [[1, 1], [1, 1]]), precision)
     assert sym_eig(Z)[0][1] == 0
     _assert_rank_solves_are_the_rank_truncated_solves(
@@ -279,7 +279,7 @@ def test_solve_extended_succeeds_where_double_degrades():
     Z_ext = impedance(geom, EXT)
     h_ext = channel_isotropic(geom, [10.0, 0.0, 0.0], EXT)
     x = solve(Z_ext, h_ext)
-    ctx = EXT.context()
+    ctx = EXT.arithmetic().ctx
     res = _mp_residual(ctx, Z_ext, x, h_ext) / ctx.norm(h_ext)
     assert float(res) <= 1e-8
     snr_ext = snr(x, Z_ext, h_ext)
@@ -306,7 +306,7 @@ def test_solve_extended_factors_once_and_matches_lu_solve(monkeypatch):
     geom = geom_linear(frac=0.3)
     Z = _no_symmetry(impedance(geom, EXT))
     h = channel_isotropic(geom, [10.0, 0.0, 0.0], EXT)
-    ctx = EXT.context()
+    ctx = EXT.arithmetic().ctx
     expected = _refined_lu_solve(ctx, _mp(ctx, Z.entries), _mp(ctx, h))
 
     calls = []
@@ -330,7 +330,7 @@ def test_crout_factor_reconstructs_the_even_block_at_a_fifth_wavelength():
     block = Z._sectors[0].block(Z.entries)
     n = len(block)
     assert n == 36
-    ctx = EXT.context()
+    ctx = EXT.arithmetic().ctx
     perm, lower, upper = coupling._crout_factor(ctx, block)
     assert sorted(perm) == list(range(n))
     assert all(abs(v) <= 1 for row in lower for v in row)  # partial pivoting
@@ -349,7 +349,7 @@ def test_solve_extended_is_no_farther_from_a_640_bit_solve_than_lu_solve(termina
     geom = geom_linear(frac=0.1)
     Z = impedance(geom, EXT)
     h = channel_for(geom, terminal, EXT)
-    ctx = EXT.context()
+    ctx = EXT.arithmetic().ctx
     x = solve(Z, h)
     refined = _refined_lu_solve(ctx, _mp(ctx, Z.entries), _mp(ctx, h))
     wide = mpmath.MPContext()
@@ -399,7 +399,7 @@ def test_solve_extended_in_parity_sectors_matches_lu_solve(factored_sizes, n_y, 
     assert geom.n == n_y * n_z
     Z = impedance(geom, EXT)
     h = channel_for(geom, terminal, EXT)
-    ctx = EXT.context()
+    ctx = EXT.arithmetic().ctx
 
     # a terminal off an axis excites the odd parity along that axis too
     y_parities = (1, -1) if terminal[1] != 0 else (1,)
@@ -450,7 +450,7 @@ def test_solve_extended_broadside_factors_only_the_swap_symmetric_half(factored_
     Z = impedance(geom, EXT)
     h = channel_for(geom, [10.0, 0.0, 0.0], EXT)
     assert np.array_equal(h, h[geom.symmetry_images()[:, 4]])
-    ctx = EXT.context()
+    ctx = EXT.arithmetic().ctx
     x = solve(Z, h)
     assert geom.n == n
     assert factored_sizes == [half]
@@ -464,7 +464,7 @@ def test_solve_extended_on_the_default_panel_keeps_the_quarter_wavelength_direct
     h = channel_for(geom, [10.0, 0.0, 0.0], EXT)
     # the 256-bit channel is exactly swap-symmetric here too: one block of 45, not 81
     assert np.array_equal(h, h[geom.symmetry_images()[:, 4]])
-    ctx = EXT.context()
+    ctx = EXT.arithmetic().ctx
     x = solve(Z, h)
     assert (geom.n, factored_sizes) == (324, [45])
     assert _mp_residual(ctx, Z, x, h) <= 1e-8 * ctx.norm(h)
@@ -476,7 +476,7 @@ def test_solve_extended_factors_both_even_halves_when_h_is_not_swap_symmetric(fa
     geom = _hp_panel(0.5, 0.25)
     Z = impedance(geom, EXT)
     h = channel_for(geom, [10.0, 0.3, 0.0], EXT) + channel_for(geom, [10.0, -0.3, 0.0], EXT)
-    ctx = EXT.context()
+    ctx = EXT.arithmetic().ctx
     x = solve(Z, h)
     assert factored_sizes == [45, 36]
     assert _mp_residual(ctx, Z, x, h) <= 1e-8 * ctx.norm(h)
@@ -491,7 +491,7 @@ def test_solve_extended_off_axis_excites_every_sector_and_matches_the_four_secto
     geom = _hp_panel(0.25, 0.25)
     Z = impedance(geom, EXT)
     h = channel_for(geom, [10.0, 0.3, 0.1], EXT)
-    ctx = EXT.context()
+    ctx = EXT.arithmetic().ctx
     x = solve(Z, h)
     # the even-even and odd-odd sectors' swap halves, and the even-odd and odd-even sectors whole
     assert factored_sizes == [15, 10, 20, 20, 10, 6]
@@ -560,7 +560,7 @@ def test_exactly_singular_z_is_refused_in_double():
 
 def test_exactly_singular_z_is_refused_at_a_zero_pivot_in_extended_precision():
     precision = Precision.extended(128)
-    ctx = precision.context()
+    ctx = precision.arithmetic().ctx
     Z = ImpedanceMatrix(_ext_array(ctx, [[1, 1], [1, 1]]), precision)
     with pytest.raises(IllConditionedSolveError) as info:
         solve(Z, ctx.matrix([1, 0]))  # an mpmath column is read as the object vector
@@ -569,7 +569,7 @@ def test_exactly_singular_z_is_refused_at_a_zero_pivot_in_extended_precision():
 
 
 def test_impedance_matrix_refuses_entries_that_are_not_a_square_array():
-    ctx = EXT.context()
+    ctx = EXT.arithmetic().ctx
     for entries in (ctx.matrix([[1, 0], [0, 1]]), [[1.0, 0.0], [0.0, 1.0]], np.ones((2, 3)),
                     np.ones(4)):
         with pytest.raises(InvalidArgumentError, match="square numpy array"):
@@ -626,7 +626,7 @@ def test_solve_refuses_a_nan_or_infinite_right_hand_side_before_factoring(
     geom = geom_linear(6, 0.3)
     Z = impedance(geom, precision)
     h = channel_isotropic(geom, [10.0, 0.0, 0.0], precision).copy()
-    h[2] = precision.context().mpc(bad) if precision.is_extended else bad
+    h[2] = precision.arithmetic().ctx.mpc(bad) if precision.is_extended else bad
 
     def no_factoring(*args, **kwargs):
         raise AssertionError("a right-hand side that is not finite must be refused first")
@@ -708,7 +708,9 @@ def test_double_sector_eigh_matches_dense_eigh_orthonormal_and_reconstructs_z(
     monkeypatch.setattr(np.linalg, "eigh", recording_eigh)
     s, U = sym_eig(Z)
     monkeypatch.undo()
-    assert sorted(block_sizes) == _mirror_sector_sizes(n_y, n_z)
+    # a square decomposes the swap halves, any other lattice its four mirror sectors
+    assert sorted(block_sizes) == sorted(_square_sector_sizes(n_y) if n_y == n_z
+                                         else _mirror_sector_sizes(n_y, n_z))
     assert np.all(np.diff(s) <= 0)
     assert np.max(np.abs(s - dense)) <= 1e-13 * s[0]
     assert np.max(np.abs(U.T @ U - np.eye(geom.n))) <= 1e-12
@@ -723,7 +725,7 @@ def test_double_sector_eigh_matches_dense_eigh_orthonormal_and_reconstructs_z(
 def test_extended_sector_jacobi_matches_full_jacobi_at_256_bits(monkeypatch, n_y, n_z, kind):
     geom = _lattice(n_y, n_z, 0.2, kind)
     Z = impedance(geom, EXT)
-    ctx = EXT.context()
+    ctx = EXT.arithmetic().ctx
     jacobi = coupling._jacobi_eigh
     block_sizes = []
 
@@ -759,8 +761,8 @@ def test_extended_eigenvalues_are_relatively_accurate_on_the_tenth_wavelength_li
     # 1e-30); the bound is 2^(57 - bits), and 1e-60 at 256 bits
     precision = Precision.extended(bits)
     Z = impedance(geom_linear(frac=0.1, kind=kind), precision)
-    ctx = precision.context()
-    ref = Precision.extended(bits + 384).context()
+    ctx = precision.arithmetic().ctx
+    ref = Precision.extended(bits + 384).arithmetic().ctx
     for sector in Z._sectors:
         block = sector.block(Z.entries)
         with precision.arithmetic().lock:
@@ -779,7 +781,7 @@ def test_extended_eigenvalues_are_relatively_accurate_on_the_tenth_wavelength_li
 def test_extended_jacobi_of_small_integer_blocks_is_exact(entries, expected):
     # exact zeros beside entries of positive exponent are read as ints too
     precision = Precision.extended(128)
-    ctx = precision.context()
+    ctx = precision.arithmetic().ctx
     with precision.arithmetic().lock:
         values, vectors = coupling._jacobi_eigh(ctx, _ext_array(ctx, entries))
         assert values == expected
@@ -794,8 +796,8 @@ def test_extended_eigenvalues_of_a_graded_block_are_relatively_accurate():
     # positive definite block whose spectrum spans 2^-300, far below the
     # working precision of the largest eigenvalue; each eigenvalue must
     # still match a 640-bit eigsy to 1e-60 relative
-    ctx = EXT.context()
-    ref = Precision.extended(640).context()
+    ctx = EXT.arithmetic().ctx
+    ref = Precision.extended(640).arithmetic().ctx
     with EXT.arithmetic().lock:
         A = np.array([[ctx.ldexp(ctx.one if i == j else ctx.one / (10 * (1 + abs(i - j))),
                                  -50 * (i + j)) for j in range(4)] for i in range(4)],
@@ -824,7 +826,7 @@ def test_extended_spectrum_of_the_isotropic_line_matches_slepian_quotients(frac)
     Z = impedance(geom, EXT)
     quotients = slepian_line_spectrum(geom, Z.entries, bits=512)
     with EXT.arithmetic().lock:
-        full, _ = coupling._jacobi_eigh(EXT.context(), Z.entries)
+        full, _ = coupling._jacobi_eigh(EXT.arithmetic().ctx, Z.entries)
     assert max(abs(a - b) / b for a, b in zip(full, quotients)) <= 1e-60
     s, _ = sym_eig(Z)
     assert max(abs(a - b) for a, b in zip(s, quotients)) <= 1e-70 * quotients[0]
@@ -838,7 +840,7 @@ def test_extended_jacobi_past_its_sweep_limit_raises_with_its_residual(monkeypat
     block = Z._sectors[0].block(Z.entries)
     monkeypatch.setattr(coupling, "_JACOBI_MAX_SWEEPS", 1)
     with EXT.arithmetic().lock, pytest.raises(NumericalFailureError, match="1 sweeps") as info:
-        coupling._jacobi_eigh(EXT.context(), block)
+        coupling._jacobi_eigh(EXT.arithmetic().ctx, block)
     assert 2.0 ** (1 - 256) < info.value.residual < 1
 
 
@@ -905,21 +907,40 @@ def double_factored_sizes(monkeypatch):
     return sizes
 
 
-def test_double_sector_solve_factors_one_block_of_36_on_11x11_broadside(
+def test_double_sector_solve_factors_one_block_of_21_on_11x11_broadside(
         double_factored_sizes, monkeypatch):
     geom = _lattice(11, 11, 0.25, ElementKind.PLANAR)
     Z = impedance(geom)
     h = channel_for(geom, [10.0, 0.0, 0.0])
     x = solve(Z, h)
     assert geom.n == 121
-    assert double_factored_sizes == [36]
-    full_residual = np.linalg.norm(h - Z.entries @ x) / np.linalg.norm(h)
+    # the swap-symmetric half of the even-even sector, 21 of its 36 orbits
+    assert double_factored_sizes == [21]
+    assert np.linalg.norm(h - Z.entries @ x) <= 1e-8 * np.linalg.norm(h)
+    full_residual = np.linalg.norm(h - coupling._product(Z, x)) / np.linalg.norm(h)
     assert full_residual <= 1e-8
     # the contract is judged on the full Z: a refusal reports exactly that residual
     monkeypatch.setattr(coupling, "_SOLVE_RESIDUAL_RTOL", 0.0)
     with pytest.raises(IllConditionedSolveError) as info:
         solve(Z, h)
     assert info.value.residual == full_residual
+
+
+def test_double_solve_off_axis_in_the_swap_halves_matches_the_four_sector_solve(
+        double_factored_sizes):
+    # kappa is about 4e6 at 0.45 wavelength, so two solves with 1e-8
+    # residuals agree to far better than 1e-8 (at 0.25 wavelength, kappa
+    # 4e16, they would share no digit)
+    geom = _lattice(11, 11, 0.45, ElementKind.PLANAR)
+    Z = impedance(geom)
+    h = channel_for(geom, [10.0, 0.3, 0.1])
+    x = solve(Z, h)
+    # the even-even and odd-odd sectors' swap halves, and the even-odd and odd-even sectors whole
+    assert double_factored_sizes == [21, 15, 30, 30, 15, 10]
+    double_factored_sizes.clear()
+    reference = solve(_four_sector(Z), h)
+    assert double_factored_sizes == [36, 30, 30, 25]
+    assert np.linalg.norm(x - reference) <= 1e-8 * np.linalg.norm(reference)
 
 
 def test_double_solve_refuses_a_residual_below_the_rounding_error_of_z_x():
@@ -978,7 +999,7 @@ def test_no_symmetry_extended_spectrum_is_bit_identical_to_full_jacobi():
     Z = _no_symmetry(impedance(geom_linear(6, 0.3), EXT))
     s, U = sym_eig(Z)
     with EXT.arithmetic().lock:
-        full, V = coupling._jacobi_eigh(EXT.context(), Z.entries)
+        full, V = coupling._jacobi_eigh(EXT.arithmetic().ctx, Z.entries)
     assert list(s) == full
     assert all(U[i, j] == V[i, j] for i in range(6) for j in range(6))
 
@@ -1019,28 +1040,36 @@ def test_lattice_build_matches_the_per_pair_offset_formula_bit_for_bit(
 def _vectors_for_the_product(Z, rng):
     """Two vectors over all elements, one in each sector of Z and, on a square, each mirror sector.
 
-    Each comes real and complex.  The sector vectors are ``expand``
-    outputs written into ``np.zeros``: a sector leaves the elements it
-    does not hold as Python-int zeros.
+    Each comes real and complex, in Z's arithmetic.  The sector vectors
+    are ``expand`` outputs written into ``np.zeros``: in extended
+    precision a sector leaves the elements it does not hold as
+    Python-int zeros.
     """
     ctx = Z.arithmetic.ctx
 
     def numbers(m, complex_):
-        if complex_:
-            return np.array([ctx.mpc(*rng.normal(size=2)) for _ in range(m)], dtype=object)
-        return np.array([ctx.mpf(x) for x in rng.normal(size=m)], dtype=object)
+        parts = rng.normal(size=(m, 2 if complex_ else 1))
+        if ctx is None:
+            return parts[:, 0] + 1j * parts[:, 1] if complex_ else parts[:, 0]
+        return np.array([ctx.mpc(*p) if complex_ else ctx.mpf(*p) for p in parts], dtype=object)
 
     vectors = [numbers(Z.n, complex_) for complex_ in (False, True)]
     mirror_sectors = _four_sector(Z)._sectors if Z.images.shape[1] == 8 else []
     for sector in Z._sectors + mirror_sectors:
         for complex_ in (False, True):
             y = numbers(len(sector.images), complex_)
-            vectors.append(sector.expand(y, np.zeros(Z.n, dtype=object)))
+            vectors.append(sector.expand(y, np.zeros(Z.n, dtype=y.dtype)))
     return vectors
 
 
+def _product_layout(geom, symmetric, precision):
+    """The Z of a layout in a precision, with its images or (``symmetric`` false) with none."""
+    Z = impedance(geom, precision)
+    return Z if symmetric else _no_symmetry(Z)
+
+
 # (layout, whether Z keeps its images, the orbit rows the product reads)
-@pytest.mark.parametrize("geom,symmetric,rows", [
+_PRODUCT_LAYOUTS = pytest.mark.parametrize("geom,symmetric,rows", [
     (_lattice(4, 4, 0.25, ElementKind.PLANAR), True, 3),
     (_lattice(5, 5, 0.2, ElementKind.PLANAR), True, 6),
     (_lattice(9, 9, 0.25, ElementKind.ISOTROPIC), True, 15),
@@ -1052,13 +1081,52 @@ def _vectors_for_the_product(Z, rng):
     # no symmetry: one row per element
     (_lattice(3, 4, 0.3, ElementKind.PLANAR), False, 12),
 ], ids=["4x4", "5x5", "9x9", "4x5", "5x5-unequal-pitches", "line", "no-symmetry"])
+
+
+@_PRODUCT_LAYOUTS
+def test_double_and_extended_work_in_the_same_sectors(geom, symmetric, rows):
+    double, extended = (_product_layout(geom, symmetric, precision)
+                        for precision in (Precision(), EXT))
+    assert len(double.orbits) == len(extended.orbits) == rows
+    assert [(sector.parity, len(sector.images)) for sector in double._sectors] == [
+        (sector.parity, len(sector.images)) for sector in extended._sectors]
+    for a, b in zip(double._sectors, extended._sectors):
+        assert np.array_equal(a.images, b.images)
+
+
+@_PRODUCT_LAYOUTS
+def test_double_product_reads_each_orbit_row_once_per_image_and_stays_near_z_v(
+        monkeypatch, geom, symmetric, rows):
+    Z = _product_layout(geom, symmetric, Precision())
+    matvec = Z.arithmetic.matvec
+    rows_read = []
+
+    def counting_matvec(a, x):
+        rows_read.append(len(a))
+        return matvec(a, x)
+
+    bound = 8 * Z.n * np.finfo(float).eps
+    for v in _vectors_for_the_product(Z, np.random.default_rng(13)):
+        rows_read.clear()
+        monkeypatch.setattr(Z.arithmetic, "matvec", counting_matvec)
+        got = coupling._product(Z, v)
+        monkeypatch.undo()
+        # every orbit row is read, and every entry formed once at most: no
+        # vector reads more rows than the plain product, and one whose
+        # every image is plus or minus itself reads each orbit row once
+        assert len(Z.orbits) <= sum(rows_read) <= Z.n
+        if all(np.array_equal(v[g], v) or np.array_equal(v[g], -v) for g in Z.images.T):
+            assert sum(rows_read) == len(Z.orbits)
+        assert got.dtype == v.dtype
+        assert np.all(np.abs(got - Z.entries @ v) <= bound * (np.abs(Z.entries) @ np.abs(v)))
+
+
+@_PRODUCT_LAYOUTS
 def test_extended_product_matches_the_row_by_row_product_bit_for_bit(monkeypatch, geom,
                                                                       symmetric, rows):
-    Z = impedance(geom, EXT)
-    if not symmetric:
-        Z = _no_symmetry(Z)
+    Z = _product_layout(geom, symmetric, EXT)
     # a square lattice reads one row per orbit of its 8 symmetries, any other one per mirror orbit
-    assert len(Z._orbit_rows) == len(Z.orbits) == rows
+    assert len(Z.orbits) == rows
     assert (rows < len(_four_sector(Z).orbits)) == (Z.images.shape[1] == 8)
     ctx, ar = Z.arithmetic.ctx, Z.arithmetic
     fdot = ctx.fdot
@@ -1079,11 +1147,6 @@ def test_extended_product_matches_the_row_by_row_product_bit_for_bit(monkeypatch
             assert [_bits(x) for x in got] == [_bits(fdot(Z.entries[a], v)) for a in range(Z.n)]
 
 
-def _row_blocks_without_tail_merge(n):
-    rows = coupling._ROW_BLOCK
-    return [(k, min(k + rows, n)) for k in range(0, n, rows)]
-
-
 @pytest.mark.parametrize("rows", [4, 32, 64, 128, 256])
 def test_row_blocks_cover_the_rows_in_order_with_no_one_row_tail(monkeypatch, rows):
     monkeypatch.setattr(coupling, "_ROW_BLOCK", rows)
@@ -1093,44 +1156,6 @@ def test_row_blocks_cover_the_rows_in_order_with_no_one_row_tail(monkeypatch, ro
         assert blocks[-1][1] == n
         assert all(1 <= e - k <= rows + 1 for k, e in blocks)
         assert n == 1 or blocks[-1][1] - blocks[-1][0] > 1
-
-
-# every N from 1 to 300, and N = 1 (mod the row block) up to 5 blocks
-_PRODUCT_SIZES = sorted({*range(1, 301),
-                         *range(1, 5 * coupling._ROW_BLOCK + 2, coupling._ROW_BLOCK)})
-
-
-def _double_products_differing_from_the_whole_product():
-    """``(N, dtype)`` of every real or complex vector whose ``_product`` is not ``Z.entries @ v``.
-
-    Random symmetric matrices of the sizes ``_PRODUCT_SIZES`` and the
-    lattice Z of 22 x 22, 29 x 29 and 44 x 44 grids.
-    """
-    rng = np.random.default_rng(29)
-    matrices = []
-    for n in _PRODUCT_SIZES:
-        a = rng.normal(size=(n, n))
-        matrices.append(ImpedanceMatrix(a + a.T, Precision()))
-    matrices += [impedance(_lattice(side, side, 0.2, ElementKind.PLANAR)) for side in (22, 29, 44)]
-    assert [Z.n for Z in matrices[-3:]] == [484, 841, 1936]
-    differing = []
-    for Z in matrices:
-        for v in (rng.normal(size=Z.n), rng.normal(size=Z.n) + 1j * rng.normal(size=Z.n)):
-            if not np.array_equal(coupling._product(Z, v), Z.entries @ v):
-                differing.append((Z.n, v.dtype))
-    return differing
-
-
-def test_double_product_in_row_blocks_matches_the_whole_product_bit_for_bit():
-    assert _double_products_differing_from_the_whole_product() == []
-
-
-def test_a_one_row_tail_block_would_change_the_double_product_bits(monkeypatch):
-    # numpy multiplies a single row by another route than a taller block
-    monkeypatch.setattr(coupling, "_row_blocks", _row_blocks_without_tail_merge)
-    tails = {(n, np.dtype(complex)) for n in _PRODUCT_SIZES if n % coupling._ROW_BLOCK == 1 < n}
-    differing = _double_products_differing_from_the_whole_product()
-    assert differing and set(differing) <= tails
 
 
 def test_abs_matvec_in_row_blocks_matches_the_whole_product_bit_for_bit():
@@ -1181,7 +1206,9 @@ def test_double_build_and_products_make_no_n_squared_temporary():
     # a complex copy of Z is 16 N^2 bytes, and each index array of a
     # flat gather 8 N^2: the build holds Z and one row block's two int64
     # offset arrays (a third block's worth covers the layout's small
-    # arrays); the product casts one row block to complex
+    # arrays); the product gathers the rows of one orbit per image, 120
+    # of 841 on this square, and multiplies them by the real and the
+    # imaginary part of the vector
     geom = _lattice(29, 29, 0.45, ElementKind.PLANAR)
     n = geom.n
     assert n == 841
@@ -1216,8 +1243,7 @@ def test_extended_quadratic_form_of_an_even_vector_reads_one_row_per_orbit(monke
     assert _bits(value) == _bits(expected)
     # h is even under the swap too: one fdot per row of an orbit of the
     # square's 8 symmetries (21 of 121 rows, against 36 mirror orbits), then the vdot
-    assert (geom.n, len(_four_sector(Z).orbits), len(Z.orbits), len(Z._orbit_rows)) == (
-        121, 36, 21, 21)
+    assert (geom.n, len(_four_sector(Z).orbits), len(Z.orbits)) == (121, 36, 21)
     assert calls == [geom.n] * (21 + 1)
 
 

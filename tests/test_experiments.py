@@ -567,6 +567,20 @@ def test_cli_config_error_exit_code(tmp_path):
     assert cli_main(["spacing", "--config", str(unknown), "--quiet"]) == 2
 
 
+@pytest.mark.parametrize("setting,message", [
+    ({"precision": 5}, "precision spec must be a string, got 5"),
+    ({"precision": None}, "precision spec must be a string, got None"),
+    ({"element_kinds": [["planar"]]}, "unknown element kind ['planar']"),
+], ids=["precision-number", "precision-null", "element-kind-list"])
+def test_cli_config_of_the_wrong_json_type_is_a_config_error(tmp_path, capsys, setting,
+                                                             message):
+    # a wrong JSON type is refused like a wrong value, not with a traceback
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(dict({"spacings": ["0.5 lambda"]}, **setting)))
+    assert cli_main(["spacing", "--config", str(cfg), "--quiet"]) == 2
+    assert f"config error: {message}" in capsys.readouterr().err
+
+
 def test_cli_malformed_number_exit_code(tmp_path, capsys):
     # malformed numbers are configuration errors, not tracebacks or numerical failures
     for text, key in (('{"spacings": [0.1], "frequency_hz": "abc"}', "frequency_hz"),

@@ -152,7 +152,7 @@ def test_ca_pmf_applies_the_retained_spectrum_without_forming_the_pseudo_inverse
 
     def close(got, want):
         if precision.is_extended:
-            ctx = precision.context()
+            ctx = precision.arithmetic().ctx
             return ctx.norm(got - want) <= tol * ctx.norm(want)
         return np.linalg.norm(got - want) <= tol * np.linalg.norm(want)
 
@@ -175,7 +175,7 @@ def test_every_result_is_a_numpy_array_in_the_arithmetic_of_z(precision):
         "rank_truncated_inverse": coupling.rank_truncated_inverse(Z, 3),
         **{f"rank {m}": i for m, i in enumerate(coupling._rank_solves(Z, h), start=1)},
     }
-    ctx = precision.context()
+    ctx = precision.arithmetic().ctx
     for name, value in results.items():
         assert isinstance(value, np.ndarray), name
         assert value.shape in ((geom.n,), (geom.n, geom.n)), name
@@ -203,7 +203,7 @@ def test_filters_refuse_a_channel_with_a_nan_or_infinite_entry(name, bad, precis
     geom = linear_array(6, 0.3 * LAM, ElementKind.ISOTROPIC, LAM)
     Z = impedance(geom, precision)
     h = channel_isotropic(geom, UE, precision).copy()
-    h[2] = precision.context().mpc(bad) if precision.is_extended else bad
+    h[2] = precision.arithmetic().ctx.mpc(bad) if precision.is_extended else bad
     with pytest.raises(InvalidArgumentError, match="NaN or infinite"):
         _FILTERS[name](Z, h)
 

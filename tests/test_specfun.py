@@ -94,13 +94,16 @@ def test_precision_parsing_and_validation():
     assert Precision.parse("ext:128").mantissa_bits == 128
     with pytest.raises(InvalidArgumentError):
         Precision.parse("quad")
+    for spec in (5, None, ["double"]):
+        with pytest.raises(InvalidArgumentError, match="must be a string"):
+            Precision.parse(spec)
     with pytest.raises(InvalidArgumentError):
         Precision.extended(32)
 
 
 def test_extended_context_is_shared_per_width():
-    a = Precision.extended(192).context()
-    b = Precision.extended(192).context()
+    a = Precision.extended(192).arithmetic().ctx
+    b = Precision.extended(192).arithmetic().ctx
     assert a is b
     assert a.prec == 192
 
@@ -113,11 +116,11 @@ def test_threads_asking_at_once_get_the_one_context_of_the_width():
 
     def context():
         barrier.wait()
-        return Precision.extended(200).context()
+        return Precision.extended(200).arithmetic().ctx
 
     with ThreadPoolExecutor(threads) as pool:
         contexts = [f.result(timeout=60) for f in [pool.submit(context) for _ in range(threads)]]
     assert all(c is contexts[0] for c in contexts)
     assert contexts[0] is Precision.extended(200).arithmetic().ctx
     assert contexts[0].prec == 200
-    assert Precision().context() is None
+    assert Precision().arithmetic().ctx is None
