@@ -65,7 +65,6 @@ from __future__ import annotations
 
 import contextlib
 import functools
-import itertools
 import math
 import os
 import threading
@@ -147,8 +146,9 @@ class _Sector:
         return left + right if self.parity[start] == self.parity[start + half] else left - right
 
     def project(self, v):
-        """``E^T v`` for a vector v over the elements."""
-        return self._signed_sum(lambda k: v[self.images[:, k]]) * (self.roots / len(self.parity))
+        """``E^T v`` for a vector v over the elements (or each column of a matrix)."""
+        return (self._signed_sum(lambda k: v[self.images[:, k]]).T
+                * (self.roots / len(self.parity))).T
 
     def block(self, entries):
         """``E^T Z E``, gathered from the rows of the orbits' first members."""
@@ -720,38 +720,46 @@ def _modal_inverse(Z: ImpedanceMatrix, k: int):
         return (U / s) @ U.T
 
 
-def _modal_coefficients(Z: ImpedanceMatrix, k: int, h):
-    """The leading k modes ``U_k`` and the coefficients ``U_k^T h / s_k``; call under the lock."""
-    _require_finite(h)
-    s, U = _leading_run(Z, k)
-    return U, Z.arithmetic.matvec(U.T, h) / s
-
-
 def _modal_solve(Z: ImpedanceMatrix, k: int, h):
     """``U_k (U_k^T h / s_k)`` over the leading k modes: O(N k), no N x N pseudo-inverse."""
+    h = np.asarray(h)
+    _require_finite(h)
     with Z.arithmetic.lock:
-        U, coefficients = _modal_coefficients(Z, k, np.asarray(h))
-        return U @ coefficients
+        s, U = _leading_run(Z, k)
+        return U @ (Z.arithmetic.matvec(U.T, h) / s)
 
 
-def _rank_solves(Z: ImpedanceMatrix, h):
-    """``precoding.ca_pmf_rank(Z, h, m)`` for m = 1..N, bit for bit, in one pass.
+def _partial_sums(Z: ImpedanceMatrix, h):
+    """``(P_m, Q_m)`` for m = 1..N in Z's arithmetic, from the cached spectrum alone.
 
     Rank m keeps the leading ``min(m, k)`` modes, k the count of positive
-    eigenvalues.  Under extended precision rank m's current is the
-    running sum of ``coefficient * mode`` over those modes, which numpy's
-    object product in :func:`_modal_solve` sums in the same order, so the
-    N currents cost one rank-N solve.
+    eigenvalues, as :func:`precoding.ca_pmf_rank` does.  With
+    ``c_n = u_n^T h`` its current ``i_m = sum u_n c_n / s_n`` has
+    ``i^H h = i^H Z i = P_m = sum |c_n|^2 / s_n`` and
+    ``i^H i = Q_m = sum |c_n|^2 / s_n^2``, since the ``u_n`` are
+    orthonormal: no current and no product with Z is formed.  The
+    ``c_n`` of every mode of a sector on which h projects to exactly zero
+    are set to exactly zero, as the solve skips such a sector, so a rank
+    whose added mode h does not excite repeats the rank before it.
+
+    Raises
+    ------
+    EmptySpectrumError
+        If no eigenvalue is positive.
     """
-    k = _leading_modes(Z, Z.n)
-    if not Z.precision.is_extended:
-        # one BLAS product per rank defines the double bits; a running sum would round otherwise
-        return [_modal_solve(Z, min(m, k), h) for m in range(1, Z.n + 1)]
-    with Z.arithmetic.lock:
-        U, coefficients = _modal_coefficients(Z, k, np.asarray(h))
-        currents = list(itertools.accumulate(coefficients[:, None] * U.T))
-        # ranks past the last positive eigenvalue keep the same modes
-        return currents + [currents[-1].copy() for _ in range(Z.n - k)]
+    h = np.asarray(h)
+    _require_finite(h)
+    ar = Z.arithmetic
+    with ar.lock:
+        s, U = _leading_run(Z, _leading_modes(Z, Z.n))
+        c = ar.matvec(U.T, h)
+        for sector in Z._sectors:
+            if not np.any(sector.project(h)):
+                c[np.any(sector.project(U) != 0, axis=0)] = ar.zero
+        terms = ar.real(c * c.conjugate()) / s
+        sums = list(zip(np.cumsum(terms), np.cumsum(terms / s)))
+    # ranks past the last positive eigenvalue keep the same modes
+    return sums + sums[-1:] * (Z.n - len(sums))
 
 
 def truncated_inverse(Z: ImpedanceMatrix, s_min_threshold: float):

@@ -354,32 +354,32 @@ def run_singular_profile(cfg: ExperimentConfig) -> SweepResult:
 def run_truncation_sweep(cfg: ExperimentConfig) -> SweepResult:
     """Directivity and current cost vs truncation rank (linear array).
 
-    For every retained-mode count, the truncated matched filter is
-    power-normalized so radiated power is one; the reported excitation
-    power is then the physical current cost of that precoder.  When no
-    retained mode couples to the channel (for example only modes of the
-    odd mirror sectors for a terminal on the broadside axis), the
-    truncated filter is exactly zero: every current in the retained
-    subspace has zero directivity, so the row reports directivity 0
-    (``-inf`` dBi) and the zero current's excitation power 0.
+    Rank m's filter is ``precoding.ca_pmf_rank(Z, h, m)``, and both its
+    numbers follow from the spectrum (``coupling._partial_sums``): with
+    ``c_n = u_n^T h`` over the retained modes, ``P_m = sum |c_n|^2 / s_n``
+    and ``Q_m = sum |c_n|^2 / s_n^2``.  The directivity is ``P_m`` times
+    ``(4 pi ||o|| / lambda)^2``, and the reported excitation power is
+    ``Q_m / P_m``, the current cost of the filter power-normalized so
+    that it radiates one.  When no retained mode couples to the channel
+    (for example only modes of the odd mirror sectors for a terminal on
+    the broadside axis), ``P_m = 0`` and the truncated filter is exactly
+    zero: every current in the retained subspace has zero directivity, so
+    the row reports directivity 0 (``-inf`` dBi) and the zero current's
+    excitation power 0.
     """
     o = np.asarray(cfg.ue_position)
+    factor = metrics.range_factor(o, cfg.wavelength)
 
     def point(geom, Z):
         h = channel_for(geom, o, cfg.precision)
         kappa = coupling.condition_number(Z)
-        # precoding.ca_pmf_rank(Z, h, m) for every m, built in one pass
-        for m, i in enumerate(coupling._rank_solves(Z, h), start=1):
-            if not np.any(i):
+        for m, (p, q) in enumerate(coupling._partial_sums(Z, h), start=1):
+            if p == 0:
                 d_lin, d_dbi, power = 0.0, -math.inf, 0.0
             else:
-                # one i^H Z i per row serves the normalization and the
-                # directivity, which does not depend on the current's scale
-                radiated = coupling.quadratic_form(Z, i)
-                i_hat = precoding._unit_power(i, Z, radiated)
-                d_lin = metrics._directivity(i, Z, h, o, cfg.wavelength, radiated)
+                d_lin = float(p) * factor
                 d_dbi = metrics.to_dbi(d_lin)
-                power = metrics.excitation_power(i_hat)
+                power = float(q / p)
             yield (SCHEME_CA_PMF, m, d_lin, d_dbi, kappa, power)
 
     return _sweep(cfg, ("scheme", "retained_modes", "directivity", "directivity_dbi", "kappa",

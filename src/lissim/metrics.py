@@ -28,8 +28,13 @@ from .errors import InvalidArgumentError, NonRadiatingCurrentError
 from .geometry import as_vec3
 
 
-def _snr_core(i, Z: ImpedanceMatrix, h, denom) -> float:
-    """``|i^H h|^2 / denom`` as a float, in Z's arithmetic, for ``denom = i^H Z i``."""
+def snr(i, Z: ImpedanceMatrix, h) -> float:
+    """Receive SNR ``|i^H h|^2 / (i^H Z i)`` at unit transmit power and noise variance.
+
+    Dimensionless, non-negative, and invariant to scaling of ``i``.
+    Another power budget scales it by ``ptx / noise_var``.
+    """
+    denom = quadratic_form(Z, i)
     if not denom > 0:
         raise NonRadiatingCurrentError(
             f"i^H Z i = {float(denom):.3e} is not positive; current does not radiate")
@@ -38,25 +43,15 @@ def _snr_core(i, Z: ImpedanceMatrix, h, denom) -> float:
         return float(abs(ar.vdot(i, h)) ** 2 / denom)
 
 
-def snr(i, Z: ImpedanceMatrix, h) -> float:
-    """Receive SNR ``|i^H h|^2 / (i^H Z i)`` at unit transmit power and noise variance.
-
-    Dimensionless, non-negative, and invariant to scaling of ``i``.
-    Another power budget scales it by ``ptx / noise_var``.
-    """
-    return _snr_core(i, Z, h, quadratic_form(Z, i))
+def range_factor(o, wavelength: float) -> float:
+    """``(4 pi ||o|| / lambda)^2``: a directivity over the SNR toward terminal ``o``."""
+    return (4.0 * math.pi * float(np.linalg.norm(as_vec3(o))) / wavelength) ** 2
 
 
 def directivity(i, Z: ImpedanceMatrix, h, o, wavelength: float) -> float:
     """Directivity toward terminal ``o`` for currents ``i`` (linear scale)."""
-    return _directivity(i, Z, h, o, wavelength, quadratic_form(Z, i))
-
-
-def _directivity(i, Z: ImpedanceMatrix, h, o, wavelength: float, power) -> float:
-    """:func:`directivity` with the radiated power ``power = i^H Z i`` already formed."""
-    ov = as_vec3(o)
-    factor = (4.0 * math.pi * float(np.linalg.norm(ov)) / wavelength) ** 2
-    return _snr_core(i, Z, h, power) * factor
+    factor = range_factor(o, wavelength)
+    return snr(i, Z, h) * factor
 
 
 def to_dbi(d: float) -> float:

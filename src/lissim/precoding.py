@@ -80,11 +80,7 @@ def power_normalize(i, Z: ImpedanceMatrix):
     NonRadiatingCurrentError
         If ``i^H Z i <= 0`` (current in the numerical null space).
     """
-    return _unit_power(i, Z, quadratic_form(Z, i))
-
-
-def _unit_power(i, Z: ImpedanceMatrix, power):
-    """:func:`power_normalize` with the radiated power ``power = i^H Z i`` already formed."""
+    power = quadratic_form(Z, i)
     if not power > 0:
         raise NonRadiatingCurrentError(
             f"cannot power-normalize: i^H Z i = {float(power):.3e} is not positive")

@@ -20,9 +20,11 @@ from lissim import (
     channel_isotropic,
     condition_number,
     directivity,
+    excitation_power,
     impedance,
     linear_array,
     planar_grid,
+    power_normalize,
     quadratic_form,
     rank_truncated_inverse,
     snr,
@@ -33,6 +35,7 @@ from lissim import (
 )
 from lissim import coupling, precoding
 from lissim.errors import IllConditionedSolveError, LisSimError, NumericalFailureError
+from lissim.metrics import range_factor
 from oracles import pairwise_impedance, radiated_power_quadrature, slepian_line_spectrum
 
 LAM = SPEED_OF_LIGHT / 2.6e9
@@ -234,28 +237,41 @@ def test_rank_truncated_inverse_matches_threshold_form():
             rank_truncated_inverse(Z, modes)
 
 
-def _assert_rank_solves_are_the_rank_truncated_solves(Z, h):
-    currents = coupling._rank_solves(Z, h)
-    assert len(currents) == Z.n
-    for m, current in enumerate(currents, start=1):
-        expected = precoding.ca_pmf_rank(Z, h, m)
-        assert all(current[r] == expected[r] for r in range(Z.n))
+def _assert_partial_sums_give_the_rank_truncated_rows(Z, h):
+    # the truncation sweep's row from the spectrum alone, against the
+    # quadratic forms of ca_pmf_rank's own current; i^H Z i of a current
+    # of cost c rounds to about N u c relative, u the unit roundoff
+    o = [10.0, 1.3, 0.0]
+    factor = range_factor(o, LAM)
+    u = 2.0 ** -(Z.precision.mantissa_bits or 53)
+    sums = coupling._partial_sums(Z, h)
+    assert len(sums) == Z.n
+    for m, (p, q) in enumerate(sums, start=1):
+        i = precoding.ca_pmf_rank(Z, h, m)
+        cost = float(q / p)
+        tol = Z.n * u * max(1.0, cost)
+        assert float(p) * factor == pytest.approx(directivity(i, Z, h, o, LAM), rel=tol)
+        assert cost == pytest.approx(excitation_power(power_normalize(i, Z)), rel=tol)
 
 
-@pytest.mark.parametrize("precision", [Precision(), EXT])
-def test_rank_solves_are_the_rank_truncated_solves_bit_for_bit(precision):
+@pytest.mark.parametrize("precision", [Precision(), Precision.extended(128)],
+                         ids=["double", "ext128"])
+def test_partial_sums_give_the_directivity_and_cost_of_every_rank(precision):
     geom = geom_linear(frac=0.1)
-    _assert_rank_solves_are_the_rank_truncated_solves(
+    _assert_partial_sums_give_the_rank_truncated_rows(
         impedance(geom, precision), channel_isotropic(geom, [10.0, 1.3, 0.0], precision))
 
 
-def test_rank_solves_past_the_last_nonzero_eigenvalue_repeat_it():
-    precision = Precision.extended(128)
-    ctx = precision.arithmetic().ctx
-    Z = ImpedanceMatrix(_ext_array(ctx, [[1, 1], [1, 1]]), precision)
+@pytest.mark.parametrize("precision", [Precision(), Precision.extended(128)],
+                         ids=["double", "ext128"])
+def test_partial_sums_past_the_last_positive_eigenvalue_repeat_it(precision):
+    ar = precision.arithmetic()
+    Z = ImpedanceMatrix(ar.number(np.array([[1.0, 1.0], [1.0, 1.0]])), precision)
+    h = ar.number(np.array([1.0, 1 / 3]))
     assert sym_eig(Z)[0][1] == 0
-    _assert_rank_solves_are_the_rank_truncated_solves(
-        Z, np.array([ctx.mpf(1), ctx.mpf(1) / 3], dtype=object))
+    first, second = coupling._partial_sums(Z, h)
+    assert second == first
+    _assert_partial_sums_give_the_rank_truncated_rows(Z, h)
 
 
 def test_solve_trivial_and_scaled_identity():

@@ -173,7 +173,6 @@ def test_every_result_is_a_numpy_array_in_the_arithmetic_of_z(precision):
         "ca_pmf_rank": ca_pmf_rank(Z, h, 3), "power_normalize": power_normalize(h, Z),
         "truncated_inverse": coupling.truncated_inverse(Z, 1e-9),
         "rank_truncated_inverse": coupling.rank_truncated_inverse(Z, 3),
-        **{f"rank {m}": i for m, i in enumerate(coupling._rank_solves(Z, h), start=1)},
     }
     ctx = precision.arithmetic().ctx
     for name, value in results.items():
@@ -190,8 +189,8 @@ _FILTERS = {
     "nca_mf": lambda Z, h: nca_mf(h),
     "ca_pmf": lambda Z, h: ca_pmf(Z, h, 1e-9),
     "ca_pmf_rank": lambda Z, h: ca_pmf_rank(Z, h, 4),
-    # the truncation sweep's every-rank pass
-    "rank_solves": lambda Z, h: coupling._rank_solves(Z, h),
+    # the truncation sweep's sums over every rank
+    "partial_sums": lambda Z, h: coupling._partial_sums(Z, h),
 }
 
 
