@@ -25,16 +25,19 @@ smallest included.  Extended inner products are ``fdot``, one rounding
 each.
 
 Both precisions build Z from the layout's table of distinct lattice
-offsets: one kernel value per ``(|di|, |dj|)`` pair, then a
-gather.  So Z is exactly invariant under the layout's mirrors y -> -y
-and z -> -z, and it splits exactly into four parity sectors, one per
-character (+-1, +-1) of the mirror group, each about N/4 square.  The
-eigendecomposition and the solve work on the sector blocks
-``B_s = E_s^T Z E_s`` in both precisions: the eigensolver decomposes each
-block and merges the spectra; the solve projects the right-hand side
-onto the sectors, skips those it does not excite (a broadside terminal
-excites only the even-even one), solves in each remaining block, and
-checks the residual against the full Z.
+offsets: one kernel value per ``(|di|, |dj|)`` pair, then a gather of
+the rows at the first members of the mirror orbits, which is all of Z
+that is stored: about N^2/4 entries on a grid and N^2/2 on a line.
+Every reader gathers what it needs from those rows, and only the text
+dump rebuilds Z whole.  Z is exactly invariant under the layout's
+mirrors y -> -y and z -> -z, and it splits exactly into four parity
+sectors, one per character (+-1, +-1) of the mirror group, each about
+N/4 square.  The eigendecomposition and the solve work on the sector
+blocks ``B_s = E_s^T Z E_s`` in both precisions: the eigensolver
+decomposes each block and merges the spectra; the solve projects the
+right-hand side onto the sectors, skips those it does not excite (a
+broadside terminal excites only the even-even one), solves in each
+remaining block, and checks the residual against the full Z.
 
 A square lattice (``n_y = n_z`` and ``dy = dz``) is also invariant
 under the swap y <-> z, and Z with it, exactly, so Z has the 8
@@ -57,8 +60,7 @@ one mirror sector costs about N^2/4 terms instead of N^2, one also
 even under the swap about N^2/8, and no vector more than N^2.  In
 extended precision every entry has the bits of the row-by-row
 product.  A complex vector in double is multiplied as its real and
-imaginary parts, so no complex copy of a block of Z is made.  The
-gather that builds a lattice Z works one block of rows at a time.
+imaginary parts, so no complex copy of a block of Z is made.
 """
 
 from __future__ import annotations
@@ -97,8 +99,6 @@ _LU_GUARD_BITS = 10
 _PARITIES = ((1, 1, 1, 1), (1, -1, 1, -1), (1, 1, -1, -1), (1, -1, -1, 1))
 # the mirror columns the swap is composed with, in the order of a square's last four images
 _SWAP_COLUMNS = [0, 3, 1, 2]
-# rows per block of the lattice gather and of |Z| |x| (see _row_blocks)
-_ROW_BLOCK = 128
 
 
 class _Sector:
@@ -150,10 +150,10 @@ class _Sector:
         return (self._signed_sum(lambda k: v[self.images[:, k]]).T
                 * (self.roots / len(self.parity))).T
 
-    def block(self, entries):
-        """``E^T Z E``, gathered from the rows of the orbits' first members."""
-        first = self.images[:, :1]
-        return (self._signed_sum(lambda k: entries[first, self.images[:, k]])
+    def block(self, Z):
+        """``E^T Z E``, gathered from Z's stored rows of the orbits' first members."""
+        first = Z._row_of[self.images[:, :1]]
+        return (self._signed_sum(lambda k: Z.rows[first, self.images[:, k]])
                 * np.outer(self.roots, self.roots / len(self.parity)))
 
     def expand(self, y, out, columns=None):
@@ -241,7 +241,7 @@ def _moves(group, orbits):
 
 
 class ImpedanceMatrix:
-    """Real symmetric N x N mutual-coupling matrix with cached spectrum.
+    """Real symmetric N x N mutual-coupling matrix, stored as one row per mirror orbit.
 
     Instances are immutable after construction; the eigendecomposition
     is computed once on first use behind a lock, after which reads are
@@ -249,11 +249,14 @@ class ImpedanceMatrix:
 
     Attributes
     ----------
-    entries : ndarray, shape (N, N), read-only
-        The matrix itself: float64 under machine double, an object array
-        of the precision's mpmath numbers under extended precision.
+    rows : ndarray, shape (M, N), read-only
+        Z's rows at the first members of its M mirror orbits (of the
+        first four columns of ``images``), in orbit order: float64 under
+        machine double, an object array of mpmath numbers under extended
+        precision, else :class:`InvalidArgumentError`.  Every other row
+        is a mirror image of one of them; with no symmetry ``rows`` is Z.
     precision : Precision
-        Arithmetic the entries were built in.
+        Arithmetic the rows were built in.
     arithmetic
         ``precision.arithmetic()``; its ``ctx`` is the precision's mpmath
         context, None in double.
@@ -266,35 +269,45 @@ class ImpedanceMatrix:
         other shape, a column 0 that is not the identity or a column that
         is not a permutation raises :class:`InvalidArgumentError`.  That Z is
         exactly invariant under each column is a precondition, not
-        checked (N^2 comparisons per column); :func:`impedance` builds
-        lattice entries from the lattice offsets, so there it is exact.
-        Defaults to no symmetry, every row ``[a, a, a, a]``.
-    orbits : ndarray of int, shape (M, 4) or (M, 8)
+        checked; :func:`impedance` builds lattice rows from the lattice
+        offsets, so there it is exact.  Defaults to no symmetry, every
+        row ``[a, a, a, a]``.
+    orbits : ndarray of int, shape (K, 4) or (K, 8)
         The rows of ``images`` whose smallest entry is their own element,
-        one per orbit with its lowest element first.  Products with Z
-        read one row of Z per orbit.
+        one per orbit of all the columns with its lowest element first.
+        Products with Z read one row of Z per orbit, a stored one.
 
     The eigendecomposition, the solve and the products all work in the
     symmetries of the images (:func:`_sectors`, :func:`_product`), in
-    both precisions.  With no symmetry there is one orbit per element, a
-    single sector whose block is Z itself.
+    both precisions, and read Z's rows from ``rows`` alone.  With no
+    symmetry there is one orbit per element, a single sector whose block
+    is Z itself.
     """
 
-    def __init__(self, entries, precision: Precision, images=None):
-        if not (isinstance(entries, np.ndarray) and entries.ndim == 2
-                and entries.shape[0] == entries.shape[1]):
+    def __init__(self, rows, precision: Precision, images=None):
+        if not (isinstance(rows, np.ndarray) and rows.ndim == 2):
             raise InvalidArgumentError(
-                "entries must be a square numpy array, of mpmath numbers under extended precision")
-        n = len(entries)
+                "rows must be a 2-D numpy array: Z's rows at its mirror orbits' first members")
+        n = rows.shape[1]
         if images is None:
             images = np.column_stack([np.arange(n)] * 4)
         _require_images(images, n)
+        mirror = _orbits(images[:, :4])
+        dtype = np.dtype(object if precision.is_extended else float)
+        if rows.shape != (len(mirror), n) or rows.dtype != dtype:
+            raise InvalidArgumentError(
+                f"rows must have shape ({len(mirror)}, {n}), one per mirror orbit, and dtype"
+                f" {dtype} in {precision.spec()}, got {rows.shape} and {rows.dtype}")
         self.precision = precision
         self.arithmetic = precision.arithmetic()
-        entries.setflags(write=False)
-        self.entries = entries
+        rows.setflags(write=False)
+        self.rows = rows
         images.setflags(write=False)
         self.images = images
+        self._mirror = mirror
+        # the index into rows of each mirror orbit's first member
+        self._row_of = np.empty(n, dtype=int)
+        self._row_of[mirror[:, 0]] = np.arange(len(mirror))
         self.orbits = _orbits(images)
         self.orbits.setflags(write=False)
         with self.arithmetic.lock:
@@ -305,7 +318,14 @@ class ImpedanceMatrix:
 
     @property
     def n(self) -> int:
-        return self.entries.shape[0]
+        return self.rows.shape[1]
+
+    def dense(self):
+        """Z as a whole N x N array: row ``g(a)`` is ``rows[a][g]`` for each mirror g."""
+        out = np.empty((self.n, self.n), dtype=self.rows.dtype)
+        for k in range(4):
+            out[self._mirror[:, k]] = self.rows[:, self.images[:, k]]
+        return out
 
     def eigendecomposition(self):
         """Cached ``(eigenvalues descending, orthonormal U)``, computed per sector."""
@@ -316,12 +336,14 @@ class ImpedanceMatrix:
             return self._eig
 
 
-def _product(Z: ImpedanceMatrix, v):
+def _product(Z: ImpedanceMatrix, v, rows=None):
     """``Z v`` in Z's arithmetic; call under its lock.
 
     Only the rows of the orbits' first members ``a`` are read, the
-    orbits of the columns of ``Z.images``.  Z is exactly invariant under
-    each symmetry g, so ``(Z v)[g(a)] = Z[a] . v[g]``, with ``v[g]`` the
+    orbits of the columns of ``Z.images``, each gathered straight from
+    ``Z.rows``, or from ``rows``, another matrix with Z's symmetries
+    stored alike (``|Z|`` as ``np.abs(Z.rows)``).  Z is exactly invariant
+    under each symmetry g, so ``(Z v)[g(a)] = Z[a] . v[g]``, with ``v[g]`` the
     vector whose entry c is ``v[g(c)]``.  Each entry is formed once, by
     the first symmetry that reaches it (:func:`_moves`), and the
     products of an image ``v[g]`` equal to plus or minus one already
@@ -335,7 +357,8 @@ def _product(Z: ImpedanceMatrix, v):
     also even under the swap about N^2/8; no vector costs more than the
     plain product's N^2, which a matrix with no symmetry gets.
     """
-    out = np.empty(Z.n, dtype=np.result_type(Z.entries, v))
+    rows = Z.rows if rows is None else rows
+    out = np.empty(Z.n, dtype=np.result_type(rows, v))
     formed = []  # (an image of v, its products with the orbit rows, which of them are formed)
     for perm, targets, first in Z._moves:
         image = v[perm]
@@ -353,25 +376,10 @@ def _product(Z: ImpedanceMatrix, v):
             formed.append((earlier, products, done))
         missing = first[~done[first]]
         if len(missing):
-            products[missing] = Z.arithmetic.matvec(Z.entries[Z.orbits[missing, 0]], earlier)
+            products[missing] = Z.arithmetic.matvec(rows[Z._row_of[Z.orbits[missing, 0]]], earlier)
             done[missing] = True
         out[targets[first]] = -products[first] if negate else products[first]
     return out
-
-
-def _row_blocks(n):
-    """``(start, stop)`` of consecutive blocks of ``_ROW_BLOCK`` rows covering n rows.
-
-    The blocks of the lattice gather (:func:`_gather_offsets`) and of
-    :func:`_abs_matvec`.  A one-row tail joins the block before it:
-    numpy multiplies a single row by a vector by another route than a
-    taller block, with other bits than the whole product, while each
-    row of a taller block gets the whole product's.
-    """
-    starts = list(range(0, n, _ROW_BLOCK))
-    if len(starts) > 1 and starts[-1] == n - 1:
-        starts.pop()
-    return list(zip(starts, starts[1:] + [n]))
 
 
 def _kernel(kind: ElementKind, x, precision: Precision):
@@ -387,26 +395,6 @@ def _offset_distances(geom: ArrayGeometry, ar):
     dy, dz = ar.number([geom.dy, geom.dz])
     return ar.sqrt((ar.number(np.arange(n_y))[:, None] * dy) ** 2
                    + (ar.number(np.arange(n_z))[None, :] * dz) ** 2)
-
-
-def _gather_offsets(indices, table):
-    """``Z[a, b] = table[|di|, |dj|]`` for the lattice offset of every element pair.
-
-    One block of rows at a time, each block's flat table index formed in
-    place, so no N x N index array is made.
-    """
-    def axis_offsets(block, i):
-        d = np.subtract.outer(block, i)
-        return np.abs(d, out=d)
-
-    values = table.ravel()
-    out = np.empty((len(indices), len(indices)), dtype=table.dtype)
-    for k, e in _row_blocks(len(indices)):
-        flat = axis_offsets(indices[k:e, 0], indices[:, 0])
-        flat *= table.shape[1]
-        flat += axis_offsets(indices[k:e, 1], indices[:, 1])
-        np.take(values, flat, out=out[k:e])
-    return out
 
 
 def _physical_memory_bytes():
@@ -427,25 +415,33 @@ def impedance(geom: ArrayGeometry, precision: Precision = Precision()) -> Impeda
     lattice offsets, so Z is exactly invariant under the layout's
     mirrors, and a square lattice's under its swap y <-> z, whose
     images the matrix carries (see :attr:`ImpedanceMatrix.images`).
+    Only the mirror orbits' rows are formed (:attr:`ImpedanceMatrix.rows`),
+    gathered from the offset table by broadcast ``|di|`` and ``|dj|``.
 
     Raises
     ------
     CapacityError
-        If the dense matrix, 8 bytes per entry, would not fit in the
-        machine's physical memory.
+        If the N x N float64 eigenvectors that every sweep forms from Z
+        next would not fit in the machine's physical memory.
     """
     memory = _physical_memory_bytes()
     if memory is not None and 8 * geom.n ** 2 > memory:
         raise CapacityError(
-            f"a dense {geom.n} x {geom.n} coupling matrix needs {8 * geom.n ** 2 / 2 ** 30:.1f}"
-            f" GiB, more than the {memory / 2 ** 30:.1f} GiB of physical memory")
+            f"the {geom.n} x {geom.n} eigenvectors of a coupling matrix need"
+            f" {8 * geom.n ** 2 / 2 ** 30:.1f} GiB, more than the {memory / 2 ** 30:.1f} GiB"
+            " of physical memory")
+    images = geom.symmetry_images()
+    iy, iz = geom.lattice_indices()[_orbits(images[:, :4])[:, 0]].T
+    n_y, n_z = geom.shape
     ar = precision.arithmetic()
     with ar.lock:
         k = 2 * ar.pi / ar.number(geom.wavelength)
-        # one kernel value per distinct lattice offset, then one gather
-        r = _offset_distances(geom, ar)
-        entries = _gather_offsets(geom.lattice_indices(), _kernel(geom.kind, r * k, precision))
-    return ImpedanceMatrix(entries, precision, images=geom.symmetry_images())
+        # one kernel value per distinct lattice offset, then one gather per stored row
+        table = _kernel(geom.kind, _offset_distances(geom, ar) * k, precision)
+        # shaped (rows, n_z, n_y): column iz * n_y + iy of each row
+        rows = table[np.abs(iy[:, None, None] - np.arange(n_y)),
+                     np.abs(iz[:, None, None] - np.arange(n_z)[:, None])]
+    return ImpedanceMatrix(rows.reshape(len(iy), geom.n), precision, images=images)
 
 
 def _round_shift(x, bits):
@@ -626,7 +622,7 @@ def _sector_eigh(Z: ImpedanceMatrix):
     eigenvalues of all sectors are merged in descending order by a
     stable sort, so a single sector gives exactly the dense result.
     """
-    parts = [(sector, *_block_eigh(Z, sector.block(Z.entries))) for sector in Z._sectors]
+    parts = [(sector, *_block_eigh(Z, sector.block(Z))) for sector in Z._sectors]
     values = [v for _, block_values, _ in parts for v in block_values]
     order = sorted(range(Z.n), key=values.__getitem__, reverse=True)
     column = np.empty(Z.n, dtype=int)
@@ -808,7 +804,8 @@ def solve(Z: ImpedanceMatrix, h):
     already set up, so a refusal never runs the eigensolver; it is
     computed on the first read of the error's ``kappa_estimate``.  Under
     machine double the residual is itself formed in double, so it is
-    only known to about ``eps ||(|Z| |x|)||``; when that rounding error
+    only known to about ``eps ||(|Z| |x|)||``, which :func:`_product`
+    forms from ``|Z.rows|``; when that rounding error
     exceeds 1e-8 of ``||h||`` the residual cannot show the contract, and
     the solve is refused the same way whatever it happens to measure.  (Under
     extended precision each entry of ``Z x`` is one ``fdot``, rounded
@@ -861,8 +858,8 @@ def solve(Z: ImpedanceMatrix, h):
         elif Z.precision.is_extended:  # an extended residual is rounded once per entry
             return x
         else:
-            # a residual formed in double is only known to about eps |Z| |x|
-            floor = np.finfo(float).eps * np.linalg.norm(_abs_matvec(Z.entries, x))
+            # a residual formed in double is only known to about eps |Z| |x|, |Z| stored as |rows|
+            floor = np.finfo(float).eps * np.linalg.norm(_product(Z, np.abs(x), np.abs(Z.rows)))
             if floor <= tol:
                 return x
             reason = (f"solve residual {res / norm_h:.3e} lies below the rounding error of Z x"
@@ -871,8 +868,8 @@ def solve(Z: ImpedanceMatrix, h):
 
         def kappa_estimate():  # run on the error's first read of it, if any
             with ar.lock:
-                # Z is symmetric: its largest absolute row sum is its 1-norm
-                norm1_z = _abs_matvec(Z.entries, np.ones(Z.n)).max()
+                # the largest absolute row sum of Z, a mirror image of a stored row's
+                norm1_z = np.abs(Z.rows).sum(axis=1).max()
                 return norm1_z * _norm1_estimate(ar, apply_inverse, Z.n)
 
         raise IllConditionedSolveError(reason, residual=float(res / norm_h),
@@ -892,7 +889,7 @@ def _sector_inverse(Z: ImpedanceMatrix, h):
 
     The sectors are the matrix's own, those its eigendecomposition
     works in too.  A square lattice's are the square group's
-    (:func:`_sectors`), each block gathered straight from the rows of
+    (:func:`_sectors`), each block gathered straight from ``Z.rows`` at
     the group orbits' first members.  A broadside channel, exactly
     swap-symmetric, excites only the symmetric half of even-even: 45 of
     81 at N = 324, about a sixth of the whole block's factor.  Any other
@@ -909,7 +906,7 @@ def _sector_inverse(Z: ImpedanceMatrix, h):
             return ctx.extraprec(_LU_GUARD_BITS)
 
     with guard():
-        solvers = [(sector, block_solver(sector.block(Z.entries)))
+        solvers = [(sector, block_solver(sector.block(Z)))
                    for sector in Z._sectors if np.any(sector.project(h) != 0)]
 
     def apply(v):
@@ -967,15 +964,6 @@ def _gesv_solver(block):
         return x
 
     return solve_block
-
-
-def _abs_matvec(A, v):
-    """``|A| |v|``, a block of rows at a time (:func:`_row_blocks`): no N x N temporary."""
-    v = np.abs(v)
-    out = np.empty(len(A), dtype=np.result_type(A, v))
-    for k, e in _row_blocks(len(A)):
-        np.matmul(np.abs(A[k:e]), v, out=out[k:e])
-    return out
 
 
 def _crout_factor(ctx, block):
@@ -1091,8 +1079,8 @@ def quadratic_form(Z: ImpedanceMatrix, i):
 
 
 def write_matrix_text(Z: ImpedanceMatrix, path) -> None:
-    """Dump entries as plain text: one row per line, 17 significant digits."""
-    arr = Z.entries.astype(float)
+    """Dump Z's entries as plain text: one row per line, 17 significant digits."""
+    arr = Z.dense().astype(float)
     with open(path, "w") as fh:
         for row in arr:
             fh.write(" ".join(f"{v:.17g}" for v in row))

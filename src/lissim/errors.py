@@ -14,8 +14,9 @@ class InvalidArgumentError(LisSimError, ValueError):
 
 
 class CapacityError(LisSimError):
-    """A requested layout exceeds the configured element cap, or its dense
-    coupling matrix would not fit in the machine's physical memory."""
+    """A requested layout exceeds the configured element cap, or the N x N
+    eigenvectors of its coupling matrix would not fit in the machine's
+    physical memory."""
 
 
 class DomainError(LisSimError, ValueError):

@@ -83,7 +83,7 @@ def test_criterion_1_identity_coupling_equivalence():
     start = time.perf_counter()
     geom = linear_array(20, 0.5 * LAM, ElementKind.ISOTROPIC, LAM)
     Z = impedance(geom)
-    z_err = float(np.max(np.abs(Z.entries - np.eye(20))))
+    z_err = float(np.max(np.abs(Z.dense() - np.eye(20))))
 
     h = channel_isotropic(geom, UE)
     snr_gap = abs(snr(nca_mf(h), Z, h) - snr(ca_mf(Z, h), Z, h)) / snr(ca_mf(Z, h), Z, h)

@@ -75,7 +75,7 @@ def _direct(entries):
 
 def _no_symmetry(Z):
     """Z with no images: one orbit per element, a single sector whose block is Z itself."""
-    return ImpedanceMatrix(Z.entries, Z.precision)
+    return ImpedanceMatrix(Z.dense(), Z.precision)
 
 
 def _ext_array(ctx, values):
@@ -90,7 +90,7 @@ def _mp(ctx, a):
 
 def _mp_residual(ctx, Z, x, h):
     """``||h - Z x||`` with mpmath's matrix product, one rounding per entry."""
-    return ctx.norm(_mp(ctx, h) - _mp(ctx, Z.entries) * _mp(ctx, x))
+    return ctx.norm(_mp(ctx, h) - _mp(ctx, Z.dense()) * _mp(ctx, x))
 
 
 def geom_linear(n=20, frac=0.3, kind=ElementKind.ISOTROPIC):
@@ -99,22 +99,22 @@ def geom_linear(n=20, frac=0.3, kind=ElementKind.ISOTROPIC):
 
 def test_single_element_diagonals():
     z_iso = impedance(linear_array(1, 0.1, ElementKind.ISOTROPIC, LAM))
-    assert z_iso.entries[0, 0] == 1.0
+    assert z_iso.dense()[0, 0] == 1.0
     z_pla = impedance(linear_array(1, 0.1, ElementKind.PLANAR, LAM))
-    assert z_pla.entries[0, 0] == 0.5
+    assert z_pla.dense()[0, 0] == 0.5
 
 
 def test_half_wavelength_linear_is_identity():
     Z = impedance(geom_linear(frac=0.5))
-    assert np.max(np.abs(Z.entries - np.eye(20))) <= 1e-14
+    assert np.max(np.abs(Z.dense() - np.eye(20))) <= 1e-14
 
 
 def test_entries_symmetric_and_kernel_maximal_on_diagonal():
     for kind in ElementKind:
         Z = impedance(planar_grid(0.4, 0.4, 0.07, 0.09, kind, LAM))
-        assert np.array_equal(Z.entries, Z.entries.T)
-        diag = np.diag(Z.entries)
-        assert np.all(np.abs(Z.entries) <= diag[:, None] + 1e-15)
+        assert np.array_equal(Z.dense(), Z.dense().T)
+        diag = np.diag(Z.dense())
+        assert np.all(np.abs(Z.dense()) <= diag[:, None] + 1e-15)
         expected = 1.0 if kind is ElementKind.ISOTROPIC else 0.5
         assert np.all(diag == expected)
 
@@ -123,7 +123,7 @@ def test_positive_semidefinite_up_to_roundoff():
     for kind in ElementKind:
         for frac in (0.2, 0.35, 0.7):
             Z = impedance(geom_linear(12, frac, kind))
-            w = np.linalg.eigvalsh(Z.entries)
+            w = np.linalg.eigvalsh(Z.dense())
             assert w.min() >= -1e-10 * w.max()
 
 
@@ -141,8 +141,8 @@ def test_sym_eig_reconstruction_and_orthonormality():
     s, U = sym_eig(Z)
     assert np.all(np.diff(s) <= 0)
     recon = (U * s) @ U.T
-    scale = np.max(np.abs(Z.entries))
-    assert np.max(np.abs(recon - Z.entries)) <= 1e-12 * scale
+    scale = np.max(np.abs(Z.dense()))
+    assert np.max(np.abs(recon - Z.dense())) <= 1e-12 * scale
     assert np.max(np.abs(U.T @ U - np.eye(20))) <= 1e-12
 
 
@@ -206,7 +206,7 @@ def test_truncated_inverse_retained_count_regression():
 def test_truncated_inverse_zero_threshold_equals_inverse():
     Z = impedance(geom_linear(8, 0.6))
     pinv = truncated_inverse(Z, 0.0)
-    assert np.max(np.abs(pinv @ Z.entries - np.eye(8))) <= 1e-10
+    assert np.max(np.abs(pinv @ Z.dense() - np.eye(8))) <= 1e-10
 
 
 def test_truncation_nesting_is_psd():
@@ -285,7 +285,7 @@ def test_solve_residual_contract_on_ill_conditioned_matrix():
     Z = impedance(geom)
     h = channel_isotropic(geom, [10.0, 0.0, 0.0])
     x = solve(Z, h)
-    res = np.linalg.norm(Z.entries @ x - h) / np.linalg.norm(h)
+    res = np.linalg.norm(Z.dense() @ x - h) / np.linalg.norm(h)
     assert res <= 1e-8
 
 
@@ -323,7 +323,7 @@ def test_solve_extended_factors_once_and_matches_lu_solve(monkeypatch):
     Z = _no_symmetry(impedance(geom, EXT))
     h = channel_isotropic(geom, [10.0, 0.0, 0.0], EXT)
     ctx = EXT.arithmetic().ctx
-    expected = _refined_lu_solve(ctx, _mp(ctx, Z.entries), _mp(ctx, h))
+    expected = _refined_lu_solve(ctx, _mp(ctx, Z.dense()), _mp(ctx, h))
 
     calls = []
     factor = coupling._crout_factor
@@ -343,7 +343,7 @@ def test_crout_factor_reconstructs_the_even_block_at_a_fifth_wavelength():
     pitch = 0.2 * LAM
     geom = planar_grid(10 * pitch, 10 * pitch, pitch, pitch, ElementKind.PLANAR, LAM)
     Z = _four_sector(impedance(geom, EXT))
-    block = Z._sectors[0].block(Z.entries)
+    block = Z._sectors[0].block(Z)
     n = len(block)
     assert n == 36
     ctx = EXT.arithmetic().ctx
@@ -367,10 +367,10 @@ def test_solve_extended_is_no_farther_from_a_640_bit_solve_than_lu_solve(termina
     h = channel_for(geom, terminal, EXT)
     ctx = EXT.arithmetic().ctx
     x = solve(Z, h)
-    refined = _refined_lu_solve(ctx, _mp(ctx, Z.entries), _mp(ctx, h))
+    refined = _refined_lu_solve(ctx, _mp(ctx, Z.dense()), _mp(ctx, h))
     wide = mpmath.MPContext()
     wide.prec = 640
-    exact = wide.lu_solve(wide.matrix(Z.entries.tolist()), wide.matrix(h.tolist()))
+    exact = wide.lu_solve(wide.matrix(Z.dense().tolist()), wide.matrix(h.tolist()))
 
     def distance(v):
         return wide.norm(wide.matrix(v.tolist()) - exact)
@@ -438,7 +438,7 @@ def test_solve_extended_in_parity_sectors_matches_lu_solve(factored_sizes, n_y, 
     x = solve(Z, h)
     assert factored_sizes == expected
 
-    reference = ctx.lu_solve(_mp(ctx, Z.entries), _mp(ctx, h))
+    reference = ctx.lu_solve(_mp(ctx, Z.dense()), _mp(ctx, h))
     assert ctx.norm(_mp(ctx, x) - reference) <= 1e-60 * ctx.norm(reference)
     assert _mp_residual(ctx, Z, x, h) <= 1e-8 * ctx.norm(h)
 
@@ -450,7 +450,7 @@ def _hp_panel(side, frac):
 
 def _four_sector(Z):
     """Z with its mirrors and no swap: it then works in the four mirror sectors."""
-    return ImpedanceMatrix(Z.entries, Z.precision, images=Z.images[:, :4])
+    return ImpedanceMatrix(Z.rows, Z.precision, images=Z.images[:, :4])
 
 
 def _relative_distance(ctx, x, reference):
@@ -566,6 +566,24 @@ def test_solve_refusal_estimates_kappa_from_the_factors(monkeypatch, precision, 
     assert kappa / Z.n <= estimate <= kappa * Z.n
 
 
+@pytest.mark.parametrize("precision", [Precision(), Precision.extended(128)],
+                         ids=["double", "ext128"])
+def test_solve_refusal_kappa_estimate_is_at_most_the_dense_1_norm_kappa(monkeypatch, precision):
+    # at 0.8 wavelength many entries of Z are negative, so ||Z||_1, read
+    # from the stored rows, needs their absolute values; Hager-Higham's
+    # estimate of ||Z^-1||_1 is a lower bound, here within 1e-15 of it
+    pitch = 0.8 * LAM
+    geom = planar_grid(3 * pitch, 4 * pitch, pitch, pitch, ElementKind.ISOTROPIC, LAM)
+    Z = impedance(geom, precision)
+    monkeypatch.setattr(coupling, "_SOLVE_RESIDUAL_RTOL", 0.0)
+    with pytest.raises(IllConditionedSolveError) as info:
+        solve(Z, channel_for(geom, [10.0, 1.3, -0.7], precision))
+    dense = Z.dense().astype(float)
+    assert np.any(dense < 0)
+    kappa_1 = np.linalg.norm(dense, 1) * np.linalg.norm(np.linalg.inv(dense), 1)
+    assert kappa_1 / 2 <= float(info.value.kappa_estimate) <= kappa_1 * (1 + 1e-9)
+
+
 def test_exactly_singular_z_is_refused_in_double():
     Z = _direct([[1.0, 1.0], [1.0, 1.0]])
     with pytest.raises(IllConditionedSolveError) as info:
@@ -584,12 +602,36 @@ def test_exactly_singular_z_is_refused_at_a_zero_pivot_in_extended_precision():
     assert info.value.kappa_estimate == math.inf
 
 
-def test_impedance_matrix_refuses_entries_that_are_not_a_square_array():
+def test_impedance_matrix_refuses_rows_that_are_not_a_2d_array():
     ctx = EXT.arithmetic().ctx
-    for entries in (ctx.matrix([[1, 0], [0, 1]]), [[1.0, 0.0], [0.0, 1.0]], np.ones((2, 3)),
-                    np.ones(4)):
-        with pytest.raises(InvalidArgumentError, match="square numpy array"):
-            ImpedanceMatrix(entries, EXT)
+    for rows in (ctx.matrix([[1, 0], [0, 1]]), [[1.0, 0.0], [0.0, 1.0]], np.ones(4),
+                 np.ones((1, 2, 2))):
+        with pytest.raises(InvalidArgumentError, match="2-D numpy array"):
+            ImpedanceMatrix(rows, EXT)
+
+
+@pytest.mark.parametrize("precision", [Precision(), EXT], ids=["double", "ext"])
+def test_impedance_matrix_refuses_rows_not_one_per_mirror_orbit(precision):
+    Z = impedance(planar_grid(0.2, 0.3, 0.1, 0.1, ElementKind.PLANAR, LAM), precision)
+    assert Z.rows.shape == (4, 12)
+    # with no images every element is its own orbit: the rows are Z, square
+    for rows, images in ((Z.rows, None), (Z.dense(), Z.images), (Z.rows[:-1], Z.images)):
+        with pytest.raises(InvalidArgumentError, match="rows must have shape"):
+            ImpedanceMatrix(rows, precision, images=images)
+
+
+def test_impedance_matrix_refuses_rows_whose_dtype_is_not_its_precision():
+    geom = planar_grid(0.2, 0.2, 0.1, 0.1, ElementKind.PLANAR, LAM)
+    double, extended = impedance(geom), impedance(geom, EXT)
+    for rows, precision in ((extended.rows, Precision()), (double.rows, EXT),
+                            (double.rows.astype(np.float32), Precision()),
+                            (double.rows.astype(complex), Precision()),
+                            (double.rows.astype(object), Precision())):
+        with pytest.raises(InvalidArgumentError, match="dtype"):
+            ImpedanceMatrix(rows, precision, images=double.images)
+    # a malformed images array is reported first
+    with pytest.raises(InvalidArgumentError, match="images must be an int array"):
+        ImpedanceMatrix(extended.rows, Precision(), images=double.images.astype(float))
 
 
 def _malformed_images(images):
@@ -616,10 +658,10 @@ def test_impedance_matrix_refuses_malformed_symmetry_images(geom, precision):
     assert Z.images.shape[1] == (8 if geom.shape == (3, 3) else 4)
     for images in _malformed_images(np.array(Z.images)).values():
         with pytest.raises(InvalidArgumentError, match="images must be an int array"):
-            ImpedanceMatrix(Z.entries, precision, images=images)
+            ImpedanceMatrix(Z.rows, precision, images=images)
     # the layout's own images, and their mirror columns alone, are accepted
-    assert ImpedanceMatrix(Z.entries, precision, images=np.array(Z.images)).n == geom.n
-    assert ImpedanceMatrix(Z.entries, precision, images=Z.images[:, :4]).n == geom.n
+    assert ImpedanceMatrix(Z.rows, precision, images=np.array(Z.images)).n == geom.n
+    assert ImpedanceMatrix(Z.rows, precision, images=Z.images[:, :4]).n == geom.n
 
 
 @pytest.mark.parametrize("precision", [Precision(), EXT], ids=["double", "ext"])
@@ -692,10 +734,10 @@ def test_extended_sectors_of_a_square_are_an_orthonormal_split_of_z(n):
         gram = E.T * E - ctx.eye(Z.n)
         assert max(abs(gram[i, j]) for i in range(Z.n) for j in range(Z.n)) <= 1e-70
         # E^T Z E is block diagonal, its blocks the gathered ones, which are exactly symmetric
-        expected = E.T * _mp(ctx, Z.entries) * E
+        expected = E.T * _mp(ctx, Z.dense()) * E
         start = 0
         for sector in Z._sectors:
-            block = sector.block(Z.entries)
+            block = sector.block(Z)
             assert np.array_equal(block, block.T)
             m = len(block)
             stop = start + m
@@ -713,7 +755,7 @@ def test_double_sector_eigh_matches_dense_eigh_orthonormal_and_reconstructs_z(
         monkeypatch, n_y, n_z, kind):
     geom = _lattice(n_y, n_z, 0.3, kind)
     Z = impedance(geom)
-    dense = np.linalg.eigvalsh(Z.entries)[::-1]
+    dense = np.linalg.eigvalsh(Z.dense())[::-1]
     block_sizes = []
     eigh = np.linalg.eigh
 
@@ -730,7 +772,7 @@ def test_double_sector_eigh_matches_dense_eigh_orthonormal_and_reconstructs_z(
     assert np.all(np.diff(s) <= 0)
     assert np.max(np.abs(s - dense)) <= 1e-13 * s[0]
     assert np.max(np.abs(U.T @ U - np.eye(geom.n))) <= 1e-12
-    assert np.max(np.abs((U * s) @ U.T - Z.entries)) <= 1e-12 * np.max(np.abs(Z.entries))
+    assert np.max(np.abs((U * s) @ U.T - Z.dense())) <= 1e-12 * np.max(np.abs(Z.dense()))
 
 
 @pytest.mark.parametrize("n_y,n_z,kind", [(3, 4, ElementKind.PLANAR),
@@ -756,13 +798,13 @@ def test_extended_sector_jacobi_matches_full_jacobi_at_256_bits(monkeypatch, n_y
     assert block_sizes == (_square_sector_sizes(n_y) if n_y == n_z
                            else [size for size in _axis_block_sizes(n_y, n_z) if size])
     with EXT.arithmetic().lock:
-        full, _ = jacobi(ctx, Z.entries)
+        full, _ = jacobi(ctx, Z.dense())
     assert len(Z.orbits) < geom.n  # the layout has orbits to split on
     assert max(abs(a - b) for a, b in zip(s, full)) <= 1e-60 * full[0]
     U = _mp(ctx, U)
     gram = U.T * U - ctx.eye(geom.n)
     assert max(abs(gram[i, j]) for i in range(geom.n) for j in range(geom.n)) <= 1e-70
-    recon = U * ctx.diag(s) * U.T - _mp(ctx, Z.entries)
+    recon = U * ctx.diag(s) * U.T - _mp(ctx, Z.dense())
     assert max(abs(recon[i, j]) for i in range(geom.n) for j in range(geom.n)) <= 1e-60
 
 
@@ -780,7 +822,7 @@ def test_extended_eigenvalues_are_relatively_accurate_on_the_tenth_wavelength_li
     ctx = precision.arithmetic().ctx
     ref = Precision.extended(bits + 384).arithmetic().ctx
     for sector in Z._sectors:
-        block = sector.block(Z.entries)
+        block = sector.block(Z)
         with precision.arithmetic().lock:
             values, _ = coupling._jacobi_eigh(ctx, block)
             exact, _ = ref.eigsy(ref.matrix(block.tolist()))
@@ -840,9 +882,9 @@ def test_extended_spectrum_of_the_isotropic_line_matches_slepian_quotients(frac)
     # an eigenvalue by a few units of 2^-256 ||Z||: 1e-70 of the largest.
     geom = geom_linear(frac=frac)
     Z = impedance(geom, EXT)
-    quotients = slepian_line_spectrum(geom, Z.entries, bits=512)
+    quotients = slepian_line_spectrum(geom, Z.dense(), bits=512)
     with EXT.arithmetic().lock:
-        full, _ = coupling._jacobi_eigh(EXT.arithmetic().ctx, Z.entries)
+        full, _ = coupling._jacobi_eigh(EXT.arithmetic().ctx, Z.dense())
     assert max(abs(a - b) / b for a, b in zip(full, quotients)) <= 1e-60
     s, _ = sym_eig(Z)
     assert max(abs(a - b) for a, b in zip(s, quotients)) <= 1e-70 * quotients[0]
@@ -853,7 +895,7 @@ def test_extended_jacobi_past_its_sweep_limit_raises_with_its_residual(monkeypat
     # that rotate and a fifth that finds nothing left to rotate; one sweep
     # leaves an off-diagonal part well above the rounding floor
     Z = impedance(geom_linear(frac=0.1), EXT)
-    block = Z._sectors[0].block(Z.entries)
+    block = Z._sectors[0].block(Z)
     monkeypatch.setattr(coupling, "_JACOBI_MAX_SWEEPS", 1)
     with EXT.arithmetic().lock, pytest.raises(NumericalFailureError, match="1 sweeps") as info:
         coupling._jacobi_eigh(EXT.arithmetic().ctx, block)
@@ -894,7 +936,7 @@ def test_extended_half_wavelength_isotropic_line_keeps_the_unit_start(monkeypatc
 ], ids=["iso-0.3", "planar-0.15", "iso-rect", "planar-aniso", "line"])
 def test_offset_table_build_is_mirror_invariant_and_matches_cdist_build(geom):
     matrix = impedance(geom)
-    Z, images = matrix.entries, geom.symmetry_images()
+    Z, images = matrix.dense(), geom.symmetry_images()
     assert len(matrix.orbits) < geom.n  # some mirror moves elements
     # Z is invariant under every column's permutation of the elements, the
     # swap's too on a square
@@ -932,7 +974,7 @@ def test_double_sector_solve_factors_one_block_of_21_on_11x11_broadside(
     assert geom.n == 121
     # the swap-symmetric half of the even-even sector, 21 of its 36 orbits
     assert double_factored_sizes == [21]
-    assert np.linalg.norm(h - Z.entries @ x) <= 1e-8 * np.linalg.norm(h)
+    assert np.linalg.norm(h - Z.dense() @ x) <= 1e-8 * np.linalg.norm(h)
     full_residual = np.linalg.norm(h - coupling._product(Z, x)) / np.linalg.norm(h)
     assert full_residual <= 1e-8
     # the contract is judged on the full Z: a refusal reports exactly that residual
@@ -985,7 +1027,7 @@ def test_double_sector_solve_factors_each_excited_sector_and_matches_dense(
     z_parities = (1, -1) if terminal[2] != 0 else (1,)
     assert double_factored_sizes == [sizes_y[py] * sizes_z[pz]
                                      for pz in (1, -1) for py in (1, -1) if pz in z_parities]
-    dense = np.linalg.solve(Z.entries, h)
+    dense = np.linalg.solve(Z.dense(), h)
     assert np.linalg.norm(x - dense) <= 1e-9 * np.linalg.norm(dense)
 
 
@@ -994,20 +1036,20 @@ def test_no_symmetry_spectrum_and_solve_are_bit_identical_to_dense_path():
     Z = _no_symmetry(impedance(grid))
     h = channel_for(grid, [10.0, 1.3, -0.7])
 
-    w, u = np.linalg.eigh(Z.entries)
+    w, u = np.linalg.eigh(Z.dense())
     s, U = sym_eig(Z)
     assert np.array_equal(s, w[::-1]) and np.array_equal(U, u[:, ::-1])
 
     # dense gesv of the real and imaginary parts as two columns, one
     # refinement step, the smaller residual kept
     def dense_solve(v):
-        y = np.linalg.solve(Z.entries, np.column_stack([v.real, v.imag]))
+        y = np.linalg.solve(Z.dense(), np.column_stack([v.real, v.imag]))
         return y[:, 0] + 1j * y[:, 1]
 
     assert h.dtype == complex
     x0 = dense_solve(h)
-    x1 = x0 + dense_solve(h - Z.entries @ x0)
-    expected = min((x0, x1), key=lambda x: np.linalg.norm(h - Z.entries @ x))
+    x1 = x0 + dense_solve(h - Z.dense() @ x0)
+    expected = min((x0, x1), key=lambda x: np.linalg.norm(h - Z.dense() @ x))
     assert np.array_equal(solve(Z, h), expected)
 
 
@@ -1015,7 +1057,7 @@ def test_no_symmetry_extended_spectrum_is_bit_identical_to_full_jacobi():
     Z = _no_symmetry(impedance(geom_linear(6, 0.3), EXT))
     s, U = sym_eig(Z)
     with EXT.arithmetic().lock:
-        full, V = coupling._jacobi_eigh(EXT.arithmetic().ctx, Z.entries)
+        full, V = coupling._jacobi_eigh(EXT.arithmetic().ctx, Z.dense())
     assert list(s) == full
     assert all(U[i, j] == V[i, j] for i in range(6) for j in range(6))
 
@@ -1032,10 +1074,7 @@ def _bits(x):
                   dy=0.2 * LAM, dz=0.27 * LAM),
     geom_linear(20, 0.3),
 ], ids=["grid", "rect-unequal-pitches", "line"])
-def test_lattice_build_matches_the_per_pair_offset_formula_bit_for_bit(
-        monkeypatch, geom, precision):
-    # 7-row blocks: the gather runs in several blocks, the last of them short
-    monkeypatch.setattr(coupling, "_ROW_BLOCK", 7)
+def test_lattice_build_matches_the_per_pair_offset_formula_bit_for_bit(geom, precision):
     ar = precision.arithmetic()
     iy, iz = geom.lattice_indices().T
     with ar.lock:
@@ -1046,7 +1085,7 @@ def test_lattice_build_matches_the_per_pair_offset_formula_bit_for_bit(
                            + (ar.number(np.abs(iz - iz[a])) * dz) ** 2)
         k = 2 * ar.pi / ar.number(geom.wavelength)
         expected = coupling._kernel(geom.kind, r * k, precision)
-    entries = impedance(geom, precision).entries
+    entries = impedance(geom, precision).dense()
     if precision.is_extended:
         assert [_bits(x) for x in entries.ravel()] == [_bits(x) for x in expected.ravel()]
     else:
@@ -1111,6 +1150,35 @@ def test_double_and_extended_work_in_the_same_sectors(geom, symmetric, rows):
 
 
 @_PRODUCT_LAYOUTS
+@pytest.mark.parametrize("precision", [Precision(), EXT], ids=["double", "ext"])
+def test_dense_is_symmetric_invariant_and_holds_the_stored_rows(geom, symmetric, rows, precision):
+    Z = _product_layout(geom, symmetric, precision)
+    dense = Z.dense()
+    assert dense.shape == (Z.n, Z.n) and dense.dtype == Z.rows.dtype
+    assert np.array_equal(dense, dense.T)
+    for perm in Z.images.T:
+        assert np.array_equal(dense[np.ix_(perm, perm)], dense)
+    first = np.flatnonzero(Z.images[:, :4].min(axis=1) == np.arange(Z.n))
+    assert len(Z.rows) == len(first)
+    if precision.is_extended:
+        assert [_bits(x) for x in dense[first].ravel()] == [_bits(x) for x in Z.rows.ravel()]
+    else:
+        assert np.array_equal(dense[first], Z.rows)
+
+
+@_PRODUCT_LAYOUTS
+def test_product_on_the_absolute_rows_gives_the_residual_floor_of_the_dense_product(
+        geom, symmetric, rows):
+    # the double solve's floor eps |Z| |x|, formed from the stored rows of |Z|
+    Z = _product_layout(geom, symmetric, Precision())
+    dense = np.abs(Z.dense())
+    for x in _vectors_for_the_product(Z, np.random.default_rng(17)):
+        got = coupling._product(Z, np.abs(x), np.abs(Z.rows))
+        want = dense @ np.abs(x)
+        assert np.all(np.abs(got - want) <= Z.n * np.finfo(float).eps * want)
+
+
+@_PRODUCT_LAYOUTS
 def test_double_product_reads_each_orbit_row_once_per_image_and_stays_near_z_v(
         monkeypatch, geom, symmetric, rows):
     Z = _product_layout(geom, symmetric, Precision())
@@ -1134,7 +1202,7 @@ def test_double_product_reads_each_orbit_row_once_per_image_and_stays_near_z_v(
         if all(np.array_equal(v[g], v) or np.array_equal(v[g], -v) for g in Z.images.T):
             assert sum(rows_read) == len(Z.orbits)
         assert got.dtype == v.dtype
-        assert np.all(np.abs(got - Z.entries @ v) <= bound * (np.abs(Z.entries) @ np.abs(v)))
+        assert np.all(np.abs(got - Z.dense() @ v) <= bound * (np.abs(Z.dense()) @ np.abs(v)))
 
 
 @_PRODUCT_LAYOUTS
@@ -1160,52 +1228,7 @@ def test_extended_product_matches_the_row_by_row_product_bit_for_bit(monkeypatch
             monkeypatch.undo()
             # every entry is formed once at most: no vector costs more than the plain product
             assert len(calls) <= geom.n
-            assert [_bits(x) for x in got] == [_bits(fdot(Z.entries[a], v)) for a in range(Z.n)]
-
-
-@pytest.mark.parametrize("rows", [4, 32, 64, 128, 256])
-def test_row_blocks_cover_the_rows_in_order_with_no_one_row_tail(monkeypatch, rows):
-    monkeypatch.setattr(coupling, "_ROW_BLOCK", rows)
-    for n in range(1, 3 * rows + 3):
-        blocks = coupling._row_blocks(n)
-        assert [k for k, _ in blocks] == [0] + [e for _, e in blocks[:-1]]
-        assert blocks[-1][1] == n
-        assert all(1 <= e - k <= rows + 1 for k, e in blocks)
-        assert n == 1 or blocks[-1][1] - blocks[-1][0] > 1
-
-
-def test_abs_matvec_in_row_blocks_matches_the_whole_product_bit_for_bit():
-    rng = np.random.default_rng(31)
-    # 513 is one row past two blocks of 256, the helper's earlier block size
-    for n in [*range(1, 301), 385, 484, 513]:
-        a, v = rng.normal(size=(n, n)), rng.normal(size=n)
-        assert np.array_equal(coupling._abs_matvec(a, v), np.abs(a) @ np.abs(v))
-
-
-def _flat_gather(indices, table):
-    """The lattice gather with two N x N index arrays at once."""
-    di = np.abs(np.subtract.outer(indices[:, 0], indices[:, 0]))
-    dj = np.abs(np.subtract.outer(indices[:, 1], indices[:, 1]))
-    return table.ravel()[di * table.shape[1] + dj]
-
-
-@pytest.mark.parametrize("n_y,n_z,precision", [
-    (22, 22, Precision()), (44, 44, Precision()), (17, 30, Precision()), (1, 129, Precision()),
-    (13, 10, EXT), (1, 257, EXT),
-], ids=["484", "1936", "17x30", "line-129", "ext-130", "ext-line-257"])
-def test_gather_in_row_blocks_matches_the_flat_index_gather(n_y, n_z, precision):
-    geom = _lattice(n_y, n_z, 0.3, ElementKind.ISOTROPIC)
-    ar = precision.arithmetic()
-    with ar.lock:
-        r = coupling._offset_distances(geom, ar)
-        table = coupling._kernel(geom.kind, r * (2 * ar.pi / ar.number(LAM)), precision)
-    indices = geom.lattice_indices()
-    got, want = coupling._gather_offsets(indices, table), _flat_gather(indices, table)
-    assert got.dtype == want.dtype and got.shape == (geom.n, geom.n)
-    if precision.is_extended:
-        assert [_bits(x) for x in got.ravel()] == [_bits(x) for x in want.ravel()]
-    else:
-        assert np.array_equal(got, want)
+            assert [_bits(x) for x in got] == [_bits(fdot(Z.dense()[a], v)) for a in range(Z.n)]
 
 
 def _peak_traced_bytes(f):
@@ -1219,18 +1242,18 @@ def _peak_traced_bytes(f):
 
 
 def test_double_build_and_products_make_no_n_squared_temporary():
-    # a complex copy of Z is 16 N^2 bytes, and each index array of a
-    # flat gather 8 N^2: the build holds Z and one row block's two int64
-    # offset arrays (a third block's worth covers the layout's small
-    # arrays); the product gathers the rows of one orbit per image, 120
-    # of 841 on this square, and multiplies them by the real and the
-    # imaginary part of the vector
+    # Z is 8 N^2 bytes and a complex copy of it 16 N^2: the build holds
+    # the rows of the 225 mirror orbits and small broadcast indices (the
+    # layout's arrays are O(N)); the product gathers the rows of one
+    # orbit per image, 120 of 841 on this square, and multiplies them by
+    # the real and the imaginary part of the vector
     geom = _lattice(29, 29, 0.45, ElementKind.PLANAR)
     n = geom.n
     assert n == 841
     build = _peak_traced_bytes(lambda: impedance(geom))
-    assert build < 8 * n ** 2 + 3 * 8 * coupling._ROW_BLOCK * n
     Z = impedance(geom)
+    assert Z.rows.shape == (225, 841)
+    assert build < 2 * Z.rows.nbytes
     rng = np.random.default_rng(37)
     i = rng.normal(size=n) + 1j * rng.normal(size=n)
     h = channel_isotropic(geom, [10.0, 1.0, 0.5])  # off axis: all four sectors
@@ -1245,7 +1268,7 @@ def test_extended_quadratic_form_of_an_even_vector_reads_one_row_per_orbit(monke
     h = channel_for(geom, [10.0, 0.0, 0.0], EXT)  # even under both mirrors
     ctx, ar = Z.arithmetic.ctx, Z.arithmetic
     with ar.lock:
-        expected = ar.real(ar.vdot(h, ar.matvec(Z.entries, h)))
+        expected = ar.real(ar.vdot(h, ar.matvec(Z.dense(), h)))
     fdot = ctx.fdot
     calls = []
 
@@ -1307,11 +1330,11 @@ def test_matrix_text_dump_round_trips(tmp_path):
     path = tmp_path / "z.txt"
     write_matrix_text(Z, path)
     back = np.loadtxt(path)
-    np.testing.assert_array_equal(back, Z.entries)
+    np.testing.assert_array_equal(back, Z.dense())
 
 
 def test_extended_entries_match_double_to_rounding():
     g = geom_linear(6, 0.3, ElementKind.PLANAR)
-    Zd = impedance(g).entries
-    Ze = impedance(g, EXT).entries.astype(float)
+    Zd = impedance(g).dense()
+    Ze = impedance(g, EXT).dense().astype(float)
     np.testing.assert_allclose(Ze, Zd, rtol=1e-14, atol=1e-17)

@@ -703,4 +703,4 @@ def test_cli_dump_matrices(tmp_path):
     arr = np.loadtxt(files[0])
     from lissim import linear_array
     geom = linear_array(20, 0.5 * LAM, ElementKind.PLANAR, LAM)
-    np.testing.assert_array_equal(arr, impedance(geom).entries)
+    np.testing.assert_array_equal(arr, impedance(geom).dense())

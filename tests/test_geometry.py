@@ -143,7 +143,9 @@ def test_positions_are_read_only():
 
 
 def _orbits(images):
-    return ImpedanceMatrix(np.eye(len(images)), Precision(), images=images).orbits.tolist()
+    # the rows of the identity, invariant under any permutation, at the mirror orbits' first members
+    rows = np.eye(len(images))[np.unique(images[:, :4].min(axis=1))]
+    return ImpedanceMatrix(rows, Precision(), images=images).orbits.tolist()
 
 
 def test_symmetry_images_of_lattices_and_of_a_matrix_with_no_symmetry():

@@ -168,7 +168,7 @@ def test_every_result_is_a_numpy_array_in_the_arithmetic_of_z(precision):
     h = channel_for(geom, [10.0, 1.3, -0.7], precision)
     s, U = coupling.sym_eig(Z)
     results = {
-        "entries": Z.entries, "eigenvalues": s, "eigenvectors": U, "channel": h,
+        "dense": Z.dense(), "eigenvalues": s, "eigenvectors": U, "channel": h,
         "nca_mf": nca_mf(h), "ca_mf": ca_mf(Z, h), "ca_pmf": ca_pmf(Z, h, 1e-9),
         "ca_pmf_rank": ca_pmf_rank(Z, h, 3), "power_normalize": power_normalize(h, Z),
         "truncated_inverse": coupling.truncated_inverse(Z, 1e-9),
@@ -182,7 +182,7 @@ def test_every_result_is_a_numpy_array_in_the_arithmetic_of_z(precision):
         if precision.is_extended:
             assert all(isinstance(v, (ctx.mpf, ctx.mpc)) for v in value.ravel()), name
     # the matrix and its cached spectrum cannot be written through the results
-    assert not any(a.flags.writeable for a in (Z.entries, s, U))
+    assert not any(a.flags.writeable for a in (Z.rows, s, U))
 
 
 _FILTERS = {
