@@ -13,16 +13,9 @@ the operations in which they differ (roots, products, norms, the lock)
 from :meth:`Precision.arithmetic`.  Only the factorizations fork, being
 different algorithms: LAPACK ``eigh`` and ``gesv`` in double, both
 numpy's, and at any mantissa width a cyclic Jacobi eigensolver in
-fixed-point Python ints and a Crout LU.  The Jacobi reads each block
-exactly as ints, starts from the block's LAPACK eigenbasis made
-orthonormal on a ``2^-(prec + 16)`` grid, rounds the rotated block once
-onto a grid on which its smallest nonzero diagonal entry keeps
-``prec + 16`` bits, and rotates in ints from there: 3-5 sweeps and a
-last that finds nothing to rotate.  On the sector blocks of a
-20-element line (kappa up to 2e30) its eigenvalues agree with a 640-bit
-decomposition of the same 256-bit blocks to about 6e-71 relative, the
-smallest included.  Extended inner products are ``fdot``, one rounding
-each.
+fixed-point Python ints, started from the block's LAPACK eigenbasis
+(:func:`_jacobi_eigh`), and a Crout LU.  Extended inner products are
+``fdot``, one rounding each.
 
 Both precisions build Z from the layout's table of distinct lattice
 offsets: one kernel value per ``(|di|, |dj|)`` pair, then a gather of
@@ -34,10 +27,12 @@ mirrors y -> -y and z -> -z, and it splits exactly into four parity
 sectors, one per character (+-1, +-1) of the mirror group, each about
 N/4 square.  The eigendecomposition and the solve work on the sector
 blocks ``B_s = E_s^T Z E_s`` in both precisions: the eigensolver
-decomposes each block and merges the spectra; the solve projects the
-right-hand side onto the sectors, skips those it does not excite (a
-broadside terminal excites only the even-even one), solves in each
-remaining block, and checks the residual against the full Z.
+decomposes each block, merges the spectra and keeps each block's
+eigenvectors ``V_s``, never the N x N matrix (only :func:`sym_eig`
+assembles it); the solve projects the right-hand side onto the sectors,
+skips those it does not excite (a broadside terminal excites only the
+even-even one), solves in each remaining block, and checks the residual
+against the full Z.  The truncated filter reads ``V_s^T E_s^T h``.
 
 A square lattice (``n_y = n_z`` and ``dy = dz``) is also invariant
 under the swap y <-> z, and Z with it, exactly, so Z has the 8
@@ -127,10 +122,10 @@ class _Sector:
     def __init__(self, parity, orbits, ar):
         self.parity = parity
         # (m, group size) element indices in the column order of parity
-        self.images = np.array(orbits, dtype=int)
+        self.images = orbits
         # an orbit's size is the group's over the number of its elements that fix its members
-        self.roots = ar.sqrt(ar.number([len(images) // images.count(images[0])
-                                        for images in orbits]))
+        fixing = np.count_nonzero(orbits == orbits[:, :1], axis=1)
+        self.roots = ar.sqrt(ar.number((len(parity) // fixing).tolist()))
 
     def _signed_sum(self, image, start=0, count=None):
         """Columns ``start..start+count`` of the images, summed in pairs of halves.
@@ -146,9 +141,8 @@ class _Sector:
         return left + right if self.parity[start] == self.parity[start + half] else left - right
 
     def project(self, v):
-        """``E^T v`` for a vector v over the elements (or each column of a matrix)."""
-        return (self._signed_sum(lambda k: v[self.images[:, k]]).T
-                * (self.roots / len(self.parity))).T
+        """``E^T v`` for a vector v over the elements."""
+        return self._signed_sum(lambda k: v[self.images[:, k]]) * (self.roots / len(self.parity))
 
     def block(self, Z):
         """``E^T Z E``, gathered from Z's stored rows of the orbits' first members."""
@@ -156,19 +150,17 @@ class _Sector:
         return (self._signed_sum(lambda k: Z.rows[first, self.images[:, k]])
                 * np.outer(self.roots, self.roots / len(self.parity)))
 
-    def expand(self, y, out, columns=None):
-        """Write ``E y`` into the rows of out (or into the given columns of a matrix)."""
+    def expand(self, y, out):
+        """Write ``E y`` into the rows of out, for a vector y (or each column of a matrix)."""
         scaled = (y.T / self.roots).T
         negated = -scaled
         for k, sign in enumerate(self.parity):
-            rows = self.images[:, k]
-            out[rows if columns is None else np.ix_(rows, columns)] = (
-                scaled if sign > 0 else negated)
+            out[self.images[:, k]] = scaled if sign > 0 else negated
         return out
 
 
-def _sectors(images, ar):
-    """The nonempty sectors of a Z exactly invariant under each column of ``images``.
+def _sectors(images):
+    """``(character, orbits)`` of each nonempty sector of a Z exactly invariant under ``images``.
 
     Four columns give the four mirror sectors, one per character in
     :data:`_PARITIES`.  With the eight of a square lattice the swap maps
@@ -186,7 +178,6 @@ def _sectors(images, ar):
     would equal minus itself.
     """
     mirror_orbits, group_orbits = _orbits(images[:, :4]), _orbits(images)
-    sectors = []
     for parity in _PARITIES:
         if images.shape[1] == 8 and parity[1] == parity[2]:
             orbits = group_orbits
@@ -194,11 +185,9 @@ def _sectors(images, ar):
         else:
             orbits, characters = mirror_orbits, [parity]
         for character in characters:
-            held = [row for row in orbits.tolist()
-                    if all(sign > 0 or image != row[0] for image, sign in zip(row, character))]
-            if held:
-                sectors.append(_Sector(character, held, ar))
-    return sectors
+            held = orbits[~np.any((orbits == orbits[:, :1]) & (np.array(character) < 0), axis=1)]
+            if len(held):
+                yield character, held
 
 
 def _orbits(images):
@@ -311,7 +300,7 @@ class ImpedanceMatrix:
         self.orbits = _orbits(images)
         self.orbits.setflags(write=False)
         with self.arithmetic.lock:
-            self._sectors = _sectors(images, self.arithmetic)
+            self._sectors = [_Sector(c, held, self.arithmetic) for c, held in _sectors(images)]
         self._moves = _moves(images, self.orbits)
         self._eig = None
         self._eig_lock = threading.Lock()
@@ -328,7 +317,11 @@ class ImpedanceMatrix:
         return out
 
     def eigendecomposition(self):
-        """Cached ``(eigenvalues descending, orthonormal U)``, computed per sector."""
+        """Cached read-only ``(s, blocks)``, per sector: no N x N eigenvector matrix is formed.
+
+        s holds the eigenvalues, descending; ``blocks`` one ``(sector, V, ranks)`` per sector:
+        ``E V[:, j]`` is Z's eigenvector ``ranks[j]``, and each block's ranks increase.
+        """
         # lock order is always the arithmetic's (MP_LOCK), then the per-matrix cache lock
         with self.arithmetic.lock, self._eig_lock:
             if self._eig is None:
@@ -421,17 +414,19 @@ def impedance(geom: ArrayGeometry, precision: Precision = Precision()) -> Impeda
     Raises
     ------
     CapacityError
-        If the N x N float64 eigenvectors that every sweep forms from Z
-        next would not fit in the machine's physical memory.
+        If Z's ``(M, N)`` rows and sector eigenvector blocks (``sum b_s^2``
+        entries), all that a sweep holds, would not fit in physical memory in float64.
     """
-    memory = _physical_memory_bytes()
-    if memory is not None and 8 * geom.n ** 2 > memory:
-        raise CapacityError(
-            f"the {geom.n} x {geom.n} eigenvectors of a coupling matrix need"
-            f" {8 * geom.n ** 2 / 2 ** 30:.1f} GiB, more than the {memory / 2 ** 30:.1f} GiB"
-            " of physical memory")
     images = geom.symmetry_images()
-    iy, iz = geom.lattice_indices()[_orbits(images[:, :4])[:, 0]].T
+    first = _orbits(images[:, :4])[:, 0]
+    need = 8 * (len(first) * geom.n + sum(len(held) ** 2 for _, held in _sectors(images)))
+    memory = _physical_memory_bytes()
+    if memory is not None and need > memory:
+        raise CapacityError(
+            f"the {len(first)} x {geom.n} rows and the sector eigenvectors of a coupling matrix"
+            f" need {need / 2 ** 30:.1f} GiB, more than the {memory / 2 ** 30:.1f} GiB"
+            " of physical memory")
+    iy, iz = geom.lattice_indices()[first].T
     n_y, n_z = geom.shape
     ar = precision.arithmetic()
     with ar.lock:
@@ -604,7 +599,7 @@ def _block_eigh(Z: ImpedanceMatrix, block):
     if Z.precision.is_extended:  # cyclic Jacobi at any width, LAPACK in double
         return _jacobi_eigh(Z.arithmetic.ctx, block)
     w, u = _lapack_eigh(block)
-    return w[::-1], u[:, ::-1]
+    return w[::-1], np.ascontiguousarray(u[:, ::-1])
 
 
 def _lapack_eigh(block):
@@ -616,27 +611,18 @@ def _lapack_eigh(block):
 
 
 def _sector_eigh(Z: ImpedanceMatrix):
-    """Eigendecomposition of Z from those of its sector blocks.
-
-    Each block's eigenvectors are carried back with E_s, and the
-    eigenvalues of all sectors are merged in descending order by a
-    stable sort, so a single sector gives exactly the dense result.
-    """
+    """The sector blocks' spectra merged by a stable sort: one sector gives the dense result."""
     parts = [(sector, *_block_eigh(Z, sector.block(Z))) for sector in Z._sectors]
     values = [v for _, block_values, _ in parts for v in block_values]
     order = sorted(range(Z.n), key=values.__getitem__, reverse=True)
-    column = np.empty(Z.n, dtype=int)
-    column[order] = np.arange(Z.n)
-    ar = Z.arithmetic
-    s = np.array(values, dtype=ar.dtype)[order]
-    U = np.full((Z.n, Z.n), ar.zero, dtype=ar.dtype)
-    start = 0
-    for sector, block_values, vectors in parts:
-        sector.expand(vectors, U, column[start:start + len(block_values)])
-        start += len(block_values)
-    s.setflags(write=False)
-    U.setflags(write=False)
-    return s, U
+    s = np.array(values, dtype=Z.arithmetic.dtype)[order]
+    rank = np.empty(Z.n, dtype=int)
+    rank[order] = np.arange(Z.n)
+    for array in [s, rank, *(vectors for _, _, vectors in parts)]:
+        array.setflags(write=False)  # the cache; each block's ranks are a view of rank
+    ends = np.cumsum([len(block_values) for _, block_values, _ in parts])
+    return s, [(sector, vectors, ranks)
+               for (sector, _, vectors), ranks in zip(parts, np.split(rank, ends[:-1]))]
 
 
 def sym_eig(Z: ImpedanceMatrix):
@@ -650,10 +636,15 @@ def sym_eig(Z: ImpedanceMatrix):
         Orthonormal eigenvectors as columns, ordered to match.
 
     Both are float64 under machine double and object arrays of mpmath
-    numbers under extended precision; both are read-only, since they are
-    the matrix's cached spectrum.
+    numbers under extended precision, and read-only.  U is assembled on
+    each call from :meth:`ImpedanceMatrix.eigendecomposition`'s blocks.
     """
-    return Z.eigendecomposition()
+    s, blocks = Z.eigendecomposition()
+    U = np.empty((Z.n, Z.n), dtype=Z.arithmetic.dtype)
+    for sector, vectors, ranks in blocks:
+        U[:, ranks] = sector.expand(vectors, np.full((Z.n, len(ranks)), Z.arithmetic.zero, U.dtype))
+    U.setflags(write=False)
+    return s, U
 
 
 def condition_number(Z: ImpedanceMatrix) -> float:
@@ -694,7 +685,7 @@ def _leading_modes(Z: ImpedanceMatrix, modes: int) -> int:
 
 
 def _leading_run(Z: ImpedanceMatrix, k: int):
-    """The k largest eigenvalues ``s[:k]`` and their eigenvectors ``U[:, :k]``.
+    """``s[:k]``, and ``(sector, V, ranks)`` of each sector's eigenvectors among those k modes.
 
     Raises
     ------
@@ -705,24 +696,36 @@ def _leading_run(Z: ImpedanceMatrix, k: int):
         raise EmptySpectrumError(
             "the truncation keeps no mode: no eigenvalue is above the threshold, or every"
             " requested one is at most zero")
-    s, U = Z.eigendecomposition()
-    return s[:k], U[:, :k]
+    s, blocks = Z.eigendecomposition()
+    counts = [int(np.searchsorted(ranks, k)) for _, _, ranks in blocks]  # a block's ranks increase
+    return s[:k], [(sector, vectors[:, :m], ranks[:m])
+                   for (sector, vectors, ranks), m in zip(blocks, counts) if m]
 
 
 def _modal_inverse(Z: ImpedanceMatrix, k: int):
     """``sum over the leading k modes of u_n u_n^T / s_n``."""
-    s, U = _leading_run(Z, k)
+    s, U = _leading_run(Z, k)[0], sym_eig(Z)[1][:, :k]
     with Z.arithmetic.lock:
         return (U / s) @ U.T
 
 
 def _modal_solve(Z: ImpedanceMatrix, k: int, h):
-    """``U_k (U_k^T h / s_k)`` over the leading k modes: O(N k), no N x N pseudo-inverse."""
+    """``U_k (U_k^T h / s_k)`` as ``E V (V^T E^T h / s)`` in each sector that h excites.
+
+    Each product is a ``matvec``: a complex h meets V as two real ones in double.
+    """
     h = np.asarray(h)
     _require_finite(h)
-    with Z.arithmetic.lock:
-        s, U = _leading_run(Z, k)
-        return U @ (Z.arithmetic.matvec(U.T, h) / s)
+    ar = Z.arithmetic
+    with ar.lock:
+        s, run = _leading_run(Z, k)
+        x = np.full_like(h, ar.zero)
+        for sector, vectors, ranks in run:
+            y = sector.project(h)
+            if np.any(y != 0):
+                c = ar.matvec(vectors.T, y) / s[ranks]
+                x = x + sector.expand(ar.matvec(vectors, c), np.zeros(Z.n, dtype=c.dtype))
+        return x
 
 
 def _partial_sums(Z: ImpedanceMatrix, h):
@@ -730,13 +733,11 @@ def _partial_sums(Z: ImpedanceMatrix, h):
 
     Rank m keeps the leading ``min(m, k)`` modes, k the count of positive
     eigenvalues, as :func:`precoding.ca_pmf_rank` does.  With
-    ``c_n = u_n^T h`` its current ``i_m = sum u_n c_n / s_n`` has
-    ``i^H h = i^H Z i = P_m = sum |c_n|^2 / s_n`` and
-    ``i^H i = Q_m = sum |c_n|^2 / s_n^2``, since the ``u_n`` are
-    orthonormal: no current and no product with Z is formed.  The
-    ``c_n`` of every mode of a sector on which h projects to exactly zero
-    are set to exactly zero, as the solve skips such a sector, so a rank
-    whose added mode h does not excite repeats the rank before it.
+    ``c_n = u_n^T h`` (per sector ``V^T E^T h``) its current
+    ``i_m = sum u_n c_n / s_n`` has ``i^H h = i^H Z i = P_m = sum |c_n|^2 / s_n``
+    and ``i^H i = Q_m = sum |c_n|^2 / s_n^2``: no current and no product
+    with Z is formed.  The ``c_n`` of a sector h does not excite are
+    exactly zero, so a rank that adds such a mode repeats the one before.
 
     Raises
     ------
@@ -747,11 +748,10 @@ def _partial_sums(Z: ImpedanceMatrix, h):
     _require_finite(h)
     ar = Z.arithmetic
     with ar.lock:
-        s, U = _leading_run(Z, _leading_modes(Z, Z.n))
-        c = ar.matvec(U.T, h)
-        for sector in Z._sectors:
-            if not np.any(sector.project(h)):
-                c[np.any(sector.project(U) != 0, axis=0)] = ar.zero
+        s, run = _leading_run(Z, _leading_modes(Z, Z.n))
+        c = np.empty(len(s), dtype=np.result_type(s, h))
+        for sector, vectors, ranks in run:
+            c[ranks] = ar.matvec(vectors.T, sector.project(h))
         terms = ar.real(c * c.conjugate()) / s
         sums = list(zip(np.cumsum(terms), np.cumsum(terms / s)))
     # ranks past the last positive eigenvalue keep the same modes

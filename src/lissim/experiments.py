@@ -346,7 +346,7 @@ def run_conditioning_sweep(cfg: ExperimentConfig) -> SweepResult:
 def run_singular_profile(cfg: ExperimentConfig) -> SweepResult:
     """Eigenvalue profile of the coupling matrix, in descending order."""
     def point(geom, Z):  # (mode_index, eigenvalue) pairs
-        yield from enumerate(map(float, coupling.sym_eig(Z)[0]), start=1)
+        yield from enumerate(map(float, Z.eigendecomposition()[0]), start=1)
 
     return _sweep(cfg, ("mode_index", "eigenvalue"), _linear_geometry, cfg.precision, point)
 
@@ -355,9 +355,8 @@ def run_truncation_sweep(cfg: ExperimentConfig) -> SweepResult:
     """Directivity and current cost vs truncation rank (linear array).
 
     Rank m's filter is ``precoding.ca_pmf_rank(Z, h, m)``, and both its
-    numbers follow from the spectrum (``coupling._partial_sums``): with
-    ``c_n = u_n^T h`` over the retained modes, ``P_m = sum |c_n|^2 / s_n``
-    and ``Q_m = sum |c_n|^2 / s_n^2``.  The directivity is ``P_m`` times
+    numbers follow from the spectrum's partial sums ``(P_m, Q_m)``
+    (``coupling._partial_sums``).  The directivity is ``P_m`` times
     ``(4 pi ||o|| / lambda)^2``, and the reported excitation power is
     ``Q_m / P_m``, the current cost of the filter power-normalized so
     that it radiates one.  When no retained mode couples to the channel

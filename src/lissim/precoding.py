@@ -56,8 +56,9 @@ def ca_pmf(Z: ImpedanceMatrix, h, s_min_threshold: float):
 
     Applies the pseudo-inverse that keeps the k eigenvalues strictly
     above ``s_min_threshold`` (the leading k of the descending spectrum)
-    as ``U_k (U_k^T h / s_k)``, without forming it; an empty-spectrum
-    error propagates when the threshold removes everything.
+    as ``U_k (U_k^T h / s_k)`` per symmetry sector that h excites, with
+    neither it nor ``U_k`` formed; an empty-spectrum error propagates
+    when the threshold removes everything.
     """
     return _modal_solve(Z, _modes_above(Z, s_min_threshold), h)
 

@@ -16,6 +16,8 @@ from lissim import (
     InvalidArgumentError,
     Precision,
     ca_mf,
+    ca_pmf,
+    ca_pmf_rank,
     channel_for,
     channel_isotropic,
     condition_number,
@@ -1138,6 +1140,29 @@ _PRODUCT_LAYOUTS = pytest.mark.parametrize("geom,symmetric,rows", [
 ], ids=["4x4", "5x5", "9x9", "4x5", "5x5-unequal-pitches", "line", "no-symmetry"])
 
 
+def _elementwise_sectors(images):
+    """``(character, orbits, orbit sizes)`` per nonempty sector, tested orbit by orbit in Python.
+
+    The sectors in the matrix's order: an orbit drops out of a sector
+    whose character is -1 on an image equal to its first member.
+    """
+    mirror_orbits, group_orbits = coupling._orbits(images[:, :4]), coupling._orbits(images)
+    sectors = []
+    for parity in coupling._PARITIES:
+        if images.shape[1] == 8 and parity[1] == parity[2]:
+            orbits = group_orbits
+            characters = [parity + tuple(t * parity[k] for k in coupling._SWAP_COLUMNS)
+                          for t in (1, -1)]
+        else:
+            orbits, characters = mirror_orbits, [parity]
+        for character in characters:
+            held = [row for row in orbits.tolist()
+                    if all(sign > 0 or image != row[0] for image, sign in zip(row, character))]
+            if held:
+                sectors.append((character, held, [len(row) // row.count(row[0]) for row in held]))
+    return sectors
+
+
 @_PRODUCT_LAYOUTS
 def test_double_and_extended_work_in_the_same_sectors(geom, symmetric, rows):
     double, extended = (_product_layout(geom, symmetric, precision)
@@ -1147,6 +1172,52 @@ def test_double_and_extended_work_in_the_same_sectors(geom, symmetric, rows):
         (sector.parity, len(sector.images)) for sector in extended._sectors]
     for a, b in zip(double._sectors, extended._sectors):
         assert np.array_equal(a.images, b.images)
+    # the vectorized orbit filter keeps the element-wise one's sectors, order and bits
+    reference = _elementwise_sectors(double.images)
+    assert [sector.parity for sector in double._sectors] == [c for c, _, _ in reference]
+    ctx = EXT.arithmetic().ctx
+    for a, b, (_, held, sizes) in zip(double._sectors, extended._sectors, reference):
+        assert a.images.tolist() == held
+        assert np.array_equal(a.roots, np.sqrt(np.array(sizes, dtype=float)))
+        with EXT.arithmetic().lock:
+            assert [_bits(x) for x in b.roots] == [_bits(ctx.sqrt(size)) for size in sizes]
+
+
+def _relative_error(got, want):
+    """``||got - want|| / ||want||`` as a float, for numpy or mpmath entries."""
+    def norm(v):
+        return math.sqrt(sum(float(abs(x)) ** 2 for x in v))
+    return norm([a - b for a, b in zip(got, want)]) / norm(want)
+
+
+@_PRODUCT_LAYOUTS
+@pytest.mark.parametrize("precision", [Precision(), Precision.extended(128)],
+                         ids=["double", "ext128"])
+def test_modal_solve_per_sector_matches_the_dense_modal_current(geom, symmetric, rows, precision):
+    # U_k (U_k^T h / s_k) from sym_eig's assembled U against the sector-by-sector
+    # current of _modal_solve, ca_pmf and ca_pmf_rank; both orders round to
+    # about N u (s_0 / s_k) of the current, u the unit roundoff
+    Z = _product_layout(geom, symmetric, precision)
+    h = channel_for(geom, [10.0, 1.3, 0.7], precision)  # off axis: every sector
+    assert all(np.any(sector.project(h) != 0) for sector in Z._sectors)
+    ar = Z.arithmetic
+    s, U = sym_eig(Z)
+    _, blocks = Z.eigendecomposition()
+    positive = int(np.count_nonzero(s > 0))
+    u = 2.0 ** -(precision.mantissa_bits or 53)
+    half = positive // 2 + 1
+    # half the spectrum cuts some sector's modes in the middle
+    assert len(blocks) == 1 or any(0 < np.searchsorted(ranks, half) < len(ranks)
+                                   for _, _, ranks in blocks)
+    for k in (half, positive):
+        with ar.lock:
+            want = U[:, :k] @ (ar.matvec(U[:, :k].T, h) / s[:k])
+        bound = Z.n * u * float(s[0] / s[k - 1])
+        threshold = 0.0 if k == positive else s[k]
+        assert coupling._modes_above(Z, threshold) == k
+        for got in (coupling._modal_solve(Z, k, h), ca_pmf_rank(Z, h, k), ca_pmf(Z, h, threshold)):
+            assert got.dtype == want.dtype
+            assert _relative_error(got, want) <= bound, (k, _relative_error(got, want), bound)
 
 
 @_PRODUCT_LAYOUTS
@@ -1260,6 +1331,10 @@ def test_double_build_and_products_make_no_n_squared_temporary():
     assert h.dtype == complex
     assert _peak_traced_bytes(lambda: quadratic_form(Z, i)) < 4 * n ** 2
     assert _peak_traced_bytes(lambda: solve(Z, h)) < 8 * n ** 2
+    # the spectrum is kept as its sector blocks, 120, 105, 210, 210, 105
+    # and 91 square, 1.5 N^2 bytes in all, and CA-pMF reads them sector
+    # by sector: the N x N eigenvectors alone would be 8 N^2
+    assert _peak_traced_bytes(lambda: (Z.eigendecomposition(), ca_pmf(Z, h, 1e-9))) < 4 * n ** 2
 
 
 def test_extended_quadratic_form_of_an_even_vector_reads_one_row_per_orbit(monkeypatch):
@@ -1289,15 +1364,22 @@ def test_extended_quadratic_form_of_an_even_vector_reads_one_row_per_orbit(monke
 def test_impedance_refuses_a_matrix_larger_than_physical_memory(monkeypatch):
     memory = coupling._physical_memory_bytes()
     assert memory is None or memory > 0
-    monkeypatch.setattr(coupling, "_physical_memory_bytes", lambda: 8 * 36 ** 2)
+    # a sweep holds Z's mirror-orbit rows and its sector eigenvector
+    # blocks: 9 x 36 rows and blocks of 6, 3, 9, 9, 6 and 3 on the 6 x 6
+    # grid, 576 floats; 16 x 49 rows and blocks of 10, 6, 12, 12, 6 and 3
+    # on the 7 x 7 grid, 1253 floats
     pitch = 0.5 * LAM
     fits = planar_grid(5 * pitch, 5 * pitch, pitch, pitch, ElementKind.ISOTROPIC, LAM)
     too_big = planar_grid(6 * pitch, 6 * pitch, pitch, pitch, ElementKind.ISOTROPIC, LAM)
     assert (fits.n, too_big.n) == (36, 49)
+    monkeypatch.setattr(coupling, "_physical_memory_bytes", lambda: 8 * 576)
     assert impedance(fits).n == 36
     for precision in (Precision(), Precision.extended(64)):
         with pytest.raises(CapacityError, match="physical memory"):
             impedance(too_big, precision)
+    monkeypatch.setattr(coupling, "_physical_memory_bytes", lambda: 8 * 575)
+    with pytest.raises(CapacityError, match="9 x 36 rows"):
+        impedance(fits)
 
 
 def test_quadratic_form_radiated_power_nonnegative():

@@ -380,6 +380,36 @@ def test_truncation_sweep_forms_no_product_with_z(monkeypatch, precision):
 
 
 @pytest.mark.parametrize("precision", ["double", "ext:128"])
+@pytest.mark.parametrize("experiment", ["spacing", "truncation", "profile"])
+def test_sweeps_form_no_dense_eigenvectors(monkeypatch, experiment, precision):
+    # the sweeps read the spectrum as its sector blocks: no N x N
+    # eigenvector matrix is assembled, by sym_eig or by writing the blocks'
+    # eigenvectors out over the elements
+    expand = coupling._Sector.expand
+
+    def vectors_only(self, y, out, *args):
+        if out.ndim != 1:
+            raise AssertionError("eigenvectors were assembled over the elements")
+        return expand(self, y, out, *args)
+
+    def refuse(Z):
+        raise AssertionError("the sweep called sym_eig")
+
+    monkeypatch.setattr(coupling._Sector, "expand", vectors_only)
+    monkeypatch.setattr(coupling, "sym_eig", refuse)
+    with pytest.raises(AssertionError, match="assembled"):  # the patch catches sym_eig's U
+        lissim.sym_eig(impedance(lissim.linear_array(6, 0.3 * LAM, ElementKind.PLANAR, LAM)))
+    settings = dict(spacings=["0.3 lambda", "0.2 lambda"], element_kinds=["isotropic", "planar"],
+                    precision=precision)
+    if experiment == "spacing":
+        settings.update(panel={"width_m": 0.25, "height_m": 0.25}, schemes=["CA-pMF", "HP-CA-MF"])
+    res = run_experiment(experiment, make_config(**settings))
+    assert len(res.rows) >= 4
+    if experiment == "spacing":
+        assert all(row[-1] == "ok" for row in res.rows)
+
+
+@pytest.mark.parametrize("precision", ["double", "ext:128"])
 def test_truncation_rows_never_fall_and_repeat_over_a_mode_the_terminal_misses(precision):
     # the default 0.3-wavelength line with a broadside terminal, which
     # excites no mode odd under a mirror: such a mode adds exactly nothing
