@@ -40,10 +40,13 @@ symmetries of the square, and both precisions use them.  The swap
 splits the even-even and odd-odd sectors each into a swap-symmetric
 and a swap-antisymmetric half, of about m(m+1)/2 and m(m-1)/2 for an
 m x m sector, and the eigendecomposition and the solve both work in
-those halves: an 11 x 11 grid decomposes blocks of 21, 15, 30, 30, 15
-and 10 instead of 36, 30, 30 and 25, and a broadside channel, exactly
-swap-symmetric, excites only the first half, 45 of 81 at N = 324.  The
-even-odd and odd-even sectors, which the swap exchanges, stay whole.
+those halves; a broadside channel, exactly swap-symmetric, excites
+only the first half, 45 of 81 at N = 324.  The swap exchanges the
+even-odd and odd-even sectors, which stay whole: the odd-even sector is
+the even-odd one seen through the swap, whose block it is bit for bit,
+so it reads that block's spectrum and factor.  An 11 x 11 grid
+decomposes blocks of 21, 15, 30, 15 and 10 instead of 36, 30, 30 and
+25.
 
 Every product with Z (the solve's residuals, and the radiated power
 ``i^H Z i``) reads only the rows of the first members of the orbits,
@@ -119,10 +122,12 @@ class _Sector:
     numbers, to match.
     """
 
-    def __init__(self, parity, orbits, ar):
+    def __init__(self, parity, orbits, ar, source=None):
         self.parity = parity
         # (m, group size) element indices in the column order of parity
         self.images = orbits
+        # the sector whose block, spectrum and factor this one reads: itself, or its swap image
+        self.source = self if source is None else source
         # an orbit's size is the group's over the number of its elements that fix its members
         fixing = np.count_nonzero(orbits == orbits[:, :1], axis=1)
         self.roots = ar.sqrt(ar.number((len(parity) // fixing).tolist()))
@@ -136,9 +141,14 @@ class _Sector:
         if count == 1:
             return image(start)
         half = count // 2
+        # each image is a fresh gather, so the sums accumulate in place
         left = self._signed_sum(image, start, half)
         right = self._signed_sum(image, start + half, half)
-        return left + right if self.parity[start] == self.parity[start + half] else left - right
+        if self.parity[start] == self.parity[start + half]:
+            left += right
+        else:
+            left -= right
+        return left
 
     def project(self, v):
         """``E^T v`` for a vector v over the elements."""
@@ -147,8 +157,9 @@ class _Sector:
     def block(self, Z):
         """``E^T Z E``, gathered from Z's stored rows of the orbits' first members."""
         first = Z._row_of[self.images[:, :1]]
-        return (self._signed_sum(lambda k: Z.rows[first, self.images[:, k]])
-                * np.outer(self.roots, self.roots / len(self.parity)))
+        out = self._signed_sum(lambda k: Z.rows[first, self.images[:, k]])
+        out *= np.outer(self.roots, self.roots / len(self.parity))
+        return out
 
     def expand(self, y, out):
         """Write ``E y`` into the rows of out, for a vector y (or each column of a matrix)."""
@@ -160,7 +171,7 @@ class _Sector:
 
 
 def _sectors(images):
-    """``(character, orbits)`` of each nonempty sector of a Z exactly invariant under ``images``.
+    """``(character, orbits, twin)`` per nonempty sector of a Z exactly invariant under ``images``.
 
     Four columns give the four mirror sectors, one per character in
     :data:`_PARITIES`.  With the eight of a square lattice the swap maps
@@ -168,26 +179,47 @@ def _sectors(images):
     splits it into a swap-symmetric and a swap-antisymmetric half: the
     sectors of the square's group whose character extends the mirror
     character by +1 or by -1 on the swap, of about m(m+1)/2 and
-    m(m-1)/2 orbits for m the mirror sector's side.  It exchanges the
-    even-odd and odd-even sectors, which stay whole.  The swap after the
+    m(m-1)/2 orbits for m the mirror sector's side.  The swap after the
     y mirror and after the z mirror, the last two columns, are each
     other's inverses, and the ee and oo characters agree on them, so the
     signed sums pair them in a sum and a half's block stays exactly
     symmetric.  An orbit drops out of a sector whose character is -1 on
     a group element that fixes the orbit's elements: its sector vector
     would equal minus itself.
+
+    The swap exchanges the even-odd sector (odd under the y mirror) and
+    the odd-even one, which is yielded right after it as its twin, with
+    ``twin`` true: the even-odd character on the orbits' swap images
+    ``images[orbits, 4]``, whose columns are the swap after the
+    identity, the z mirror, the y mirror and both.  Its projection of v
+    is the even-odd one's of ``v[swap]``, and its block is the even-odd
+    block bit for bit: Z is exactly swap-invariant, and the swap maps
+    the first members of mirror orbits, whose rows the blocks read, onto
+    first members, which is checked here, O(M), else
+    :class:`InvalidArgumentError`.
     """
     mirror_orbits, group_orbits = _orbits(images[:, :4]), _orbits(images)
+    square = images.shape[1] == 8
     for parity in _PARITIES:
-        if images.shape[1] == 8 and parity[1] == parity[2]:
+        if square and parity[1] == parity[2]:
             orbits = group_orbits
             characters = [parity + tuple(t * parity[k] for k in _SWAP_COLUMNS) for t in (1, -1)]
+        elif square and parity[1] > 0:
+            continue  # odd-even: the even-odd sector's twin
         else:
             orbits, characters = mirror_orbits, [parity]
         for character in characters:
             held = orbits[~np.any((orbits == orbits[:, :1]) & (np.array(character) < 0), axis=1)]
-            if len(held):
-                yield character, held
+            if not len(held):
+                continue
+            yield character, held, False
+            if square and parity[1] != parity[2]:
+                swapped = images[held, 4]
+                if np.any(images[swapped[:, 0], :4].min(axis=1) != swapped[:, 0]):
+                    raise InvalidArgumentError(
+                        "the swap, column 4 of images, must map the first member of each"
+                        " mirror orbit onto a first member")
+                yield character, swapped, True
 
 
 def _orbits(images):
@@ -255,12 +287,13 @@ class ImpedanceMatrix:
         k's permutation of the elements: the identity, the y mirror, the
         z mirror and both, and on a square lattice the swap y <-> z after
         the identity, both mirrors, the y mirror and the z mirror.  Any
-        other shape, a column 0 that is not the identity or a column that
-        is not a permutation raises :class:`InvalidArgumentError`.  That Z is
-        exactly invariant under each column is a precondition, not
-        checked; :func:`impedance` builds lattice rows from the lattice
-        offsets, so there it is exact.  Defaults to no symmetry, every
-        row ``[a, a, a, a]``.
+        other shape, a column 0 that is not the identity, a column that
+        is not a permutation, or a swap that takes a mirror orbit's
+        first member off the first members raises
+        :class:`InvalidArgumentError`.  That Z is exactly invariant under
+        each column is a precondition, not checked; :func:`impedance`
+        builds lattice rows from the lattice offsets, so there it is
+        exact.  Defaults to no symmetry, every row ``[a, a, a, a]``.
     orbits : ndarray of int, shape (K, 4) or (K, 8)
         The rows of ``images`` whose smallest entry is their own element,
         one per orbit of all the columns with its lowest element first.
@@ -294,13 +327,16 @@ class ImpedanceMatrix:
         images.setflags(write=False)
         self.images = images
         self._mirror = mirror
-        # the index into rows of each mirror orbit's first member
-        self._row_of = np.empty(n, dtype=int)
+        # the index into rows of each mirror orbit's first member, out of range for other elements
+        self._row_of = np.full(n, len(mirror))
         self._row_of[mirror[:, 0]] = np.arange(len(mirror))
         self.orbits = _orbits(images)
         self.orbits.setflags(write=False)
+        self._sectors = []
         with self.arithmetic.lock:
-            self._sectors = [_Sector(c, held, self.arithmetic) for c, held in _sectors(images)]
+            for character, held, twin in _sectors(images):
+                source = self._sectors[-1] if twin else None
+                self._sectors.append(_Sector(character, held, self.arithmetic, source))
         self._moves = _moves(images, self.orbits)
         self._eig = None
         self._eig_lock = threading.Lock()
@@ -415,11 +451,13 @@ def impedance(geom: ArrayGeometry, precision: Precision = Precision()) -> Impeda
     ------
     CapacityError
         If Z's ``(M, N)`` rows and sector eigenvector blocks (``sum b_s^2``
-        entries), all that a sweep holds, would not fit in physical memory in float64.
+        entries, a twin's shared block counted once), all that a sweep
+        holds, would not fit in physical memory in float64.
     """
     images = geom.symmetry_images()
     first = _orbits(images[:, :4])[:, 0]
-    need = 8 * (len(first) * geom.n + sum(len(held) ** 2 for _, held in _sectors(images)))
+    blocks = sum(len(held) ** 2 for _, held, twin in _sectors(images) if not twin)
+    need = 8 * (len(first) * geom.n + blocks)
     memory = _physical_memory_bytes()
     if memory is not None and need > memory:
         raise CapacityError(
@@ -611,8 +649,16 @@ def _lapack_eigh(block):
 
 
 def _sector_eigh(Z: ImpedanceMatrix):
-    """The sector blocks' spectra merged by a stable sort: one sector gives the dense result."""
-    parts = [(sector, *_block_eigh(Z, sector.block(Z))) for sector in Z._sectors]
+    """The sector blocks' spectra merged by a stable sort: one sector gives the dense result.
+
+    Only the blocks of the sectors that are their own source are
+    gathered and decomposed.  A twin (:func:`_sectors`) shares its
+    source's eigenvalues and ``V``, the same arrays, with its own ranks:
+    a square decomposes 5 blocks for its 6 sectors.
+    """
+    spectra = {sector: _block_eigh(Z, sector.block(Z))
+               for sector in Z._sectors if sector.source is sector}
+    parts = [(sector, *spectra[sector.source]) for sector in Z._sectors]
     values = [v for _, block_values, _ in parts for v in block_values]
     order = sorted(range(Z.n), key=values.__getitem__, reverse=True)
     s = np.array(values, dtype=Z.arithmetic.dtype)[order]
@@ -819,7 +865,8 @@ def solve(Z: ImpedanceMatrix, h):
     against the full Z; the refinement step projects the residual into
     the same sectors.  A square lattice's sectors are the swap halves of
     the even-even and odd-odd sectors and the even-odd and odd-even
-    sectors whole (:func:`_sector_inverse`).
+    sectors whole, the odd-even one solving in the even-odd block's
+    factor (:func:`_sector_inverse`).
     An exactly singular block (a zero pivot) or an iterate that is not
     finite is refused with residual ``inf``.  A right-hand side with a
     NaN or infinite entry is refused before anything is factored.
@@ -893,7 +940,9 @@ def _sector_inverse(Z: ImpedanceMatrix, h):
     the group orbits' first members.  A broadside channel, exactly
     swap-symmetric, excites only the symmetric half of even-even: 45 of
     81 at N = 324, about a sixth of the whole block's factor.  Any other
-    layout solves in the four mirror sectors.
+    layout solves in the four mirror sectors.  One block solver serves
+    each source and its twin: a channel that excites both the even-odd
+    and the odd-even sector gathers and factors their block once.
     """
     ctx = Z.arithmetic.ctx
     if ctx is None:  # different algorithms: LAPACK gesv in double, a Crout LU at any width
@@ -906,14 +955,15 @@ def _sector_inverse(Z: ImpedanceMatrix, h):
             return ctx.extraprec(_LU_GUARD_BITS)
 
     with guard():
-        solvers = [(sector, block_solver(sector.block(Z)))
-                   for sector in Z._sectors if np.any(sector.project(h) != 0)]
+        excited = [sector for sector in Z._sectors if np.any(sector.project(h) != 0)]
+        solvers = {source: block_solver(source.block(Z))
+                   for source in dict.fromkeys(sector.source for sector in excited)}
 
     def apply(v):
         with guard():
             parts = []
-            for sector, solve_block in solvers:
-                y = solve_block(sector.project(v))
+            for sector in excited:
+                y = solvers[sector.source](sector.project(v))
                 parts.append(sector.expand(y, np.zeros(Z.n, dtype=y.dtype)))
             return sum(parts[1:], parts[0])
 

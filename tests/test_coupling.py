@@ -434,6 +434,8 @@ def test_solve_extended_in_parity_sectors_matches_lu_solve(factored_sizes, n_y, 
                     expected.append(symmetric)
                     if antisymmetric and abs(terminal[1]) != abs(terminal[2]):
                         expected.append(antisymmetric)
+                elif n_y == n_z and py == 1 and -1 in y_parities:
+                    pass  # the odd-even sector solves in the even-odd one's factor
                 else:
                     expected.append(sizes_y[py] * sizes_z[pz])
 
@@ -511,8 +513,9 @@ def test_solve_extended_off_axis_excites_every_sector_and_matches_the_four_secto
     h = channel_for(geom, [10.0, 0.3, 0.1], EXT)
     ctx = EXT.arithmetic().ctx
     x = solve(Z, h)
-    # the even-even and odd-odd sectors' swap halves, and the even-odd and odd-even sectors whole
-    assert factored_sizes == [15, 10, 20, 20, 10, 6]
+    # the even-even and odd-odd sectors' swap halves, and the even-odd sector whole, whose
+    # factor the odd-even sector shares
+    assert factored_sizes == [15, 10, 20, 10, 6]
     assert _mp_residual(ctx, Z, x, h) <= 1e-8 * ctx.norm(h)
     factored_sizes.clear()
     reference = solve(_four_sector(Z), h)
@@ -723,6 +726,16 @@ def _square_sector_sizes(n):
     return [size for size in sizes if size]
 
 
+def _square_block_sizes(n):
+    """Sizes of the blocks an n x n square gathers and decomposes, in the matrix's order.
+
+    Its sectors' but the odd-even one's, which reads the even-odd sector's block.
+    """
+    even, odd = (n + 1) // 2, n // 2
+    sizes = [*_swap_half_sizes(even), even * odd, *_swap_half_sizes(odd)]
+    return [size for size in sizes if size]
+
+
 @pytest.mark.parametrize("n", [4, 5, 6])
 def test_extended_sectors_of_a_square_are_an_orthonormal_split_of_z(n):
     Z = impedance(_lattice(n, n, 0.25, ElementKind.PLANAR), EXT)
@@ -768,8 +781,9 @@ def test_double_sector_eigh_matches_dense_eigh_orthonormal_and_reconstructs_z(
     monkeypatch.setattr(np.linalg, "eigh", recording_eigh)
     s, U = sym_eig(Z)
     monkeypatch.undo()
-    # a square decomposes the swap halves, any other lattice its four mirror sectors
-    assert sorted(block_sizes) == sorted(_square_sector_sizes(n_y) if n_y == n_z
+    # a square decomposes the swap halves and the even-odd sector, any other lattice its
+    # four mirror sectors
+    assert sorted(block_sizes) == sorted(_square_block_sizes(n_y) if n_y == n_z
                                          else _mirror_sector_sizes(n_y, n_z))
     assert np.all(np.diff(s) <= 0)
     assert np.max(np.abs(s - dense)) <= 1e-13 * s[0]
@@ -796,8 +810,9 @@ def test_extended_sector_jacobi_matches_full_jacobi_at_256_bits(monkeypatch, n_y
     monkeypatch.setattr(coupling, "_jacobi_eigh", recording_jacobi)
     s, U = sym_eig(Z)
     monkeypatch.undo()
-    # a square decomposes the swap halves, any other lattice its four mirror sectors
-    assert block_sizes == (_square_sector_sizes(n_y) if n_y == n_z
+    # a square decomposes the swap halves and the even-odd sector, any other lattice its
+    # four mirror sectors
+    assert block_sizes == (_square_block_sizes(n_y) if n_y == n_z
                            else [size for size in _axis_block_sizes(n_y, n_z) if size])
     with EXT.arithmetic().lock:
         full, _ = jacobi(ctx, Z.dense())
@@ -808,6 +823,123 @@ def test_extended_sector_jacobi_matches_full_jacobi_at_256_bits(monkeypatch, n_y
     assert max(abs(gram[i, j]) for i in range(geom.n) for j in range(geom.n)) <= 1e-70
     recon = U * ctx.diag(s) * U.T - _mp(ctx, Z.dense())
     assert max(abs(recon[i, j]) for i in range(geom.n) for j in range(geom.n)) <= 1e-60
+
+
+def _twin(Z):
+    """A square's odd-even sector, the one sector that is not its own source."""
+    (twin,) = [sector for sector in Z._sectors if sector.source is not sector]
+    return twin
+
+
+@pytest.mark.parametrize("n", [5, 6])
+@pytest.mark.parametrize("precision,eigensolver", [(Precision(), "_lapack_eigh"),
+                                                   (Precision.extended(128), "_jacobi_eigh")],
+                         ids=["double", "ext128"])
+def test_square_decomposes_the_odd_even_sector_as_the_even_odd_ones_twin(
+        monkeypatch, n, precision, eigensolver):
+    # the swap maps the even-odd sector onto the odd-even one: the twin's block is the
+    # even-odd block bit for bit, so sym_eig gathers and decomposes 5 blocks for 6 sectors
+    geom = _lattice(n, n, 0.3, ElementKind.PLANAR)
+    Z = impedance(geom, precision)
+    twin = _twin(Z)
+    source = twin.source
+    assert len(Z._sectors) == 6 and source.parity == (1, -1, 1, -1)
+    h = channel_for(geom, [10.0, 1.3, 0.7], precision)
+    with Z.arithmetic.lock:
+        assert np.array_equal(twin.block(Z), source.block(Z))
+        assert np.array_equal(twin.project(h), source.project(h[Z.images[:, 4]]))
+    gathered, decomposed = [], []
+    block, decompose = coupling._Sector.block, getattr(coupling, eigensolver)
+
+    def recording_block(sector, Z):
+        gathered.append(sector)
+        return block(sector, Z)
+
+    def recording_decompose(*args):
+        decomposed.append(len(args[-1]))
+        return decompose(*args)
+
+    monkeypatch.setattr(coupling._Sector, "block", recording_block)
+    monkeypatch.setattr(coupling, eigensolver, recording_decompose)
+    s, U = sym_eig(Z)
+    monkeypatch.undo()
+    assert gathered == [sector for sector in Z._sectors if sector is not twin]
+    assert decomposed == _square_block_sizes(n)
+    _, blocks = Z.eigendecomposition()
+    ((vectors, ranks),) = [(V, r) for sector, V, r in blocks if sector is source]
+    ((twin_vectors, twin_ranks),) = [(V, r) for sector, V, r in blocks if sector is twin]
+    assert twin_vectors is vectors
+    assert not set(ranks) & set(twin_ranks)
+    assert list(s[twin_ranks]) == list(s[ranks])
+    # the shared V, expanded through the twin's orbits, still gives Z's spectral split
+    with Z.arithmetic.lock:
+        recon = np.abs((U * s) @ U.T - Z.dense()).max()
+        gram = np.abs(U.T @ U - np.eye(Z.n)).max()
+    u = 2.0 ** -(precision.mantissa_bits or 53)
+    assert recon <= 64 * u and gram <= 64 * u
+
+
+@pytest.mark.parametrize("n", [5, 6])
+@pytest.mark.parametrize("precision", [Precision(), EXT], ids=["double", "ext256"])
+def test_off_axis_square_solve_factors_the_even_odd_block_once_for_its_twin(
+        monkeypatch, n, precision):
+    geom = _lattice(n, n, 0.3, ElementKind.PLANAR)
+    Z = impedance(geom, precision)
+    h = channel_for(geom, [10.0, 1.3, 0.7], precision)  # off axis and off the diagonal
+    twin = _twin(Z)
+    assert np.any(twin.project(h) != 0) and np.any(twin.source.project(h) != 0)
+    factored = []
+    name = "_crout_factor" if precision.is_extended else "_gesv_solver"
+    factor = getattr(coupling, name)
+
+    def recording_factor(*args):
+        factored.append(len(args[-1]))
+        return factor(*args)
+
+    monkeypatch.setattr(coupling, name, recording_factor)
+    x = solve(Z, h)
+    monkeypatch.undo()
+    # every sector is excited: one factor per block, the even-odd one shared by its twin
+    assert factored == _square_block_sizes(n)
+    if precision.is_extended:
+        ctx = Z.arithmetic.ctx
+        assert _mp_residual(ctx, Z, x, h) <= 1e-8 * ctx.norm(h)
+        reference = ctx.lu_solve(_mp(ctx, Z.dense()), _mp(ctx, h))
+        assert ctx.norm(_mp(ctx, x) - reference) <= 1e-60 * ctx.norm(reference)
+    else:
+        dense = Z.dense()
+        assert np.linalg.norm(h - dense @ x) <= 1e-8 * np.linalg.norm(h)
+        reference = np.linalg.solve(dense, h)
+        kappa = condition_number(Z)
+        assert np.linalg.norm(x - reference) <= kappa * np.finfo(float).eps * np.linalg.norm(
+            reference)
+
+
+def test_row_of_refuses_an_element_that_is_not_a_first_member():
+    # a sector whose orbits start at the y mirror's image of each first member reads no row
+    Z = impedance(_lattice(4, 4, 0.3, ElementKind.PLANAR))
+    mirror = coupling._orbits(Z.images[:, :4])
+    assert np.all(mirror[:, 1] != mirror[:, 0])  # an even side: the y mirror fixes nothing
+    others = np.setdiff1d(np.arange(Z.n), mirror[:, 0])
+    assert np.all(Z._row_of[others] == len(Z.rows))
+    sector = coupling._Sector((1, 1, 1, 1), mirror[:, [1, 0, 3, 2]], Z.arithmetic)
+    with pytest.raises(IndexError):
+        sector.block(Z)
+
+
+@pytest.mark.parametrize("precision", [Precision(), EXT], ids=["double", "ext"])
+def test_impedance_matrix_refuses_a_swap_that_moves_a_first_member_off_its_orbits_first(
+        precision):
+    # relabel a 3 x 3 grid's elements 1 and 7: the images are still permutations, the
+    # identity first, but the swap takes element 3, a first member, to 7, which is not
+    Z = impedance(_lattice(3, 3, 0.3, ElementKind.PLANAR), precision)
+    label = np.arange(9)
+    label[[1, 7]] = [7, 1]
+    images = np.empty_like(Z.images)
+    images[label] = label[Z.images]
+    assert np.array_equal(images[:, 0], np.arange(9)) and images[3, 4] == 7
+    with pytest.raises(InvalidArgumentError, match="swap"):
+        ImpedanceMatrix(Z.rows, precision, images=images)
 
 
 @pytest.mark.parametrize("bits,bound", [(128, 2.0 ** -71), (256, 1e-60), (512, 2.0 ** -455)],
@@ -995,8 +1127,9 @@ def test_double_solve_off_axis_in_the_swap_halves_matches_the_four_sector_solve(
     Z = impedance(geom)
     h = channel_for(geom, [10.0, 0.3, 0.1])
     x = solve(Z, h)
-    # the even-even and odd-odd sectors' swap halves, and the even-odd and odd-even sectors whole
-    assert double_factored_sizes == [21, 15, 30, 30, 15, 10]
+    # the even-even and odd-odd sectors' swap halves, and the even-odd sector whole, whose
+    # block the odd-even sector shares
+    assert double_factored_sizes == [21, 15, 30, 15, 10]
     double_factored_sizes.clear()
     reference = solve(_four_sector(Z), h)
     assert double_factored_sizes == [36, 30, 30, 25]
@@ -1172,15 +1305,25 @@ def test_double_and_extended_work_in_the_same_sectors(geom, symmetric, rows):
         (sector.parity, len(sector.images)) for sector in extended._sectors]
     for a, b in zip(double._sectors, extended._sectors):
         assert np.array_equal(a.images, b.images)
+        assert (a.source is a) == (b.source is b)
     # the vectorized orbit filter keeps the element-wise one's sectors, order and bits
     reference = _elementwise_sectors(double.images)
-    assert [sector.parity for sector in double._sectors] == [c for c, _, _ in reference]
+    assert len(double._sectors) == len(reference)
     ctx = EXT.arithmetic().ctx
-    for a, b, (_, held, sizes) in zip(double._sectors, extended._sectors, reference):
-        assert a.images.tolist() == held
-        assert np.array_equal(a.roots, np.sqrt(np.array(sizes, dtype=float)))
+    for a, b, (character, held, sizes) in zip(double._sectors, extended._sectors, reference):
+        order, columns = np.arange(len(held)), list(range(len(character)))
+        if a.source is not a:
+            # a square's odd-even sector is the even-odd one's twin: the even-odd character
+            # on the swap images of its orbits, in the columns (identity, z mirror, y mirror,
+            # both), each row's lowest element first
+            assert a.parity == a.source.parity
+            assert np.array_equal(a.images, double.images[a.source.images, 4])
+            order, columns = np.argsort(a.images[:, 0]), [0, 2, 1, 3]
+        assert tuple(a.parity[k] for k in columns) == character
+        assert a.images[order][:, columns].tolist() == held
+        assert np.array_equal(a.roots[order], np.sqrt(np.array(sizes, dtype=float)))
         with EXT.arithmetic().lock:
-            assert [_bits(x) for x in b.roots] == [_bits(ctx.sqrt(size)) for size in sizes]
+            assert [_bits(x) for x in b.roots[order]] == [_bits(ctx.sqrt(size)) for size in sizes]
 
 
 def _relative_error(got, want):
@@ -1365,19 +1508,20 @@ def test_impedance_refuses_a_matrix_larger_than_physical_memory(monkeypatch):
     memory = coupling._physical_memory_bytes()
     assert memory is None or memory > 0
     # a sweep holds Z's mirror-orbit rows and its sector eigenvector
-    # blocks: 9 x 36 rows and blocks of 6, 3, 9, 9, 6 and 3 on the 6 x 6
-    # grid, 576 floats; 16 x 49 rows and blocks of 10, 6, 12, 12, 6 and 3
-    # on the 7 x 7 grid, 1253 floats
+    # blocks, the odd-even sector's shared with the even-odd one: 9 x 36
+    # rows and blocks of 6, 3, 9, 6 and 3 on the 6 x 6 grid, 495 floats;
+    # 16 x 49 rows and blocks of 10, 6, 12, 6 and 3 on the 7 x 7 grid,
+    # 1109 floats
     pitch = 0.5 * LAM
     fits = planar_grid(5 * pitch, 5 * pitch, pitch, pitch, ElementKind.ISOTROPIC, LAM)
     too_big = planar_grid(6 * pitch, 6 * pitch, pitch, pitch, ElementKind.ISOTROPIC, LAM)
     assert (fits.n, too_big.n) == (36, 49)
-    monkeypatch.setattr(coupling, "_physical_memory_bytes", lambda: 8 * 576)
+    monkeypatch.setattr(coupling, "_physical_memory_bytes", lambda: 8 * 495)
     assert impedance(fits).n == 36
     for precision in (Precision(), Precision.extended(64)):
         with pytest.raises(CapacityError, match="physical memory"):
             impedance(too_big, precision)
-    monkeypatch.setattr(coupling, "_physical_memory_bytes", lambda: 8 * 575)
+    monkeypatch.setattr(coupling, "_physical_memory_bytes", lambda: 8 * 494)
     with pytest.raises(CapacityError, match="9 x 36 rows"):
         impedance(fits)
 
